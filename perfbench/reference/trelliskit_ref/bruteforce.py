@@ -1,0 +1,95 @@
+"""Unpruned reference enumeration for cross-checking the search engine.
+
+Materializes every commutative table with a neutral top whose inner
+cells stay inside the common lower bounds of their coordinates (any
+table violating that is already not jointly increasing), then filters
+batches with vectorized monotonicity and associativity scans and runs a
+final per-table check() on the survivors.  No search tree, no forward
+checking, no domain tightening beyond the lower-bound set — deliberately
+independent of enumeration.py so the two routes can disagree loudly.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from .errors import CarrierTooLarge, NotBounded
+from .relation import Psoset
+from .tnorms import BinaryOpTable, check, make_op
+from .trellis import Trellis
+
+_BATCH = 20_000
+
+
+def _cells_and_domains(base: Psoset):
+    n, rel, top = base.n, base.rel, base.top
+    inner = [x for x in range(n) if x != top]
+    cells = [(i, j) for i in inner for j in inner if i <= j]
+    domains = [np.flatnonzero(rel[:, i] & rel[:, j]) for i, j in cells]
+    return cells, domains
+
+
+def bruteforce_candidate_count(p: Psoset | Trellis) -> int:
+    """How many raw candidate tables the brute force would scan."""
+    base = p.base if isinstance(p, Trellis) else p
+    if base.bottom is None or base.top is None:
+        raise NotBounded("t-norms need a bottom and a top")
+    _, domains = _cells_and_domains(base)
+    return math.prod(len(d) for d in domains)
+
+
+def bruteforce_tnorms(p: Psoset | Trellis, cap: int = 6) -> list[BinaryOpTable]:
+    """All t-norms on a small bounded carrier, the slow exhaustive way.
+
+    Returned in the same canonical order as enumeration (row-major table
+    tuples), so results compare directly.
+    """
+    base = p.base if isinstance(p, Trellis) else p
+    if base.bottom is None or base.top is None:
+        raise NotBounded("t-norms need a bottom and a top")
+    n, rel, top = base.n, base.rel, base.top
+    if n > cap:
+        raise CarrierTooLarge(
+            f"carrier has {n} elements, cap is {cap}; pass cap= to override"
+        )
+    cells, domains = _cells_and_domains(base)
+    lo, hi = np.nonzero(rel)
+    idx = np.arange(n)
+
+    survivors: list[np.ndarray] = []
+    candidates = itertools.product(*domains)
+    while True:
+        chunk = list(itertools.islice(candidates, _BATCH))
+        if not chunk:
+            break
+        vals = np.asarray(chunk, dtype=np.int64)
+        c = len(chunk)
+        tabs = np.empty((c, n, n), dtype=np.int64)
+        tabs[:, :, top] = idx
+        tabs[:, top, :] = idx
+        for k, (i, j) in enumerate(cells):
+            tabs[:, i, j] = vals[:, k]
+            tabs[:, j, i] = vals[:, k]
+
+        low = tabs[:, lo[:, None], lo[None, :]]
+        high = tabs[:, hi[:, None], hi[None, :]]
+        keep = rel[low, high].all(axis=(1, 2))
+        tabs = tabs[keep]
+        if len(tabs):
+            t_idx = np.arange(len(tabs))[:, None, None, None]
+            left = tabs[t_idx, tabs[:, :, :, None], idx[None, None, None, :]]
+            right = tabs[t_idx, idx[None, :, None, None], tabs[:, None, :, :]]
+            keep = (left == right).all(axis=(1, 2, 3))
+            tabs = tabs[keep]
+        survivors.extend(tabs)
+
+    ops = []
+    for t in survivors:
+        op = make_op(p, t)
+        if check(op).is_tnorm:
+            ops.append(op)
+    ops.sort(key=lambda o: tuple(o.table.flat))
+    return ops

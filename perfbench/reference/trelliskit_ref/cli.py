@@ -1,0 +1,505 @@
+"""Command-line interface.
+
+Exit codes: 0 success, 1 unexpected failure (or a failing verify-paper
+run), 2 validation violations in the input, 3 file parse errors,
+4 unsatisfied preconditions (no bounds, carrier too large, method
+arguments that do not apply to the given carrier, and the like).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__, reproduction
+from .elements import ALPHAS, classify
+from .enumeration import enumerate_tnorms, order_diagram
+from .errors import (
+    BottomMissing,
+    CarrierTooLarge,
+    ElementNotInSubset,
+    EmptySubset,
+    LimitReached,
+    NoTop,
+    NotACoAtom,
+    NotAnInteriorOperator,
+    NotASubLattice,
+    NotATrellis,
+    NotBounded,
+    NotRightTransitiveSubset,
+    ParseError,
+    PreconditionViolated,
+    RangeNotRightTransitive,
+    TrellisKitError,
+    ValidationError,
+    VNotATnorm,
+)
+from .fileformat import document_psoset, document_trellis, export_dot, parse
+from .interior import UnaryMap, interior_from_subset, interior_range
+from .relation import co_atoms, hasse, maximal_cycles
+from .tnorms import (
+    check,
+    join_cover_condition,
+    join_cover_witness,
+    scaled_meet,
+    t_coatom,
+    t_drastic,
+    t_join_cover,
+    tnorm_via_interior,
+)
+from .trellis import check_skala_axioms, structure_kind
+
+EXIT_OK = 0
+EXIT_UNEXPECTED = 1
+EXIT_INVALID = 2
+EXIT_PARSE = 3
+EXIT_PRECONDITION = 4
+
+SCHEMA = "trelliskit-report/1"
+
+_PRECONDITION_ERRORS = (
+    BottomMissing,
+    CarrierTooLarge,
+    ElementNotInSubset,
+    EmptySubset,
+    NoTop,
+    NotACoAtom,
+    NotAnInteriorOperator,
+    NotASubLattice,
+    NotATrellis,
+    NotBounded,
+    NotRightTransitiveSubset,
+    PreconditionViolated,
+    RangeNotRightTransitive,
+    VNotATnorm,
+)
+
+
+def _read_document(path: str):
+    return parse(Path(path).read_text())
+
+
+def _format_table(names, table) -> str:
+    width = max(len(s) for s in names)
+    cells = [[""] + list(names)]
+    for x, row in enumerate(np.asarray(table)):
+        cells.append([names[x]] + [names[v] for v in row])
+    return "\n".join(" ".join(f"{c:>{width}}" for c in row) for row in cells)
+
+
+def _named(names, tup):
+    return [names[i] for i in tup]
+
+
+def _report_dict(names, rep) -> dict:
+    flags = {
+        key: getattr(rep, key)
+        for key in (
+            "commutative",
+            "associative",
+            "neutral_top",
+            "increasing",
+            "left_increasing",
+            "right_increasing",
+            "conjunctive",
+            "disjunctive",
+            "idempotent",
+            "meet_preserving",
+        )
+    }
+    flags["is_tnorm"] = rep.is_tnorm
+    flags["witnesses"] = {k: _named(names, w) for k, w in rep.witnesses.items()}
+    return flags
+
+
+def _print_report(names, rep) -> None:
+    order = (
+        "commutative",
+        "associative",
+        "neutral_top",
+        "increasing",
+        "left_increasing",
+        "right_increasing",
+        "conjunctive",
+        "disjunctive",
+        "idempotent",
+        "meet_preserving",
+    )
+    for key in order:
+        value = getattr(rep, key)
+        if value is None:
+            continue
+        line = f"  {key}: {'yes' if value else 'no'}"
+        if not value and key in rep.witnesses:
+            line += f"  (witness: {' '.join(_named(names, rep.witnesses[key]))})"
+        print(line)
+    print(f"  t-norm: {'yes' if rep.is_tnorm else 'no'}")
+
+
+def _emit_dot(args, diagram, names) -> None:
+    if getattr(args, "dot", None):
+        Path(args.dot).write_text(export_dot(diagram, names))
+
+
+def cmd_validate(args) -> int:
+    doc = _read_document(args.file)
+    payload: dict = {"schema": SCHEMA, "command": "validate", "file": args.file}
+    p = document_psoset(doc)  # ValidationError propagates -> exit 2
+    payload["elements"] = list(p.names)
+    payload["psoset_valid"] = True
+    payload["bottom"] = None if p.bottom is None else p.names[p.bottom]
+    payload["top"] = None if p.top is None else p.names[p.top]
+    try:
+        t, kind = document_trellis(doc)  # cross-checks declared tables
+    except NotATrellis as e:
+        t, kind = None, structure_kind(p)
+        payload["trellis_gap"] = str(e)
+    payload["is_trellis"] = kind.is_trellis
+    payload["is_lattice"] = kind.is_lattice
+    payload["declared_tables"] = bool(doc.meet is not None or doc.join is not None)
+    if t is not None:
+        axioms = check_skala_axioms(t.meet, t.join)
+        payload["axioms_ok"] = axioms.ok
+    _emit_dot(args, hasse(p), p.names)
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(f"elements: {' '.join(p.names)}")
+        print("psoset: valid")
+        print(f"bottom: {payload['bottom']}  top: {payload['top']}")
+        if kind.is_trellis:
+            flavor = "lattice" if kind.is_lattice else "proper trellis"
+            print(f"trellis: yes ({flavor})")
+            if payload["declared_tables"]:
+                print("declared meet/join tables: match")
+            print(f"axioms: {'pass' if payload['axioms_ok'] else 'FAIL'}")
+        else:
+            print(f"trellis: no — {payload['trellis_gap']}")
+    return EXIT_OK
+
+
+def cmd_classify(args) -> int:
+    doc = _read_document(args.file)
+    t, _ = document_trellis(doc)
+    cls = classify(t)
+    subsets = {
+        alpha: [t.names[i] for i in np.flatnonzero(getattr(cls, alpha))]
+        for alpha in ALPHAS
+    }
+    if args.json:
+        payload = {
+            "schema": SCHEMA,
+            "command": "classify",
+            "file": args.file,
+            "elements": {s: dict(cls.flags(t.index(s))) for s in t.names},
+            "subsets": subsets,
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return EXIT_OK
+    width = max(len(s) for s in t.names)
+    header = " ".join(f"{a:>8}" for a in ALPHAS)
+    print(f"{'':>{width}} {header}")
+    for x, name in enumerate(t.names):
+        marks = " ".join(
+            f"{'x' if getattr(cls, a)[x] else '.':>8}" for a in ALPHAS
+        )
+        print(f"{name:>{width}} {marks}")
+    for alpha in ALPHAS:
+        print(f"{alpha}: {' '.join(subsets[alpha])}")
+    return EXIT_OK
+
+
+def cmd_structure(args) -> int:
+    doc = _read_document(args.file)
+    p = document_psoset(doc)
+    try:
+        t, kind = document_trellis(doc)
+    except NotATrellis:
+        t, kind = None, structure_kind(p)
+    cycles = [list(p.labels(c)) for c in maximal_cycles(p)]
+    payload: dict = {
+        "schema": SCHEMA,
+        "command": "structure",
+        "file": args.file,
+        "elements": list(p.names),
+        "bottom": None if p.bottom is None else p.names[p.bottom],
+        "top": None if p.top is None else p.names[p.top],
+        "kind": {
+            "meet_semi_trellis": kind.is_meet_semi_trellis,
+            "join_semi_trellis": kind.is_join_semi_trellis,
+            "trellis": kind.is_trellis,
+            "lattice": kind.is_lattice,
+            "modular": kind.is_modular,
+            "bounded": kind.is_bounded,
+        },
+        "maximal_cycles": cycles,
+        "pseudo_order_transitive": p.is_transitive(),
+    }
+    payload["co_atoms"] = (
+        [p.names[i] for i in sorted(co_atoms(p))] if p.top is not None else None
+    )
+    if t is not None and kind.is_bounded:
+        payload["join_cover_condition"] = join_cover_condition(t)
+        witness = join_cover_witness(t)
+        payload["join_cover_witness"] = (
+            None if witness is None else _named(p.names, witness)
+        )
+    _emit_dot(args, hasse(p), p.names)
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return EXIT_OK
+    print(f"elements: {' '.join(p.names)}")
+    print(f"bottom: {payload['bottom']}  top: {payload['top']}")
+    for key, value in payload["kind"].items():
+        print(f"{key}: {value}")
+    print(f"transitive: {payload['pseudo_order_transitive']}")
+    print(f"maximal cycles: {cycles if cycles else 'none'}")
+    if payload["co_atoms"] is not None:
+        print(f"co-atoms: {' '.join(payload['co_atoms'])}")
+    if "join_cover_condition" in payload:
+        print(f"join-cover condition: {payload['join_cover_condition']}")
+        if payload["join_cover_witness"]:
+            print(f"join-cover witness: {' '.join(payload['join_cover_witness'])}")
+    return EXIT_OK
+
+
+def _subset_from_token(doc, p, token: str) -> list[int]:
+    if token in doc.subsets:
+        return sorted(doc.subsets[token])
+    if token == "rtr":
+        from .elements import right_transitive_set
+
+        return sorted(right_transitive_set(p))
+    return sorted(p.index(s) for s in token.split(","))
+
+
+def _map_from_token(doc, p, token: str) -> np.ndarray:
+    if token in doc.maps:
+        return doc.maps[token]
+    images = token.split(",")
+    if len(images) != p.n:
+        raise PreconditionViolated(
+            f"map needs {p.n} comma-separated element names, got {len(images)}"
+        )
+    return np.array([p.index(s) for s in images], dtype=np.int64)
+
+
+def cmd_construct(args) -> int:
+    doc = _read_document(args.file)
+    method = args.method
+    p = document_psoset(doc)
+    trellis = None
+    try:
+        trellis, _ = document_trellis(doc)
+    except NotATrellis:
+        pass
+
+    if method == "drastic":
+        op = t_drastic(trellis if trellis is not None else p)
+    elif method == "z":
+        if trellis is None:
+            raise NotATrellis("the z construction needs meets and joins")
+        op = t_join_cover(trellis)
+    elif method.startswith("coatom:"):
+        name = method.split(":", 1)[1]
+        op = t_coatom(trellis if trellis is not None else p, p.index(name))
+    elif method.startswith(("lambda:", "interior:")):
+        if trellis is None:
+            raise NotATrellis("interior constructions need meets and joins")
+        kind, rest = method.split(":", 1)
+        v_token = None
+        if ":V=" in rest:
+            rest, v_token = rest.split(":V=", 1)
+        if kind == "lambda":
+            members = _subset_from_token(doc, trellis, rest)
+            im = interior_from_subset(trellis, members)
+        else:
+            im = UnaryMap(trellis, _map_from_token(doc, trellis, rest))
+        v = None
+        if v_token is not None:
+            rng_members = sorted(interior_range(trellis, im))
+            v = scaled_meet(trellis, rng_members, trellis.index(v_token))
+        op = tnorm_via_interior(trellis, im, v)
+    else:
+        print(f"unknown method {method!r}", file=sys.stderr)
+        return EXIT_PRECONDITION
+
+    rep = check(op)
+    if args.json:
+        payload = {
+            "schema": SCHEMA,
+            "command": "construct",
+            "file": args.file,
+            "method": method,
+            "table": [[p.names[v] for v in row] for row in op.table],
+            "report": _report_dict(p.names, rep),
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return EXIT_OK
+    print(f"method: {method}")
+    print(_format_table(p.names, op.table))
+    _print_report(p.names, rep)
+    return EXIT_OK
+
+
+def cmd_enumerate(args) -> int:
+    doc = _read_document(args.file)
+    p = document_psoset(doc)
+    target = p
+    try:
+        target, _ = document_trellis(doc)
+    except NotATrellis:
+        pass
+    kwargs = {}
+    if args.cap is not None:
+        kwargs["cap"] = args.cap
+    hit_limit = False
+    try:
+        res = enumerate_tnorms(target, limit=args.limit, **kwargs)
+    except LimitReached as e:
+        res = e.result
+        hit_limit = True
+
+    diagram = order_diagram(res) if res.complete else None
+    if diagram is not None:
+        _emit_dot(args, diagram, [f"T{k + 1}" for k in range(res.count)])
+    if args.json:
+        payload = {
+            "schema": SCHEMA,
+            "command": "enumerate",
+            "file": args.file,
+            "count": res.count,
+            "complete": res.complete,
+            "tnorms": [
+                [[p.names[v] for v in row] for row in op.table] for op in res.tnorms
+            ],
+            "maximal": res.maximal,
+            "greatest": res.greatest,
+            "cover_edges": sorted(diagram.cover_edges) if diagram else None,
+            "search_stats": res.search_stats,
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return EXIT_OK
+    print(f"t-norms found: {res.count}" + ("  (stopped at limit)" if hit_limit else ""))
+    for k, op in enumerate(res.tnorms):
+        tags = []
+        if k in res.maximal:
+            tags.append("maximal")
+        if k == res.greatest:
+            tags.append("greatest")
+        suffix = f"  ({', '.join(tags)})" if tags else ""
+        print(f"\nT{k + 1}{suffix}")
+        print(_format_table(p.names, op.table))
+    if diagram is not None:
+        covers = ", ".join(f"T{u + 1} -> T{v + 1}" for u, v in sorted(diagram.cover_edges))
+        print(f"\norder diagram covers: {covers if covers else 'none'}")
+    print(f"search stats: {res.search_stats}")
+    return EXIT_OK
+
+
+def cmd_verify_paper(args) -> int:
+    results = reproduction.run_all(seed=args.seed)
+    if args.json:
+        payload = {
+            "schema": SCHEMA,
+            "command": "verify-paper",
+            "seed": args.seed,
+            "criteria": [
+                {
+                    "number": r.number,
+                    "title": r.title,
+                    "passed": r.passed,
+                    "details": r.details,
+                }
+                for r in results
+            ],
+            "all_passed": all(r.passed for r in results),
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for r in results:
+            print(r.line)
+            if not r.passed:
+                for line in r.details:
+                    print("    " + line)
+    return EXIT_OK if all(r.passed for r in results) else EXIT_UNEXPECTED
+
+
+def _parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="machine-readable output")
+    common.add_argument("--dot", metavar="PATH", help="write a DOT diagram here")
+    common.add_argument(
+        "--seed", type=int, default=reproduction.DEFAULT_SEED,
+        help="seed for the random suites",
+    )
+
+    ap = argparse.ArgumentParser(
+        prog="trelliskit",
+        description="Finite pseudo-ordered sets, trellises and their t-norms.",
+    )
+    ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("validate", parents=[common], help="check a carrier file")
+    sp.add_argument("file")
+    sp.set_defaults(func=cmd_validate)
+
+    sp = sub.add_parser("classify", parents=[common], help="element classes")
+    sp.add_argument("file")
+    sp.set_defaults(func=cmd_classify)
+
+    sp = sub.add_parser("structure", parents=[common], help="structure report")
+    sp.add_argument("file")
+    sp.set_defaults(func=cmd_structure)
+
+    sp = sub.add_parser("construct", parents=[common], help="build a t-norm")
+    sp.add_argument("file")
+    sp.add_argument(
+        "--method",
+        required=True,
+        help="drastic | z | coatom:<elt> | lambda:<subset>[:V=<elt>] | "
+        "interior:<map>[:V=<elt>]; <subset> and <map> name a document "
+        "section or spell the data inline, comma-separated",
+    )
+    sp.set_defaults(func=cmd_construct)
+
+    sp = sub.add_parser("enumerate", parents=[common], help="all t-norms")
+    sp.add_argument("file")
+    sp.add_argument("--limit", type=int, default=None, help="stop after N t-norms")
+    sp.add_argument("--cap", type=int, default=None, help="carrier size guard")
+    sp.set_defaults(func=cmd_enumerate)
+
+    sp = sub.add_parser(
+        "verify-paper",
+        parents=[common],
+        help="recompute every recorded table and fact from the built-in carriers",
+    )
+    sp.set_defaults(func=cmd_verify_paper)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except ValidationError as e:
+        print(f"invalid: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except _PRECONDITION_ERRORS as e:
+        print(f"unsupported: {e}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except (OSError, TrellisKitError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_UNEXPECTED
+
+
+if __name__ == "__main__":
+    sys.exit(main())

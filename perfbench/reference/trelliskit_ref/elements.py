@@ -1,0 +1,138 @@
+"""Per-element regularity classes on a trellis.
+
+Without transitivity, individual elements can still behave transitively /
+associatively / distributively, and the subsets collecting them carry a lot
+of structure.  The flags:
+
+  rtr  "right-transitive":  a <= x <= y  always gives  a <= y
+  ltr  "left-transitive":   x <= y <= a  always gives  x <= a
+  mtr  "middle-transitive": x <= a <= y  always gives  x <= y
+  tr   all three
+  meet_ass / join_ass: every 3-tuple containing the element associates
+  ass  both
+  dis  every 3-tuple containing the element satisfies both distributive
+       rearrangements (the two are equivalent per element; we verify both)
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import EmptySubset, PreconditionViolated
+from .trellis import Trellis
+
+ALPHAS = ("dis", "ass", "meet_ass", "join_ass", "tr", "ltr", "rtr", "mtr")
+
+
+@dataclass(frozen=True)
+class ElementClassification:
+    trellis: Trellis
+    rtr: np.ndarray
+    ltr: np.ndarray
+    mtr: np.ndarray
+    tr: np.ndarray
+    meet_ass: np.ndarray
+    join_ass: np.ndarray
+    ass: np.ndarray
+    dis: np.ndarray
+
+    def flags(self, x: int) -> dict[str, bool]:
+        return {alpha: bool(getattr(self, alpha)[x]) for alpha in ALPHAS}
+
+
+def _per_element_bad(bad: np.ndarray) -> np.ndarray:
+    """bad is an (n,n,n) violation tensor; an element is clean when it
+    appears in no violating tuple, in any position."""
+    return ~(bad.any(axis=(1, 2)) | bad.any(axis=(0, 2)) | bad.any(axis=(0, 1)))
+
+
+def classify(t: Trellis) -> ElementClassification:
+    rel = t.rel
+    meet, join = t.meet, t.join
+    n = t.n
+
+    two_step = rel @ rel  # two_step[a, y]: some x with a <= x <= y
+    rtr = ~(two_step & ~rel).any(axis=1)
+    ltr = ~(two_step & ~rel).any(axis=0)
+    # through[x, a, y] = x <= a and a <= y
+    through = rel[:, :, None] & rel[None, :, :]
+    mtr = ~(through & ~rel[:, None, :]).any(axis=(0, 2))
+    tr = rtr & ltr & mtr
+
+    meet_bad = meet[meet, :] != meet[:, meet]  # (x^y)^z vs x^(y^z)
+    join_bad = join[join, :] != join[:, join]
+    meet_ass = _per_element_bad(meet_bad)
+    join_ass = _per_element_bad(join_bad)
+    ass = meet_ass & join_ass
+
+    # (x^y) v z = (xvz) ^ (yvz)   and   (xvy) ^ z = (x^z) v (y^z)
+    xz = join[:, None, :]  # [x, 1, z]
+    yz = join[None, :, :]  # [1, y, z]
+    dis_meet_bad = join[meet, :] != meet[xz, yz]
+    mxz = meet[:, None, :]
+    myz = meet[None, :, :]
+    dis_join_bad = meet[join, :] != join[mxz, myz]
+    dis = _per_element_bad(dis_meet_bad) & _per_element_bad(dis_join_bad)
+
+    freeze = lambda a: (a.setflags(write=False), a)[1]
+    return ElementClassification(
+        trellis=t,
+        rtr=freeze(rtr),
+        ltr=freeze(ltr),
+        mtr=freeze(mtr),
+        tr=freeze(tr),
+        meet_ass=freeze(meet_ass),
+        join_ass=freeze(join_ass),
+        ass=freeze(ass),
+        dis=freeze(dis),
+    )
+
+
+def subset(classification: ElementClassification, alpha: str) -> frozenset[int]:
+    if alpha not in ALPHAS:
+        raise ValueError(f"unknown class {alpha!r}, expected one of {ALPHAS}")
+    mask = getattr(classification, alpha)
+    return frozenset(int(i) for i in np.flatnonzero(mask))
+
+
+def right_transitive_set(t: Trellis) -> frozenset[int]:
+    return subset(classify(t), "rtr")
+
+
+def iterated_join(t: Trellis, S) -> int:
+    """Left-fold of the join over S in index order.
+
+    Only safe when every member is right-transitive (then the result is the
+    supremum and does not depend on the fold order)."""
+    members = sorted(set(S))
+    if not members:
+        raise EmptySubset("iterated join of empty subset")
+    rtr = classify(t).rtr
+    bad = [x for x in members if not rtr[x]]
+    if bad:
+        raise PreconditionViolated(
+            f"not right-transitive: {[t.names[x] for x in bad]}", bad
+        )
+    acc = members[0]
+    for x in members[1:]:
+        acc = int(t.join[acc, x])
+    return acc
+
+
+def iterated_meet(t: Trellis, S) -> int:
+    """Dual of iterated_join; members must be left-transitive."""
+    members = sorted(set(S))
+    if not members:
+        raise EmptySubset("iterated meet of empty subset")
+    ltr = classify(t).ltr
+    bad = [x for x in members if not ltr[x]]
+    if bad:
+        raise PreconditionViolated(
+            f"not left-transitive: {[t.names[x] for x in bad]}", bad
+        )
+    acc = members[0]
+    for x in members[1:]:
+        acc = int(t.meet[acc, x])
+    return acc

@@ -1,0 +1,233 @@
+"""Exhaustive enumeration of every t-norm on a small bounded carrier.
+
+Backtracking search over the cells of the operation table.  The neutral
+row and column are fixed up front and commutativity is baked into the
+cell layout (only the upper triangle is searched).  Monotonicity is
+enforced two ways: the initial domain of a cell (x, y) keeps only values
+below every upper bound of x and of y — forced by neutrality plus joint
+monotonicity — and assignments forward-prune the domains of comparable
+cells.  Associativity is re-checked over all fully-defined triples after
+each assignment.  Every completed table still goes through check()
+before being reported: the pruning is an optimization, never the
+authority on what counts as a t-norm.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import CarrierTooLarge, LimitReached, NotBounded, PreconditionViolated
+from .relation import HasseDiagram, Psoset, hasse, validate_psoset
+from .tnorms import BinaryOpTable, check, make_op, pointwise_leq
+from .trellis import Trellis
+
+
+@dataclass
+class EnumerationResult:
+    """Everything the search found.
+
+    tnorms is sorted canonically (row-major tuple of table entries), so
+    equal carriers always enumerate in the same order.  maximal and
+    greatest are indices into tnorms.  If complete is False the search
+    stopped at a limit and maximal/greatest only describe what was found
+    up to that point.
+    """
+
+    target: Psoset | Trellis
+    tnorms: list[BinaryOpTable]
+    maximal: list[int]
+    greatest: int | None
+    count: int
+    search_stats: dict[str, int]
+    complete: bool
+
+
+class _Stop(Exception):
+    pass
+
+
+def enumerate_tnorms(
+    p: Psoset | Trellis, limit: int | None = None, cap: int = 10
+) -> EnumerationResult:
+    """All t-norms on a bounded psoset or trellis with at most `cap` elements.
+
+    Raises CarrierTooLarge beyond the cap (override with cap=), and
+    LimitReached — carrying the partial result — once `limit` t-norms
+    have been found.
+    """
+    base = p.base if isinstance(p, Trellis) else p
+    if base.bottom is None or base.top is None:
+        raise NotBounded("enumeration needs a bottom and a top")
+    n, rel, top = base.n, base.rel, base.top
+    if n > cap:
+        raise CarrierTooLarge(
+            f"carrier has {n} elements, cap is {cap}; pass cap= to override"
+        )
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+
+    inner = [x for x in range(n) if x != top]
+    cells = [(i, j) for i in inner for j in inner if i <= j]
+
+    # T(i, j) must sit below every upper bound of i and of j: for i <= x
+    # the pair (i, j) <= (x, top) cellwise, so T(i, j) <= T(x, top) = x.
+    # The reflexive cases give T(i, j) <= i and <= j.
+    def initial_domain(i: int, j: int) -> np.ndarray:
+        uppers = rel[i] | rel[j]
+        return rel[:, uppers].all(axis=1)
+
+    doms = [initial_domain(i, j) for i, j in cells]
+    order = sorted(range(len(cells)), key=lambda k: (int(doms[k].sum()), cells[k]))
+    cells = [cells[k] for k in order]
+    doms = [doms[k] for k in order]
+    m = len(cells)
+
+    # Cellwise comparability (in either orientation, since the table is
+    # symmetric) is exactly what joint monotonicity constrains.
+    def cell_leq(c: tuple[int, int], d: tuple[int, int]) -> bool:
+        (i, j), (a, b) = c, d
+        return bool((rel[i, a] and rel[j, b]) or (rel[i, b] and rel[j, a]))
+
+    fut_above: list[list[int]] = [[] for _ in range(m)]
+    fut_below: list[list[int]] = [[] for _ in range(m)]
+    for k in range(m):
+        for k2 in range(k + 1, m):
+            if cell_leq(cells[k], cells[k2]):
+                fut_above[k].append(k2)
+            if cell_leq(cells[k2], cells[k]):
+                fut_below[k].append(k2)
+
+    tab = np.full((n, n), -1, dtype=np.int64)
+    idx = np.arange(n)
+    tab[:, top] = idx
+    tab[top, :] = idx
+
+    stats = {
+        "nodes": 0,
+        "monotone_prunes": 0,
+        "associativity_prunes": 0,
+        "final_check_rejects": 0,
+    }
+    found: list[np.ndarray] = []
+
+    def partial_assoc_ok() -> bool:
+        safe = np.where(tab >= 0, tab, 0)
+        left = tab[safe, :]  # [x, y, z] = T(T(x, y), z)
+        left_def = (tab[:, :, None] >= 0) & (left >= 0)
+        right = tab[:, safe]  # [x, y, z] = T(x, T(y, z))
+        right_def = (tab[None, :, :] >= 0) & (right >= 0)
+        return not ((left_def & right_def) & (left != right)).any()
+
+    def dfs(k: int) -> None:
+        if k == m:
+            op = make_op(p, tab)
+            if check(op).is_tnorm:
+                found.append(tab.copy())
+                if limit is not None and len(found) >= limit:
+                    raise _Stop
+            else:
+                stats["final_check_rejects"] += 1
+            return
+        i, j = cells[k]
+        for v in np.flatnonzero(doms[k]):
+            v = int(v)
+            stats["nodes"] += 1
+            tab[i, j] = v
+            tab[j, i] = v
+            if not partial_assoc_ok():
+                stats["associativity_prunes"] += 1
+                continue
+            saved = []
+            wiped = False
+            for k2 in fut_above[k]:
+                saved.append((k2, doms[k2]))
+                doms[k2] = doms[k2] & rel[v]  # values w with v <= w
+                if not doms[k2].any():
+                    wiped = True
+                    break
+            if not wiped:
+                for k2 in fut_below[k]:
+                    saved.append((k2, doms[k2]))
+                    doms[k2] = doms[k2] & rel[:, v]  # values w with w <= v
+                    if not doms[k2].any():
+                        wiped = True
+                        break
+            if wiped:
+                stats["monotone_prunes"] += 1
+            else:
+                dfs(k + 1)
+            for k2, old in reversed(saved):
+                doms[k2] = old
+        tab[i, j] = -1
+        tab[j, i] = -1
+
+    def finish(complete: bool) -> EnumerationResult:
+        found.sort(key=lambda t: tuple(t.flat))
+        ops = [make_op(p, t) for t in found]
+        w = len(ops)
+        above = np.zeros((w, w), dtype=bool)
+        for a in range(w):
+            for b in range(w):
+                above[a, b] = bool(rel[ops[a].table, ops[b].table].all())
+        maximal = [
+            a for a in range(w) if not any(above[a, b] for b in range(w) if b != a)
+        ]
+        greatest = next((b for b in range(w) if above[:, b].all()), None)
+        return EnumerationResult(
+            target=p,
+            tnorms=ops,
+            maximal=maximal,
+            greatest=greatest,
+            count=w,
+            search_stats=stats,
+            complete=complete,
+        )
+
+    try:
+        dfs(0)
+    except _Stop:
+        raise LimitReached(
+            f"stopped after {len(found)} t-norms (limit={limit})",
+            finish(complete=False),
+        )
+    return finish(complete=True)
+
+
+def is_maximal_tnorm(p: Psoset | Trellis, op: BinaryOpTable, cap: int = 10) -> bool:
+    """No enumerated t-norm sits strictly pointwise above op."""
+    res = enumerate_tnorms(p, cap=cap)
+    mine = op.table
+    for other in res.tnorms:
+        if np.array_equal(other.table, mine):
+            continue
+        if pointwise_leq(op, other):
+            return False
+    return True
+
+
+def greatest_tnorm(p: Psoset | Trellis, cap: int = 10) -> BinaryOpTable | None:
+    """The t-norm pointwise above all others, when one exists."""
+    res = enumerate_tnorms(p, cap=cap)
+    return None if res.greatest is None else res.tnorms[res.greatest]
+
+
+def order_diagram(result: EnumerationResult) -> HasseDiagram:
+    """Hasse-type diagram of the pointwise order among enumerated t-norms.
+
+    The pointwise comparison of t-norm tables is reflexive and
+    antisymmetric but need not be transitive when the carrier is not, so
+    the result goes through the same diagram extraction as any psoset.
+    Node k stands for result.tnorms[k] (named "T<k+1>").
+    """
+    if not result.complete:
+        raise PreconditionViolated("order diagram needs a complete enumeration")
+    ops = result.tnorms
+    w = len(ops)
+    relmat = np.zeros((w, w), dtype=bool)
+    for a in range(w):
+        for b in range(w):
+            relmat[a, b] = pointwise_leq(ops[a], ops[b])
+    names = tuple(f"T{k + 1}" for k in range(w))
+    return hasse(validate_psoset(relmat, names))

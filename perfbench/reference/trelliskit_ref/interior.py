@@ -1,0 +1,115 @@
+"""Interior operators: contractive, idempotent meet-homomorphisms.
+
+The workhorse here is the map sending x to the join of all members of a
+fixed subset A lying below x.  When A is well-behaved (contains the bottom,
+all members right-transitive, closed under meet and join) that map is an
+interior operator whose range is exactly A, and it is the bridge between
+subsets and the t-norm constructions in tnorms.py.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .elements import classify
+from .errors import (
+    BottomMissing,
+    NotAnInteriorOperator,
+    NotBounded,
+    NotRightTransitiveSubset,
+)
+from .relation import down_set
+from .trellis import Trellis
+
+
+@dataclass(eq=False)
+class UnaryMap:
+    target: Trellis
+    map: np.ndarray  # map[x] = image of x
+
+    @property
+    def n(self) -> int:
+        return self.target.n
+
+    def __call__(self, x: int) -> int:
+        return int(self.map[x])
+
+    def image(self) -> frozenset[int]:
+        return frozenset(int(v) for v in self.map)
+
+
+@dataclass(frozen=True)
+class InteriorReport:
+    """Axioms: contractive I(x) <= x, idempotent I(I(x)) = I(x), and
+    I(x ^ y) = I(x) ^ I(y).  Derived facts (they follow from the axioms,
+    listed for diagnostics): fixed on the range, increasing."""
+
+    contractive: list
+    idempotent: list
+    meet_homomorphism: list
+    fixed_on_range: list
+    increasing: list
+
+    @property
+    def ok(self) -> bool:
+        return not (self.contractive or self.idempotent or self.meet_homomorphism)
+
+
+def validate_interior(t: Trellis, m: UnaryMap) -> InteriorReport:
+    rel, meet = t.rel, t.meet
+    f = np.asarray(m.map, dtype=np.int64)
+    n = t.n
+    contractive = [int(x) for x in range(n) if not rel[f[x], x]]
+    idempotent = [int(x) for x in range(n) if f[f[x]] != f[x]]
+    hom = [
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if f[meet[x, y]] != meet[f[x], f[y]]
+    ]
+    image = sorted(set(int(v) for v in f))
+    fixed = [int(v) for v in image if f[v] != v]
+    increasing = [
+        (x, y) for x in range(n) for y in range(n) if rel[x, y] and not rel[f[x], f[y]]
+    ]
+    return InteriorReport(contractive, idempotent, hom, fixed, increasing)
+
+
+def interior_range(t: Trellis, m: UnaryMap) -> frozenset[int]:
+    report = validate_interior(t, m)
+    if not report.ok:
+        raise NotAnInteriorOperator("map fails the interior axioms", report)
+    return m.image()
+
+
+def interior_from_subset(t: Trellis, A) -> UnaryMap:
+    """Map each x to the join of everything in A below x.
+
+    Needs the bottom in A (so the joined set is never empty) and every
+    member of A right-transitive (so the iterated join is an honest,
+    order-independent supremum).  Closure of A under meet/join is *not*
+    checked here; validate the result if you need an interior operator.
+    """
+    if t.bottom is None or t.top is None:
+        raise NotBounded("subset-interior needs a bounded trellis")
+    members = sorted(set(A))
+    if t.bottom not in members:
+        raise BottomMissing("subset must contain the bottom element")
+    rtr = classify(t).rtr
+    bad = [x for x in members if not rtr[x]]
+    if bad:
+        raise NotRightTransitiveSubset(
+            f"not right-transitive: {[t.names[x] for x in bad]}", bad
+        )
+    out = np.empty(t.n, dtype=np.int64)
+    aset = frozenset(members)
+    for x in range(t.n):
+        below = sorted(aset & down_set(t.base, x))  # bottom is always there
+        acc = below[0]
+        for v in below[1:]:
+            acc = int(t.join[acc, v])
+        out[x] = acc
+    out.setflags(write=False)
+    return UnaryMap(target=t, map=out)

@@ -1,0 +1,221 @@
+"""Finite pseudo-orders: reflexive antisymmetric relations without the
+transitivity requirement.
+
+The relation is an n x n boolean matrix, rel[x, y] meaning x <= y.  Because
+transitivity is not assumed, "x can be reached from y through a chain of
+related elements" (reachability) is genuinely weaker than the relation
+itself and gets its own operations here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
+from .errors import (
+    DuplicateName,
+    ElementNotInSubset,
+    EmptySubset,
+    NoTop,
+    NotAntisymmetric,
+    NotReflexive,
+)
+
+
+def transitive_closure(rel: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure by repeated boolean squaring."""
+    closure = rel.copy()
+    while True:
+        bigger = closure | (closure @ closure)
+        if np.array_equal(bigger, closure):
+            return bigger
+        closure = bigger
+
+
+@dataclass(eq=False)
+class Psoset:
+    """A finite pseudo-ordered set: named elements plus a reflexive,
+    antisymmetric (not necessarily transitive) relation."""
+
+    names: tuple[str, ...]
+    rel: np.ndarray
+    bottom: int | None = None
+    top: int | None = None
+    _closure: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.names)
+
+    def index(self, name: str) -> int:
+        return self.names.index(name)
+
+    def indices(self, names) -> frozenset[int]:
+        return frozenset(self.index(s) for s in names)
+
+    def labels(self, subset) -> tuple[str, ...]:
+        return tuple(self.names[i] for i in sorted(subset))
+
+    def leq(self, x: int, y: int) -> bool:
+        return bool(self.rel[x, y])
+
+    @property
+    def closure(self) -> np.ndarray:
+        if self._closure is None:
+            self._closure = transitive_closure(self.rel)
+            self._closure.setflags(write=False)
+        return self._closure
+
+    def is_transitive(self) -> bool:
+        return bool(np.array_equal(self.closure, self.rel))
+
+    def same_carrier(self, other: "Psoset") -> bool:
+        return self.names == other.names and np.array_equal(self.rel, other.rel)
+
+
+@dataclass(frozen=True)
+class HasseDiagram:
+    """Diagram data for drawing a pseudo-order.
+
+    cover_edges: (x, y) with x < y and nothing strictly between.
+    dashed_pairs: unordered unrelated pairs that are still connected by a
+        chain of relation steps in at least one direction.
+    back_edges: (u, v) with u <= v while v reaches back to u through a
+        chain — exactly the edges that sit inside a cycle.
+    """
+
+    cover_edges: frozenset[tuple[int, int]]
+    dashed_pairs: frozenset[frozenset[int]]
+    back_edges: frozenset[tuple[int, int]]
+
+
+def validate_psoset(rel, names) -> Psoset:
+    """Check reflexivity/antisymmetry and detect bottom/top.
+
+    Raises DuplicateName, NotReflexive or NotAntisymmetric; each error
+    carries every violating element/pair found.
+    """
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        dupes = sorted({s for s in names if names.count(s) > 1})
+        raise DuplicateName(f"duplicate element names: {dupes}", dupes)
+    rel = np.asarray(rel, dtype=bool)
+    if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
+        raise ValueError(f"relation must be square, got shape {rel.shape}")
+    if rel.shape[0] != len(names):
+        raise ValueError(
+            f"{len(names)} names for a {rel.shape[0]}x{rel.shape[0]} relation"
+        )
+    n = len(names)
+    not_reflexive = [int(x) for x in np.flatnonzero(~rel.diagonal())]
+    if not_reflexive:
+        raise NotReflexive(
+            f"missing x <= x for: {[names[x] for x in not_reflexive]}",
+            not_reflexive,
+        )
+    both = rel & rel.T & ~np.eye(n, dtype=bool)
+    if both.any():
+        pairs = [(int(x), int(y)) for x, y in zip(*np.nonzero(both)) if x < y]
+        raise NotAntisymmetric(
+            f"mutually related distinct pairs: "
+            f"{[(names[x], names[y]) for x, y in pairs]}",
+            pairs,
+        )
+    rel = rel.copy()
+    rel.setflags(write=False)
+    bottoms = np.flatnonzero(rel.all(axis=1))
+    tops = np.flatnonzero(rel.all(axis=0))
+    # antisymmetry makes each unique when present
+    bottom = int(bottoms[0]) if len(bottoms) else None
+    top = int(tops[0]) if len(tops) else None
+    return Psoset(names=names, rel=rel, bottom=bottom, top=top)
+
+
+def reachable(p: Psoset, x: int, y: int) -> bool:
+    """True iff there is a finite chain x <= ... <= y (x <= y included)."""
+    return bool(p.closure[x, y])
+
+
+def restricted_reachable(p: Psoset, C, x: int, y: int) -> bool:
+    """Reachability where every chain element must come from C."""
+    members = sorted(set(C))
+    if x not in members or y not in members:
+        missing = [e for e in (x, y) if e not in members]
+        raise ElementNotInSubset(
+            f"endpoints {[p.names[e] for e in missing]} not in subset"
+        )
+    sub = p.rel[np.ix_(members, members)]
+    closed = transitive_closure(sub)
+    return bool(closed[members.index(x), members.index(y)])
+
+
+def _restricted_closure(p: Psoset, members: list[int]) -> np.ndarray:
+    return transitive_closure(p.rel[np.ix_(members, members)])
+
+
+def is_pseudo_chain(p: Psoset, C) -> bool:
+    """Every pair of C is connected by a chain inside C in some direction."""
+    members = sorted(set(C))
+    if not members:
+        raise EmptySubset("pseudo-chain test on empty subset")
+    closed = _restricted_closure(p, members)
+    return bool((closed | closed.T).all())
+
+
+def is_cycle(p: Psoset, C) -> bool:
+    """Every pair of C is connected by chains inside C in both directions."""
+    members = sorted(set(C))
+    if not members:
+        raise EmptySubset("cycle test on empty subset")
+    return bool(_restricted_closure(p, members).all())
+
+
+def maximal_cycles(p: Psoset) -> list[frozenset[int]]:
+    """Maximal cycles = strongly connected components of the relation,
+    singletons dropped (antisymmetry already rules out 2-cycles)."""
+    _, labels = connected_components(
+        csr_matrix(p.rel), directed=True, connection="strong"
+    )
+    groups: dict[int, set[int]] = {}
+    for x, lab in enumerate(labels):
+        groups.setdefault(int(lab), set()).add(x)
+    cycles = [frozenset(g) for g in groups.values() if len(g) >= 2]
+    return sorted(cycles, key=min)
+
+
+def down_set(p: Psoset, x: int) -> frozenset[int]:
+    return frozenset(int(i) for i in np.flatnonzero(p.rel[:, x]))
+
+
+def up_set(p: Psoset, x: int) -> frozenset[int]:
+    return frozenset(int(i) for i in np.flatnonzero(p.rel[x, :]))
+
+
+def co_atoms(p: Psoset) -> frozenset[int]:
+    """Maximal elements of the carrier with the top removed."""
+    if p.top is None:
+        raise NoTop("co-atoms need a greatest element")
+    rest = [x for x in range(p.n) if x != p.top]
+    strict = p.rel & ~np.eye(p.n, dtype=bool)
+    return frozenset(x for x in rest if not any(strict[x, y] for y in rest))
+
+
+def hasse(p: Psoset) -> HasseDiagram:
+    noid = p.rel & ~np.eye(p.n, dtype=bool)
+    has_mid = (noid @ noid) > 0
+    covers = noid & ~has_mid
+    cover_edges = frozenset(
+        (int(x), int(y)) for x, y in zip(*np.nonzero(covers))
+    )
+    reach = p.closure
+    unrelated = ~p.rel & ~p.rel.T
+    dashed = unrelated & (reach | reach.T) & ~np.eye(p.n, dtype=bool)
+    dashed_pairs = frozenset(
+        frozenset((int(x), int(y))) for x, y in zip(*np.nonzero(dashed)) if x < y
+    )
+    back = noid & reach.T
+    back_edges = frozenset((int(x), int(y)) for x, y in zip(*np.nonzero(back)))
+    return HasseDiagram(cover_edges, dashed_pairs, back_edges)

@@ -1,0 +1,468 @@
+"""Recompute every recorded table and fact from first principles.
+
+Ten criteria, each comparing library output against the recorded data in
+fixtures.py (transcribed tables and facts) or against an independent
+reference computation.  The CLI's verify-paper subcommand and the
+acceptance test suite both run exactly these functions, so they cannot
+drift apart.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+from itertools import permutations
+
+import numpy as np
+
+from . import fixtures as fx
+from .bruteforce import bruteforce_tnorms
+from .elements import classify, right_transitive_set
+from .enumeration import enumerate_tnorms, order_diagram
+from .generators import random_bounded_psoset, random_pseudo_chain, random_trellis
+from .interior import interior_from_subset, validate_interior
+from .relation import is_pseudo_chain, maximal_cycles, validate_psoset
+from .tnorms import (
+    check,
+    join_cover_condition,
+    join_op,
+    make_op,
+    meet_op,
+    pointwise_leq,
+    scaled_meet,
+    t_join_cover,
+    tnorm_via_interior,
+    tnorm_via_subset,
+)
+from .trellis import (
+    build_trellis,
+    is_meet_sub_trellis,
+    is_join_sub_trellis,
+    is_modular,
+    is_sub_lattice,
+)
+
+DEFAULT_SEED = 1405
+
+
+@dataclass
+class CriterionResult:
+    number: int
+    title: str
+    passed: bool
+    details: list[str] = field(default_factory=list)
+
+    @property
+    def line(self) -> str:
+        return f"criterion {self.number:2d}: {'PASS' if self.passed else 'FAIL'} — {self.title}"
+
+
+class _Checks:
+    def __init__(self):
+        self.lines: list[str] = []
+        self.ok = True
+
+    def expect(self, cond, label: str) -> bool:
+        cond = bool(cond)
+        self.lines.append(("ok   " if cond else "FAIL ") + label)
+        self.ok = self.ok and cond
+        return cond
+
+    def result(self, number: int, title: str) -> CriterionResult:
+        return CriterionResult(number, title, self.ok, self.lines)
+
+
+def _names(p, tup):
+    return tuple(p.names[i] for i in tup)
+
+
+def _table_set(ops):
+    return [tuple(op.table.flat) for op in ops]
+
+
+def criterion_1(seed=None) -> CriterionResult:
+    ch = _Checks()
+    six = fx.six_element_cycle_psoset()
+    revalidated = validate_psoset(six.rel, six.names)
+    ch.expect(revalidated.same_carrier(six), "six-element carrier validates")
+    cycles = [six.labels(c) for c in maximal_cycles(six)]
+    ch.expect(cycles == [("d", "e", "f")], f"maximal cycles {cycles} == [(d, e, f)]")
+
+    l8 = fx.loop8()
+    t, _ = build_trellis(validate_psoset(l8.rel, l8.names))
+    ch.expect(t.base.same_carrier(l8.base), "cycle carrier validates as a trellis")
+    cycles8 = [l8.labels(c) for c in maximal_cycles(l8.base)]
+    ch.expect(
+        cycles8 == [("b", "c", "e", "f")], f"maximal cycles {cycles8} == [(b, c, e, f)]"
+    )
+    return ch.result(1, "carrier validation and maximal cycles")
+
+
+def criterion_2(seed=None) -> CriterionResult:
+    ch = _Checks()
+    pent = fx.pentagon()
+    rep = check(meet_op(pent))
+    ch.expect(not rep.left_increasing, "meet not left-increasing")
+    ch.expect(not rep.right_increasing, "meet not right-increasing")
+    ch.expect(
+        _names(pent, rep.witnesses["left_increasing"]) == ("b", "c", "a"),
+        "left witness (b, c, a)",
+    )
+    ch.expect(
+        _names(pent, rep.witnesses["right_increasing"]) == ("b", "c", "a"),
+        "right witness (b, c, a)",
+    )
+    f_op = fx.recorded_table("pentagon.F")
+    rep_f = check(f_op)
+    ch.expect(rep_f.left_increasing, "F left-increasing")
+    ch.expect(rep_f.right_increasing, "F right-increasing")
+    ch.expect(not rep_f.increasing, "F not jointly increasing")
+    ch.expect(
+        _names(pent, rep_f.witnesses["increasing"]) == ("a", "1", "b", "c"),
+        "F witness (a, 1, b, c): F(a,b)=a vs F(1,c)=c",
+    )
+    return ch.result(2, "one-sided versus joint monotonicity of the meet")
+
+
+def criterion_3(seed=None) -> CriterionResult:
+    ch = _Checks()
+    fork = fx.fork8()
+    ch.expect(join_cover_condition(fork), "eight-element carrier: condition holds")
+    tz = t_join_cover(fork)
+    ch.expect(
+        tz.same_op(fx.recorded_table("fork8.join_cover")),
+        "join-cover table matches the recorded 8x8 table",
+    )
+    ch.expect(check(tz).is_tnorm, "and it is a t-norm")
+
+    d7 = fx.diamond7()
+    ch.expect(is_modular(d7), "seven-element carrier is modular")
+    ch.expect(not join_cover_condition(d7), "condition fails there")
+    ch.expect(
+        not check(t_join_cover(d7)).increasing,
+        "and the join-cover table is not increasing",
+    )
+    return ch.result(3, "join-cover construction on the modular carriers")
+
+
+def criterion_4(seed=None) -> CriterionResult:
+    ch = _Checks()
+    pent = fx.pentagon()
+    res = enumerate_tnorms(pent)
+    ch.expect(res.count == 6, f"exactly 6 t-norms (got {res.count})")
+    recorded = {k: fx.recorded_table(f"pentagon.T{k}") for k in range(1, 7)}
+    canon = {}
+    for k, rec in recorded.items():
+        hits = [
+            i for i, op in enumerate(res.tnorms) if np.array_equal(op.table, rec.table)
+        ]
+        ch.expect(len(hits) == 1, f"recorded T{k} appears exactly once")
+        canon[k] = hits[0] if hits else None
+    ch.expect(
+        res.greatest is not None and res.greatest == canon.get(6),
+        "greatest is the recorded T6",
+    )
+    diagram = order_diagram(res)
+    recorded_covers = {(1, 3), (3, 2), (3, 4), (2, 5), (4, 6), (5, 6)}
+    expected = {(canon[a], canon[b]) for a, b in recorded_covers}
+    ch.expect(
+        set(diagram.cover_edges) == expected,
+        "order diagram covers match the recorded six-t-norm diagram",
+    )
+    ch.expect(not diagram.dashed_pairs and not diagram.back_edges,
+              "order diagram has no dashed pairs or cycles")
+    return ch.result(4, "five-element carrier: all six t-norms and their order")
+
+
+def criterion_5(seed=None) -> CriterionResult:
+    ch = _Checks()
+    tp = fx.twin_peaks7()
+    res = enumerate_tnorms(tp)
+    rec1 = fx.recorded_table("twin_peaks7.T1")
+    rec2 = fx.recorded_table("twin_peaks7.T2")
+    idx = {}
+    for label, rec in (("T1", rec1), ("T2", rec2)):
+        hits = [
+            i for i, op in enumerate(res.tnorms) if np.array_equal(op.table, rec.table)
+        ]
+        ch.expect(len(hits) == 1, f"recorded {label} enumerated")
+        idx[label] = hits[0] if hits else None
+    ch.expect(
+        idx["T1"] in res.maximal and idx["T2"] in res.maximal,
+        "both recorded tables are maximal",
+    )
+    ch.expect(res.greatest is None, "no greatest t-norm exists")
+
+    a, d, e = tp.index("a"), tp.index("d"), tp.index("e")
+    mod = rec1.table.copy()
+    mod[a, e] = a
+    mod[e, a] = a
+    op = make_op(tp, mod)
+    lhs, rhs = mod[mod[a, e], d], mod[a, mod[e, d]]
+    ch.expect(
+        lhs != rhs and not check(op).associative,
+        f"extending T1 with T(a,e)=a breaks associativity at (a,e,d): "
+        f"{tp.names[lhs]} != {tp.names[rhs]}",
+    )
+    return ch.result(5, "seven-element carrier: two maximal t-norms, no greatest")
+
+
+def criterion_6(seed=DEFAULT_SEED, instances=200) -> CriterionResult:
+    ch = _Checks()
+    rng = random.Random(seed)
+    mismatches = 0
+    nontrivial = 0
+    for _ in range(instances):
+        p = random_bounded_psoset(rng, rng.randint(1, 5))
+        searched = _table_set(enumerate_tnorms(p).tnorms)
+        brute = _table_set(bruteforce_tnorms(p))
+        if searched != brute:
+            mismatches += 1
+        if len(searched) > 1:
+            nontrivial += 1
+    ch.expect(
+        mismatches == 0,
+        f"pruned search equals brute force on {instances} random carriers "
+        f"(n <= 5, {nontrivial} with more than one t-norm)",
+    )
+    return ch.result(6, "search engine equals brute force on random carriers")
+
+
+def criterion_7(seed=None) -> CriterionResult:
+    ch = _Checks()
+    hg = fx.hourglass7()
+    rtr = sorted(right_transitive_set(hg))
+    im = interior_from_subset(hg, rtr)
+    expected = tuple(hg.index(s) for s in fx.RECORDED_INTERIORS["hourglass7"].split())
+    ch.expect(tuple(im.map) == expected, "interior map matches the recorded row")
+    for a in "bcde":
+        v = scaled_meet(hg, rtr, hg.index(a))
+        built = tnorm_via_interior(hg, im, v)
+        ch.expect(
+            built.same_op(fx.recorded_table(f"hourglass7.T_V{a}")),
+            f"scaled-meet construction V_{a} matches its recorded table",
+        )
+    great = fx.recorded_table("hourglass7.greatest")
+    ch.expect(check(great).is_tnorm, "recorded greatest table passes check")
+    res = enumerate_tnorms(hg)
+    ch.expect(
+        res.greatest is not None
+        and np.array_equal(res.tnorms[res.greatest].table, great.table),
+        "enumeration confirms it is the greatest",
+    )
+    return ch.result(7, "interior-based constructions on the hourglass carrier")
+
+
+def criterion_8(seed=None) -> CriterionResult:
+    ch = _Checks()
+    l8 = fx.loop8()
+    rtr = sorted(right_transitive_set(l8))
+    im = interior_from_subset(l8, rtr)
+    expected = tuple(l8.index(s) for s in fx.RECORDED_INTERIORS["loop8"].split())
+    ch.expect(tuple(im.map) == expected, "interior map matches the recorded row")
+    built = tnorm_via_subset(l8, rtr)
+    ch.expect(
+        built.same_op(fx.recorded_table("loop8.interior_meet")),
+        "interior-meet construction matches the recorded table",
+    )
+    return ch.result(8, "interior-based construction on the cycle carrier")
+
+
+def criterion_9(seed=None) -> CriterionResult:
+    ch = _Checks()
+    d7 = fx.diamond7()
+    rtr = sorted(right_transitive_set(d7))
+    ch.expect(
+        d7.labels(rtr) == ("0", "a", "c", "d", "e", "1"),
+        "right-transitive set is {0, a, c, d, e, 1}",
+    )
+    c, d = d7.index("c"), d7.index("d")
+    ch.expect(not is_meet_sub_trellis(d7, rtr), "the set is not meet-closed")
+    ch.expect(
+        d7.names[d7.meet[c, d]] == "b", "witness: c meet d = b, outside the set"
+    )
+    unchecked = tnorm_via_subset(d7, rtr, unchecked=True)
+    ch.expect(
+        unchecked.same_op(fx.recorded_table("diamond7.unchecked")),
+        "unchecked construction matches the recorded table",
+    )
+    rep = check(unchecked)
+    wit = rep.witnesses.get("increasing")
+    ch.expect(not rep.increasing, "check reports not increasing")
+    ch.expect(
+        wit is not None
+        and _names(d7, wit) == ("c", "e", "d", "e")
+        and d7.names[unchecked.table[c, d]] == "b"
+        and not d7.leq(unchecked.table[c, d], d7.index("e")),
+        "witness (c,e,d,e): T(c,d) = b not below e",
+    )
+    return ch.result(9, "counterexample: non-meet-closed range breaks monotonicity")
+
+
+def _interior_subset(rng, t, pool):
+    """Random subset of the right-transitive pool containing the bottom,
+    closed under join, and meet-closed (resampled until so)."""
+    pool = sorted(pool)
+    pool_set = set(pool)
+    for _ in range(30):
+        a_set = set(rng.sample(pool, rng.randint(0, len(pool)))) | {t.bottom}
+        changed = True
+        while changed:
+            changed = False
+            for x in sorted(a_set):
+                for y in sorted(a_set):
+                    z = int(t.join[x, y])
+                    if z not in a_set:
+                        a_set.add(z)
+                        changed = True
+        if not a_set <= pool_set:
+            return None  # join escaped the right-transitive set: law violation
+        if is_meet_sub_trellis(t, sorted(a_set)):
+            return sorted(a_set)
+    return [t.bottom]
+
+
+def _laws_for_trellis(t, rng, ch_counts):
+    """Apply every random-instance law; return list of violation labels."""
+    bad = []
+    cls = classify(t)
+    base = t.base
+    n = t.n
+
+    def implies(a, b):
+        return bool((~a | b).all())
+
+    if not (
+        implies(cls.dis, cls.ass)
+        and implies(cls.ass, cls.meet_ass)
+        and implies(cls.meet_ass, cls.tr)
+        and implies(cls.tr, cls.rtr)
+        and implies(cls.ass, cls.join_ass)
+        and implies(cls.join_ass, cls.tr)
+        and implies(cls.tr, cls.ltr)
+    ):
+        bad.append("inclusion chain")
+
+    ltr_m = sorted(np.flatnonzero(cls.ltr))
+    rtr_m = sorted(np.flatnonzero(cls.rtr))
+    if not is_meet_sub_trellis(t, ltr_m):
+        bad.append("left-transitive set not meet-closed")
+    if not is_join_sub_trellis(t, rtr_m):
+        bad.append("right-transitive set not join-closed")
+    if not is_meet_sub_trellis(t, sorted(np.flatnonzero(cls.meet_ass))):
+        bad.append("meet-associative set not meet-closed")
+    if not is_join_sub_trellis(t, sorted(np.flatnonzero(cls.join_ass))):
+        bad.append("join-associative set not join-closed")
+
+    m = np.array(rtr_m)
+    sub = t.join[np.ix_(m, m)]
+    left = t.join[sub[:, :, None], m[None, None, :]]
+    right = t.join[m[:, None, None], sub[None, :, :]]
+    if not (left == right).all():
+        bad.append("join not associative inside the right-transitive set")
+    k = min(4, len(rtr_m))
+    sample = rng.sample(rtr_m, k)
+    if sample:
+        folds = set()
+        for perm in permutations(sample):
+            acc = perm[0]
+            for x in perm[1:]:
+                acc = int(t.join[acc, x])
+            folds.add(acc)
+        if len(folds) != 1:
+            bad.append("iterated join depends on the order")
+
+    pc = is_pseudo_chain(base, range(n))
+    if is_modular(t) or pc:
+        ch_counts["equality-chain instances"] += 1
+        if not (
+            (cls.ass == cls.meet_ass).all()
+            and (cls.ass == cls.join_ass).all()
+            and (cls.ass == cls.tr).all()
+        ):
+            bad.append("associative/transitive equality chain")
+        if not is_sub_lattice(t, sorted(np.flatnonzero(cls.tr))):
+            bad.append("transitive set not a sub-lattice")
+
+    A = _interior_subset(rng, t, rtr_m)
+    if A is None:
+        bad.append("join closure escaped the right-transitive set")
+    else:
+        ch_counts["interior instances"] += 1
+        im = interior_from_subset(t, A)
+        rep = validate_interior(t, im)
+        if not rep.ok or sorted(im.image()) != A:
+            bad.append("subset-derived map is not an interior with that range")
+        built = check(tnorm_via_interior(t, im))
+        if not built.is_tnorm:
+            bad.append("interior construction not a t-norm")
+        if not built.meet_preserving:
+            bad.append("interior-meet construction not meet-preserving")
+        a = rng.choice(A)
+        v = scaled_meet(t, A, a)
+        if not check(tnorm_via_interior(t, im, v)).is_tnorm:
+            bad.append("scaled-meet interior construction not a t-norm")
+
+    if pc:
+        ch_counts["dominance instances"] += 1
+        A2 = sorted(set(rng.sample(rtr_m, rng.randint(0, len(rtr_m)))) | {t.bottom})
+        t_a = tnorm_via_subset(t, A2)
+        t_r = tnorm_via_subset(t, rtr_m)
+        if not pointwise_leq(t_a, t_r):
+            bad.append("smaller subset construction not below the full one")
+
+    rep_m = check(meet_op(t))
+    rep_j = check(join_op(t))
+    trans = base.is_transitive()
+    if not (
+        rep_m.increasing == trans == rep_m.associative
+        and rep_j.increasing == trans == rep_j.associative
+    ):
+        bad.append("increasing/transitive/associative equivalence")
+    return bad
+
+
+def criterion_10(seed=DEFAULT_SEED, instances=500) -> CriterionResult:
+    ch = _Checks()
+    rng = random.Random(seed + 1)
+    counts: dict[str, int] = {
+        "equality-chain instances": 0,
+        "interior instances": 0,
+        "dominance instances": 0,
+    }
+    violations: list[str] = []
+    pseudo_chains = instances // 3
+    for k in range(instances):
+        n = rng.randint(2, 7)
+        if k < pseudo_chains:
+            t = random_pseudo_chain(rng, n)
+        else:
+            t = random_trellis(rng, n)
+        for label in _laws_for_trellis(t, rng, counts):
+            violations.append(f"instance {k} (n={t.n}): {label}")
+    ch.expect(
+        not violations,
+        f"{instances} random trellises (n <= 7), zero law violations"
+        + (f"; first: {violations[0]}" if violations else ""),
+    )
+    for label, count in counts.items():
+        ch.expect(count > 0, f"{label}: {count}")
+    return ch.result(10, "random-instance law suite")
+
+
+CRITERIA = [
+    criterion_1,
+    criterion_2,
+    criterion_3,
+    criterion_4,
+    criterion_5,
+    criterion_6,
+    criterion_7,
+    criterion_8,
+    criterion_9,
+    criterion_10,
+]
+
+
+def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+    return [fn(seed) for fn in CRITERIA]

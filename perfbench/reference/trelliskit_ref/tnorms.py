@@ -1,0 +1,445 @@
+"""Binary operation tables on bounded pseudo-orders and the t-norm zoo.
+
+A t-norm here is a commutative, associative binary operation with the top
+as neutral element that is increasing in both arguments *jointly*:
+x <= y and z <= t force T(x, z) <= T(y, t).  On a transitive order the
+joint form follows from one-sided monotonicity; without transitivity it is
+strictly stronger, which is where most of the interesting behaviour lives.
+
+Constructions provided:
+
+  t_drastic        top acts neutrally, everything else collapses to bottom
+  t_coatom         like drastic but one co-atom survives on the diagonal
+  t_join_cover     meet where the pair joins to the top, bottom elsewhere
+  tnorm_via_interior   neutral top; elsewhere feed the images under an
+                       interior operator to an operation on its range
+  tnorm_via_subset     same, with the interior operator derived from a
+                       subset (join of the subset members below x)
+  scaled_meet      (x ^ y) ^ a on a bounded sub-lattice — the standard
+                   supply of operations for the two constructions above
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .elements import classify
+from .errors import (
+    ElementNotInSubset,
+    NotACoAtom,
+    NotASubLattice,
+    NotAnInteriorOperator,
+    NotBounded,
+    RangeNotRightTransitive,
+    TargetMismatch,
+    VNotATnorm,
+)
+from .interior import UnaryMap, interior_from_subset, validate_interior
+from .relation import Psoset, co_atoms, validate_psoset
+from .trellis import Trellis, build_trellis, is_sub_lattice
+
+
+@dataclass(eq=False)
+class BinaryOpTable:
+    target: Psoset | Trellis
+    table: np.ndarray  # table[x, y] = element index
+
+    @property
+    def n(self) -> int:
+        return self.table.shape[0]
+
+    @property
+    def names(self):
+        return self.target.names
+
+    def __call__(self, x: int, y: int) -> int:
+        return int(self.table[x, y])
+
+    def same_op(self, other: "BinaryOpTable") -> bool:
+        return self.names == other.names and np.array_equal(self.table, other.table)
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
+def make_op(target, table) -> BinaryOpTable:
+    table = np.asarray(table, dtype=np.int64).copy()
+    if table.shape != (target.n, target.n):
+        raise ValueError(f"table shape {table.shape} does not match carrier")
+    if table.min() < 0 or table.max() >= target.n:
+        raise ValueError("table entries out of range")
+    return BinaryOpTable(target=target, table=_freeze(table))
+
+
+def meet_op(t: Trellis) -> BinaryOpTable:
+    return BinaryOpTable(target=t, table=t.meet)
+
+
+def join_op(t: Trellis) -> BinaryOpTable:
+    return BinaryOpTable(target=t, table=t.join)
+
+
+@dataclass
+class TnormReport:
+    """Flag -> True/False, or None when the flag does not apply (no top,
+    or no meet/join tables on the carrier).  `witnesses[flag]` holds the
+    lexicographically first violating tuple for each failed flag."""
+
+    commutative: bool
+    associative: bool
+    neutral_top: bool | None
+    increasing: bool
+    left_increasing: bool
+    right_increasing: bool
+    conjunctive: bool | None
+    disjunctive: bool | None
+    idempotent: bool
+    meet_preserving: bool | None
+    witnesses: dict[str, tuple] = field(default_factory=dict)
+
+    @property
+    def is_tnorm(self) -> bool:
+        return bool(
+            self.commutative
+            and self.associative
+            and self.increasing
+            and self.neutral_top
+        )
+
+
+def _first_commutative(tab, n):
+    for x in range(n):
+        for y in range(n):
+            if tab[x, y] != tab[y, x]:
+                return (x, y)
+    return None
+
+
+def _first_associative(tab, n):
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if tab[tab[x, y], z] != tab[x, tab[y, z]]:
+                    return (x, y, z)
+    return None
+
+
+def _first_increasing(tab, rel, n):
+    ups = [np.flatnonzero(rel[x]) for x in range(n)]
+    for x in range(n):
+        for y in ups[x]:
+            for z in range(n):
+                for t in ups[z]:
+                    if not rel[tab[x, z], tab[y, t]]:
+                        return (x, int(y), z, int(t))
+    return None
+
+
+def _first_one_sided(tab, rel, n, left):
+    ups = [np.flatnonzero(rel[x]) for x in range(n)]
+    for x in range(n):
+        for y in ups[x]:
+            for z in range(n):
+                a, b = (tab[x, z], tab[y, z]) if left else (tab[z, x], tab[z, y])
+                if not rel[a, b]:
+                    return (x, int(y), z)
+    return None
+
+
+def check(op: BinaryOpTable) -> TnormReport:
+    """Exhaustive axiom scan with deterministic first witnesses.
+
+    Vectorized detection; the per-flag witness scan only runs on failure.
+    """
+    tab = op.table
+    target = op.target
+    rel = target.rel
+    n = op.n
+    top = target.top
+    meet = target.meet if isinstance(target, Trellis) else None
+    join = target.join if isinstance(target, Trellis) else None
+    witnesses: dict[str, tuple] = {}
+
+    commutative = bool((tab == tab.T).all())
+    if not commutative:
+        witnesses["commutative"] = _first_commutative(tab, n)
+
+    associative = bool((tab[tab, :] == tab[:, tab]).all())
+    if not associative:
+        witnesses["associative"] = _first_associative(tab, n)
+
+    if top is None:
+        neutral_top = None
+    else:
+        idx = np.arange(n)
+        neutral_top = bool((tab[:, top] == idx).all() and (tab[top, :] == idx).all())
+        if not neutral_top:
+            bad = [x for x in range(n) if tab[x, top] != x or tab[top, x] != x]
+            witnesses["neutral_top"] = (bad[0],)
+
+    lo, hi = np.nonzero(rel)
+    big = tab[lo[:, None], lo[None, :]]
+    bigger = tab[hi[:, None], hi[None, :]]
+    increasing = bool(rel[big, bigger].all())
+    if not increasing:
+        witnesses["increasing"] = _first_increasing(tab, rel, n)
+
+    left_increasing = bool(rel[tab[lo, :], tab[hi, :]].all())
+    if not left_increasing:
+        witnesses["left_increasing"] = _first_one_sided(tab, rel, n, left=True)
+
+    right_increasing = bool(rel[tab[:, lo], tab[:, hi]].all())
+    if not right_increasing:
+        witnesses["right_increasing"] = _first_one_sided(tab, rel, n, left=False)
+
+    idx = np.arange(n)
+    idempotent = bool((tab.diagonal() == idx).all())
+    if not idempotent:
+        bad = [x for x in range(n) if tab[x, x] != x]
+        witnesses["idempotent"] = (bad[0],)
+
+    conjunctive = disjunctive = meet_preserving = None
+    if meet is not None:
+        conjunctive = bool(rel[tab, meet].all())
+        if not conjunctive:
+            for x in range(n):
+                for y in range(n):
+                    if not rel[tab[x, y], meet[x, y]]:
+                        witnesses["conjunctive"] = (x, y)
+                        break
+                if "conjunctive" in witnesses:
+                    break
+        disjunctive = bool(rel[join, tab].all())
+        if not disjunctive:
+            for x in range(n):
+                for y in range(n):
+                    if not rel[join[x, y], tab[x, y]]:
+                        witnesses["disjunctive"] = (x, y)
+                        break
+                if "disjunctive" in witnesses:
+                    break
+        lhs = tab[:, meet]  # [x, y, z] = T(x, y ^ z)
+        rhs = meet[tab[:, :, None], tab[:, None, :]]  # meet(T(x,y), T(x,z))
+        meet_preserving = bool((lhs == rhs).all())
+        if not meet_preserving:
+            hit = next(
+                (x, y, z)
+                for x in range(n)
+                for y in range(n)
+                for z in range(n)
+                if lhs[x, y, z] != rhs[x, y, z]
+            )
+            witnesses["meet_preserving"] = hit
+
+    return TnormReport(
+        commutative=commutative,
+        associative=associative,
+        neutral_top=neutral_top,
+        increasing=increasing,
+        left_increasing=left_increasing,
+        right_increasing=right_increasing,
+        conjunctive=conjunctive,
+        disjunctive=disjunctive,
+        idempotent=idempotent,
+        meet_preserving=meet_preserving,
+        witnesses=witnesses,
+    )
+
+
+def _require_bounds(p) -> tuple[int, int]:
+    if p.bottom is None or p.top is None:
+        raise NotBounded("construction needs bottom and top")
+    return p.bottom, p.top
+
+
+def t_drastic(p: Psoset | Trellis) -> BinaryOpTable:
+    """Smallest t-norm: neutral top, everything else goes to bottom."""
+    bottom, top = _require_bounds(p)
+    n = p.n
+    tab = np.full((n, n), bottom, dtype=np.int64)
+    idx = np.arange(n)
+    tab[:, top] = idx
+    tab[top, :] = idx
+    return BinaryOpTable(target=p, table=_freeze(tab))
+
+
+def t_coatom(p: Psoset | Trellis, i: int) -> BinaryOpTable:
+    """Drastic everywhere except T(i, i) = i for a chosen co-atom i."""
+    bottom, top = _require_bounds(p)
+    base = p.base if isinstance(p, Trellis) else p
+    if i not in co_atoms(base):
+        raise NotACoAtom(f"{p.names[i]} is not a co-atom")
+    op = t_drastic(p)
+    tab = op.table.copy()
+    tab[i, i] = i
+    return BinaryOpTable(target=p, table=_freeze(tab))
+
+
+def join_cover_witness(t: Trellis) -> tuple[int, int, int, int] | None:
+    """First (x, y, z, w) with x ^ y != bottom, x v y = top, yet
+    (x v z) v (y v w) != top.  None when the condition holds."""
+    bottom, top = _require_bounds(t)
+    meet, join = t.meet, t.join
+    n = t.n
+    for x in range(n):
+        for y in range(n):
+            if meet[x, y] == bottom or join[x, y] != top:
+                continue
+            for z in range(n):
+                for w in range(n):
+                    if join[join[x, z], join[y, w]] != top:
+                        return (x, y, z, w)
+    return None
+
+
+def join_cover_condition(t: Trellis) -> bool:
+    """Whether pairs joining to the top keep doing so after inflating both
+    sides by arbitrary joins — the exact condition under which
+    t_join_cover is monotone on a bounded modular trellis."""
+    return join_cover_witness(t) is None
+
+
+def t_join_cover(t: Trellis) -> BinaryOpTable:
+    """Meet when the pair joins to the top, bottom otherwise.
+
+    Always commutative, associative and neutral-topped; increasing (hence
+    a t-norm) on a bounded modular trellis exactly when
+    join_cover_condition holds.  The table is produced unconditionally so
+    the failure mode can be inspected via check()."""
+    bottom, top = _require_bounds(t)
+    tab = np.where(t.join == top, t.meet, bottom)
+    return BinaryOpTable(target=t, table=_freeze(tab))
+
+
+def restrict(t: Trellis, A) -> tuple[Trellis, list[int]]:
+    """Carrier restriction: meets/joins recomputed inside A.
+
+    Returns the restricted trellis plus the sorted member list mapping
+    local indices back to global ones."""
+    members = sorted(set(A))
+    sub_rel = t.rel[np.ix_(members, members)]
+    sub_names = tuple(t.names[x] for x in members)
+    sub_p = validate_psoset(sub_rel, sub_names)
+    sub_t, _ = build_trellis(sub_p)
+    return sub_t, members
+
+
+def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
+    """V(x, y) = (x ^ y) ^ a on a bounded sub-lattice A containing a.
+
+    Conjunctive, commutative, associative and increasing on the
+    restriction; for a below the restriction's top it has no neutral
+    element, which is fine for the interior-based constructions."""
+    members = sorted(set(A))
+    if not is_sub_lattice(t, members):
+        raise NotASubLattice(f"{t.labels(members)} is not a sub-lattice")
+    if a not in members:
+        raise ElementNotInSubset(f"{t.names[a]} not in the sub-lattice")
+    sub, mem = restrict(t, members)
+    a_loc = mem.index(a)
+    tab = sub.meet[sub.meet, a_loc]
+    return BinaryOpTable(target=sub, table=_freeze(tab))
+
+
+def _gate_v(sub: Trellis, v: BinaryOpTable) -> None:
+    """The range operation must be commutative, associative, increasing
+    and bounded above by the restricted meet.  (A neutral element is NOT
+    required: the construction never evaluates v against the original
+    top, and the useful suppliers — scaled meets — generally lack one.)"""
+    if v.names != sub.names or not np.array_equal(v.target.rel, sub.rel):
+        raise VNotATnorm("operation is not defined on the operator's range")
+    report = check(v)
+    if not (
+        report.commutative
+        and report.associative
+        and report.increasing
+        and report.conjunctive
+    ):
+        raise VNotATnorm(
+            "range operation must be commutative, associative, increasing "
+            "and conjunctive on the range",
+            report,
+        )
+
+
+def tnorm_via_interior(
+    t: Trellis, im: UnaryMap, v: BinaryOpTable | None = None
+) -> BinaryOpTable:
+    """T(x, y) = x or y when the other argument is the top; otherwise apply
+    v to the interior images of x and y.
+
+    v defaults to the meet restricted to the operator's range, which makes
+    the result meet-preserving.  Every member of the range must be
+    right-transitive — that is what makes the construction monotone."""
+    bottom, top = _require_bounds(t)
+    report = validate_interior(t, im)
+    if not report.ok:
+        raise NotAnInteriorOperator("map fails the interior axioms", report)
+    rtr = classify(t).rtr
+    image = sorted(im.image())
+    bad = [x for x in image if not rtr[x]]
+    if bad:
+        raise RangeNotRightTransitive(
+            f"range members not right-transitive: {[t.names[x] for x in bad]}", bad
+        )
+    sub, members = restrict(t, image)
+    if v is None:
+        v = meet_op(sub)
+    else:
+        _gate_v(sub, v)
+    loc = {g: k for k, g in enumerate(members)}
+    n = t.n
+    tab = np.empty((n, n), dtype=np.int64)
+    f = im.map
+    for x in range(n):
+        for y in range(n):
+            if x == top:
+                tab[x, y] = y
+            elif y == top:
+                tab[x, y] = x
+            else:
+                tab[x, y] = members[v.table[loc[int(f[x])], loc[int(f[y])]]]
+    return BinaryOpTable(target=t, table=_freeze(tab))
+
+
+def tnorm_via_subset(
+    t: Trellis, A, v: BinaryOpTable | None = None, *, unchecked: bool = False
+) -> BinaryOpTable:
+    """Interior-based construction with the interior operator derived from
+    the subset A (join of A-members below each point).
+
+    With unchecked=True the interior axioms are not validated and the
+    neutral-top formula is applied with the global meet of the images —
+    useful for demonstrating how the construction breaks when A is not
+    closed under meets.  Results are then generally NOT t-norms."""
+    if unchecked:
+        if v is not None:
+            raise ValueError("unchecked mode always uses the global meet")
+        bottom, top = _require_bounds(t)
+        im = interior_from_subset(t, A)
+        f = im.map
+        n = t.n
+        tab = np.empty((n, n), dtype=np.int64)
+        for x in range(n):
+            for y in range(n):
+                if x == top:
+                    tab[x, y] = y
+                elif y == top:
+                    tab[x, y] = x
+                else:
+                    tab[x, y] = t.meet[f[x], f[y]]
+        return BinaryOpTable(target=t, table=_freeze(tab))
+    im = interior_from_subset(t, A)
+    return tnorm_via_interior(t, im, v)
+
+
+def pointwise_leq(a: BinaryOpTable, b: BinaryOpTable) -> bool:
+    """a <= b cellwise in the carrier's order; carriers must match."""
+    if a.names != b.names or not np.array_equal(a.target.rel, b.target.rel):
+        raise TargetMismatch("operations live on different carriers")
+    return bool(a.target.rel[a.table, b.table].all())

@@ -18,9 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CarrierTooLarge, LimitReached, NotBounded, PreconditionViolated
+from .errors import (
+    CarrierTooLarge,
+    LimitReached,
+    NotBounded,
+    PreconditionViolated,
+    TargetMismatch,
+)
 from .relation import HasseDiagram, Psoset, hasse, validate_psoset
-from .tnorms import BinaryOpTable, check, make_op, pointwise_leq
+from .tnorms import BinaryOpTable, check, make_op, pointwise_order
 from .trellis import Trellis
 
 
@@ -29,14 +35,17 @@ class EnumerationResult:
     """Everything the search found.
 
     tnorms is sorted canonically (row-major tuple of table entries), so
-    equal carriers always enumerate in the same order.  maximal and
-    greatest are indices into tnorms.  If complete is False the search
-    stopped at a limit and maximal/greatest only describe what was found
-    up to that point.
+    equal carriers always enumerate in the same order.  order is the
+    read-only (count, count) pointwise order among them: order[a, b] iff
+    tnorms[a] <= tnorms[b] in every cell.  maximal and greatest are
+    indices into tnorms, read off order.  If complete is False the search
+    stopped at a limit and order/maximal/greatest only describe what was
+    found up to that point.
     """
 
     target: Psoset | Trellis
     tnorms: list[BinaryOpTable]
+    order: np.ndarray
     maximal: list[int]
     greatest: int | None
     count: int
@@ -167,19 +176,16 @@ def enumerate_tnorms(
         found.sort(key=lambda t: tuple(t.flat))
         ops = [make_op(p, t) for t in found]
         w = len(ops)
-        above = np.zeros((w, w), dtype=bool)
-        for a in range(w):
-            for b in range(w):
-                above[a, b] = bool(rel[ops[a].table, ops[b].table].all())
-        maximal = [
-            a for a in range(w) if not any(above[a, b] for b in range(w) if b != a)
-        ]
-        greatest = next((b for b in range(w) if above[:, b].all()), None)
+        order = pointwise_order(found, rel)
+        order.setflags(write=False)
+        strictly_below = order & ~np.eye(w, dtype=bool)
+        greatest = np.flatnonzero(order.all(axis=0))
         return EnumerationResult(
             target=p,
             tnorms=ops,
-            maximal=maximal,
-            greatest=greatest,
+            order=order,
+            maximal=np.flatnonzero(~strictly_below.any(axis=1)).tolist(),
+            greatest=int(greatest[0]) if len(greatest) else None,
             count=w,
             search_stats=stats,
             complete=complete,
@@ -197,14 +203,13 @@ def enumerate_tnorms(
 
 def is_maximal_tnorm(p: Psoset | Trellis, op: BinaryOpTable, cap: int = 10) -> bool:
     """No enumerated t-norm sits strictly pointwise above op."""
+    if op.names != p.names or not np.array_equal(op.target.rel, p.rel):
+        raise TargetMismatch("operations live on different carriers")
     res = enumerate_tnorms(p, cap=cap)
-    mine = op.table
-    for other in res.tnorms:
-        if np.array_equal(other.table, mine):
-            continue
-        if pointwise_leq(op, other):
-            return False
-    return True
+    tables = np.array([other.table for other in res.tnorms])
+    above = pointwise_order([op.table], p.rel, tables)[0]
+    same = (tables == op.table).all(axis=(1, 2))
+    return not (above & ~same).any()
 
 
 def greatest_tnorm(p: Psoset | Trellis, cap: int = 10) -> BinaryOpTable | None:
@@ -223,11 +228,5 @@ def order_diagram(result: EnumerationResult) -> HasseDiagram:
     """
     if not result.complete:
         raise PreconditionViolated("order diagram needs a complete enumeration")
-    ops = result.tnorms
-    w = len(ops)
-    relmat = np.zeros((w, w), dtype=bool)
-    for a in range(w):
-        for b in range(w):
-            relmat[a, b] = pointwise_leq(ops[a], ops[b])
-    names = tuple(f"T{k + 1}" for k in range(w))
-    return hasse(validate_psoset(relmat, names))
+    names = tuple(f"T{k + 1}" for k in range(result.count))
+    return hasse(validate_psoset(result.order, names))

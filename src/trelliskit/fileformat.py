@@ -33,11 +33,15 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ParseError, ValidationError
-from .relation import HasseDiagram, Psoset, validate_psoset
+from .relation import (
+    HasseDiagram,
+    Psoset,
+    strong_components,
+    transitive_closure,
+    validate_psoset,
+)
 from .trellis import StructureKind, Trellis, build_trellis
 
 HEADER = "psoset-document v1"
@@ -263,15 +267,14 @@ def _levels(n: int, covers) -> list[int]:
     longest-path depth from the sources."""
     if not covers:
         return [0] * n
-    rows = [u for u, _ in covers]
-    cols = [v for _, v in covers]
-    graph = csr_matrix(([1] * len(rows), (rows, cols)), shape=(n, n))
-    ncomp, comp = connected_components(graph, directed=True, connection="strong")
-    level = [0] * ncomp
+    graph = np.zeros((n, n), dtype=bool)
+    graph[tuple(np.transpose(covers))] = True
+    comp = strong_components(transitive_closure(graph)).tolist()
+    level = [0] * n
     comp_edges = {
         (comp[u], comp[v]) for u, v in covers if comp[u] != comp[v]
     }
-    for _ in range(ncomp):
+    for _ in range(n):
         changed = False
         for cu, cv in comp_edges:
             if level[cv] < level[cu] + 1:

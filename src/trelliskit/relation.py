@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DuplicateName,
@@ -26,13 +24,20 @@ from .errors import (
 
 
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure by repeated boolean squaring."""
-    closure = rel.copy()
-    while True:
-        bigger = closure | (closure @ closure)
-        if np.array_equal(bigger, closure):
-            return bigger
-        closure = bigger
+    """Transitive closure (reflexive when rel is), by Warshall's algorithm:
+    after step k every chain through intermediates among 0..k is closed."""
+    closure = np.array(rel, dtype=bool)
+    for k in range(len(closure)):
+        closure |= closure[:, k, None] & closure[k]
+    return closure
+
+
+def strong_components(closure: np.ndarray) -> np.ndarray:
+    """Label each node of a transitively closed relation by the smallest
+    node it shares a cycle with, or by itself when it is on no cycle."""
+    mutual = closure & closure.T
+    mutual |= np.eye(len(mutual), dtype=bool)
+    return mutual.argmax(axis=1) if len(mutual) else np.zeros(0, dtype=np.intp)
 
 
 @dataclass(eq=False)
@@ -175,15 +180,11 @@ def is_cycle(p: Psoset, C) -> bool:
 
 def maximal_cycles(p: Psoset) -> list[frozenset[int]]:
     """Maximal cycles = strongly connected components of the relation,
-    singletons dropped (antisymmetry already rules out 2-cycles)."""
-    _, labels = connected_components(
-        csr_matrix(p.rel), directed=True, connection="strong"
-    )
-    groups: dict[int, set[int]] = {}
-    for x, lab in enumerate(labels):
-        groups.setdefault(int(lab), set()).add(x)
-    cycles = [frozenset(g) for g in groups.values() if len(g) >= 2]
-    return sorted(cycles, key=min)
+    singletons dropped (antisymmetry already rules out 2-cycles), sorted
+    by their smallest member."""
+    labels = strong_components(p.closure)
+    groups = [np.flatnonzero(labels == x) for x in range(p.n) if labels[x] == x]
+    return [frozenset(g.tolist()) for g in groups if len(g) >= 2]
 
 
 def down_set(p: Psoset, x: int) -> frozenset[int]:
@@ -205,7 +206,9 @@ def co_atoms(p: Psoset) -> frozenset[int]:
 
 def hasse(p: Psoset) -> HasseDiagram:
     noid = p.rel & ~np.eye(p.n, dtype=bool)
-    has_mid = (noid @ noid) > 0
+    has_mid = np.zeros_like(noid)  # [x, y]: some z with x < z < y
+    for x in range(p.n):
+        has_mid[x] = noid[noid[x]].any(axis=0)
     covers = noid & ~has_mid
     cover_edges = frozenset(
         (int(x), int(y)) for x, y in zip(*np.nonzero(covers))

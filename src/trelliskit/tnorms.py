@@ -112,49 +112,17 @@ class TnormReport:
         )
 
 
-def _first_commutative(tab, n):
-    for x in range(n):
-        for y in range(n):
-            if tab[x, y] != tab[y, x]:
-                return (x, y)
-    return None
-
-
-def _first_associative(tab, n):
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if tab[tab[x, y], z] != tab[x, tab[y, z]]:
-                    return (x, y, z)
-    return None
-
-
-def _first_increasing(tab, rel, n):
-    ups = [np.flatnonzero(rel[x]) for x in range(n)]
-    for x in range(n):
-        for y in ups[x]:
-            for z in range(n):
-                for t in ups[z]:
-                    if not rel[tab[x, z], tab[y, t]]:
-                        return (x, int(y), z, int(t))
-    return None
-
-
-def _first_one_sided(tab, rel, n, left):
-    ups = [np.flatnonzero(rel[x]) for x in range(n)]
-    for x in range(n):
-        for y in ups[x]:
-            for z in range(n):
-                a, b = (tab[x, z], tab[y, z]) if left else (tab[z, x], tab[z, y])
-                if not rel[a, b]:
-                    return (x, int(y), z)
-    return None
+def _first(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first True entry of mask in row-major order, which is
+    the lexicographically first violating tuple.  mask must have one."""
+    return tuple(int(v) for v in np.unravel_index(mask.argmax(), mask.shape))
 
 
 def check(op: BinaryOpTable) -> TnormReport:
     """Exhaustive axiom scan with deterministic first witnesses.
 
-    Vectorized detection; the per-flag witness scan only runs on failure.
+    Vectorized detection; on failure the witness is the first violation
+    of the same mask in row-major order.
     """
     tab = op.table
     target = op.target
@@ -165,76 +133,68 @@ def check(op: BinaryOpTable) -> TnormReport:
     join = target.join if isinstance(target, Trellis) else None
     witnesses: dict[str, tuple] = {}
 
-    commutative = bool((tab == tab.T).all())
+    ok = tab == tab.T
+    commutative = bool(ok.all())
     if not commutative:
-        witnesses["commutative"] = _first_commutative(tab, n)
+        witnesses["commutative"] = _first(~ok)
 
-    associative = bool((tab[tab, :] == tab[:, tab]).all())
+    ok = tab[tab, :] == tab[:, tab]  # [x, y, z]: T(T(x, y), z) = T(x, T(y, z))
+    associative = bool(ok.all())
     if not associative:
-        witnesses["associative"] = _first_associative(tab, n)
+        witnesses["associative"] = _first(~ok)
 
+    idx = np.arange(n)
     if top is None:
         neutral_top = None
     else:
-        idx = np.arange(n)
         neutral_top = bool((tab[:, top] == idx).all() and (tab[top, :] == idx).all())
         if not neutral_top:
-            bad = [x for x in range(n) if tab[x, top] != x or tab[top, x] != x]
-            witnesses["neutral_top"] = (bad[0],)
+            off = (tab[:, top] != idx) | (tab[top, :] != idx)
+            witnesses["neutral_top"] = _first(off)
 
+    # lo[p] <= hi[p] runs over the related pairs in row-major order, so a
+    # first hit at pair index p keeps the witness lexicographic in (x, y).
     lo, hi = np.nonzero(rel)
     big = tab[lo[:, None], lo[None, :]]
     bigger = tab[hi[:, None], hi[None, :]]
-    increasing = bool(rel[big, bigger].all())
+    ok = rel[big, bigger]  # [p, q]: T(x, z) <= T(y, t) for pairs p, q
+    increasing = bool(ok.all())
     if not increasing:
-        witnesses["increasing"] = _first_increasing(tab, rel, n)
+        p, q = _first(~ok)
+        witnesses["increasing"] = (int(lo[p]), int(hi[p]), int(lo[q]), int(hi[q]))
 
-    left_increasing = bool(rel[tab[lo, :], tab[hi, :]].all())
+    ok = rel[tab[lo, :], tab[hi, :]]  # [p, z]: T(x, z) <= T(y, z)
+    left_increasing = bool(ok.all())
     if not left_increasing:
-        witnesses["left_increasing"] = _first_one_sided(tab, rel, n, left=True)
+        p, z = _first(~ok)
+        witnesses["left_increasing"] = (int(lo[p]), int(hi[p]), z)
 
-    right_increasing = bool(rel[tab[:, lo], tab[:, hi]].all())
+    ok = rel[tab[:, lo], tab[:, hi]]  # [z, p]: T(z, x) <= T(z, y)
+    right_increasing = bool(ok.all())
     if not right_increasing:
-        witnesses["right_increasing"] = _first_one_sided(tab, rel, n, left=False)
+        p, z = _first(~ok.T)
+        witnesses["right_increasing"] = (int(lo[p]), int(hi[p]), z)
 
-    idx = np.arange(n)
     idempotent = bool((tab.diagonal() == idx).all())
     if not idempotent:
-        bad = [x for x in range(n) if tab[x, x] != x]
-        witnesses["idempotent"] = (bad[0],)
+        witnesses["idempotent"] = _first(tab.diagonal() != idx)
 
     conjunctive = disjunctive = meet_preserving = None
     if meet is not None:
-        conjunctive = bool(rel[tab, meet].all())
+        ok = rel[tab, meet]
+        conjunctive = bool(ok.all())
         if not conjunctive:
-            for x in range(n):
-                for y in range(n):
-                    if not rel[tab[x, y], meet[x, y]]:
-                        witnesses["conjunctive"] = (x, y)
-                        break
-                if "conjunctive" in witnesses:
-                    break
-        disjunctive = bool(rel[join, tab].all())
+            witnesses["conjunctive"] = _first(~ok)
+        ok = rel[join, tab]
+        disjunctive = bool(ok.all())
         if not disjunctive:
-            for x in range(n):
-                for y in range(n):
-                    if not rel[join[x, y], tab[x, y]]:
-                        witnesses["disjunctive"] = (x, y)
-                        break
-                if "disjunctive" in witnesses:
-                    break
+            witnesses["disjunctive"] = _first(~ok)
         lhs = tab[:, meet]  # [x, y, z] = T(x, y ^ z)
         rhs = meet[tab[:, :, None], tab[:, None, :]]  # meet(T(x,y), T(x,z))
-        meet_preserving = bool((lhs == rhs).all())
+        ok = lhs == rhs
+        meet_preserving = bool(ok.all())
         if not meet_preserving:
-            hit = next(
-                (x, y, z)
-                for x in range(n)
-                for y in range(n)
-                for z in range(n)
-                if lhs[x, y, z] != rhs[x, y, z]
-            )
-            witnesses["meet_preserving"] = hit
+            witnesses["meet_preserving"] = _first(~ok)
 
     return TnormReport(
         commutative=commutative,
@@ -443,3 +403,30 @@ def pointwise_leq(a: BinaryOpTable, b: BinaryOpTable) -> bool:
     if a.names != b.names or not np.array_equal(a.target.rel, b.target.rel):
         raise TargetMismatch("operations live on different carriers")
     return bool(a.target.rel[a.table, b.table].all())
+
+
+_ORDER_CHUNK = 128  # rows of the order per bitset pass
+
+
+def pointwise_order(lower, rel: np.ndarray, upper=None) -> np.ndarray:
+    """order[a, b] iff lower[a] <= upper[b] cellwise under rel.
+
+    lower and upper are sequences of (n, n) tables on the carrier whose
+    relation is rel; upper defaults to lower.  Per cell k and value v the
+    set {b : rel[v, upper[b][k]]} is packed into a bitset, so row a is
+    the AND of the n*n bitsets picked by lower[a]'s entries.  Rows go in
+    chunks to keep the temporaries at a few MB.
+    """
+    n = rel.shape[0]
+    low = np.asarray(lower, dtype=np.intp).reshape(-1, n * n)
+    up = low if upper is None else np.asarray(upper, dtype=np.intp).reshape(-1, n * n)
+    w = len(up)
+    cells = np.arange(n * n)
+    # bits[k, v] packs {b : rel[v, up[b, k]]}
+    bits = np.packbits(rel[:, up].transpose(2, 0, 1), axis=-1)
+    order = np.empty((len(low), w), dtype=bool)
+    for start in range(0, len(low), _ORDER_CHUNK):
+        chunk = slice(start, start + _ORDER_CHUNK)
+        rows = np.bitwise_and.reduce(bits[cells, low[chunk]], axis=1)
+        order[chunk] = np.unpackbits(rows, axis=-1, count=w).view(bool)
+    return order

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,9 +9,14 @@ from trelliskit import (
     bruteforce_candidate_count,
     bruteforce_tnorms,
     enumerate_tnorms,
+    enumeration,
     greatest_tnorm,
     is_maximal_tnorm,
     order_diagram,
+    pointwise_leq,
+    pointwise_order,
+    random_bounded_psoset,
+    random_trellis,
     scaled_meet,
     t_coatom,
     t_drastic,
@@ -22,6 +28,7 @@ from trelliskit.errors import (
     LimitReached,
     NotBounded,
     PreconditionViolated,
+    TargetMismatch,
 )
 from trelliskit.fixtures import (
     CARRIERS,
@@ -189,6 +196,8 @@ def test_limit_interrupts_with_a_partial_result(pentagon):
         enumerate_tnorms(pentagon, limit=3)
     partial = info.value.result
     assert partial.count == 3 and not partial.complete
+    assert partial.order.shape == (3, 3)
+    assert np.array_equal(partial.order, order_by_pairs(partial.tnorms))
     full = grids(enumerate_tnorms(pentagon))
     assert set(grids(partial)) <= set(full)
     with pytest.raises(PreconditionViolated):
@@ -221,3 +230,84 @@ def test_fork8_count_and_construction_membership():
     assert res.count == 764
     z = t_join_cover(t)
     assert any(z.same_op(found) for found in res.tnorms)
+
+
+def order_by_pairs(ops):
+    """The pointwise order, one pointwise_leq call per pair."""
+    w = len(ops)
+    return np.array(
+        [[pointwise_leq(a, b) for b in ops] for a in ops], dtype=bool
+    ).reshape(w, w)
+
+
+def maximal_and_greatest(above):
+    """maximal and greatest as first defined: Python scans of the order."""
+    w = len(above)
+    maximal = [
+        a for a in range(w) if not any(above[a, b] for b in range(w) if b != a)
+    ]
+    greatest = next((b for b in range(w) if above[:, b].all()), None)
+    return maximal, greatest
+
+
+def assert_order_matches(res, above):
+    assert res.order.shape == (res.count, res.count)
+    assert res.order.dtype == bool and not res.order.flags.writeable
+    assert np.array_equal(res.order, above)
+    assert (res.maximal, res.greatest) == maximal_and_greatest(above)
+
+
+@pytest.mark.parametrize(
+    "key", ["pentagon", "diamond7", "twin_peaks7", "hourglass7", "loop8"]
+)
+def test_order_equals_pointwise_leq_on_shipped_carriers(key):
+    res = enumerate_tnorms(CARRIERS[key]())
+    assert_order_matches(res, order_by_pairs(res.tnorms))
+
+
+def test_order_on_fork8_equals_the_cellwise_definition():
+    # 764^2 pointwise_leq calls take seconds; the same definition row by row
+    t = CARRIERS["fork8"]()
+    res = enumerate_tnorms(t)
+    tables = np.array([op.table for op in res.tnorms])
+    above = np.array([t.rel[tab, tables].all(axis=(1, 2)) for tab in tables])
+    assert_order_matches(res, above)
+    assert np.array_equal(res.order[:40, :40], order_by_pairs(res.tnorms[:40]))
+
+
+def test_order_equals_pointwise_leq_on_random_carriers():
+    rng = random.Random(2024)
+    widths = set()
+    for k in range(50):
+        n = 3 + k % 4
+        make = random_trellis if k % 2 else random_bounded_psoset
+        res = enumerate_tnorms(make(rng, n))
+        assert_order_matches(res, order_by_pairs(res.tnorms))
+        widths.add(res.count)
+    assert max(widths) > 64  # more than one packed word of t-norms
+
+
+def test_no_tnorms_means_no_maximal_and_no_greatest(pentagon, monkeypatch):
+    class Rejected:
+        is_tnorm = False
+
+    monkeypatch.setattr(enumeration, "check", lambda op: Rejected)
+    res = enumerate_tnorms(pentagon)
+    assert res.count == 0 and res.order.shape == (0, 0)
+    assert res.maximal == [] and res.greatest is None
+    assert res.search_stats["final_check_rejects"] > 0
+
+
+def test_pointwise_order_between_two_lists(pentagon):
+    ops = enumerate_tnorms(pentagon).tnorms
+    lower, upper = ops[:2], ops[1:]
+    got = pointwise_order([op.table for op in lower], pentagon.rel,
+                          [op.table for op in upper])
+    want = np.array([[pointwise_leq(a, b) for b in upper] for a in lower])
+    assert np.array_equal(got, want)
+    assert pointwise_order([], pentagon.rel).shape == (0, 0)
+
+
+def test_is_maximal_tnorm_refuses_other_carriers(pentagon):
+    with pytest.raises(TargetMismatch):
+        is_maximal_tnorm(pentagon, t_drastic(bounded_chain(5)))

@@ -1,3 +1,8 @@
+import os
+import random
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,7 @@ from trelliskit import (
     is_cycle,
     is_pseudo_chain,
     maximal_cycles,
+    random_bounded_psoset,
     reachable,
     restricted_reachable,
     up_set,
@@ -150,3 +156,72 @@ def test_relation_is_frozen():
     p = CARRIERS["pentagon"]()
     with pytest.raises(ValueError):
         p.rel[0, 0] = False
+
+
+def closure_by_squaring(rel):
+    """Closure oracle: square the boolean matrix until nothing changes."""
+    closure = rel.copy()
+    while True:
+        bigger = closure | (closure @ closure)
+        if np.array_equal(bigger, closure):
+            return bigger
+        closure = bigger
+
+
+def random_relations(count, seed):
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = 1 + k % 12
+        yield rng.random((n, n)) < rng.uniform(0.05, 0.5)
+
+
+def test_warshall_closure_equals_repeated_squaring():
+    seen = set()
+    for rel in random_relations(120, seed=5):
+        closed = transitive_closure(rel)
+        assert np.array_equal(closed, closure_by_squaring(rel))
+        assert not np.shares_memory(closed, rel)
+        seen.add((len(rel), np.array_equal(closed, rel)))
+    assert (1, True) in seen and any(not same for _, same in seen)
+
+
+def test_closure_leaves_transitive_relations_alone():
+    rel = np.fromfunction(lambda i, j: i <= j, (6, 6), dtype=int)
+    assert np.array_equal(transitive_closure(rel), rel)
+    assert transitive_closure(np.zeros((0, 0), dtype=bool)).shape == (0, 0)
+
+
+def test_hasse_covers_equal_the_matmul_definition():
+    for rel in random_relations(60, seed=8):
+        rel = rel | np.eye(len(rel), dtype=bool)
+        rel &= ~(rel.T & np.triu(rel, 1))  # keep it antisymmetric
+        p = validate_psoset(rel, [f"e{k}" for k in range(len(rel))])
+        noid = rel & ~np.eye(len(rel), dtype=bool)
+        covers = noid & ~((noid.astype(int) @ noid.astype(int)) > 0)
+        assert hasse(p).cover_edges == {
+            (int(x), int(y)) for x, y in zip(*np.nonzero(covers))
+        }
+
+
+def test_maximal_cycles_equal_mutual_reachability():
+    rng = random.Random(31)
+    found = 0
+    for k in range(80):
+        p = random_bounded_psoset(rng, 3 + k % 6, cycle_prob=0.6)
+        reach = closure_by_squaring(p.rel)
+        groups = {frozenset(np.flatnonzero(reach[x] & reach[:, x]).tolist())
+                  for x in range(p.n)}
+        want = sorted((g for g in groups if len(g) >= 2), key=min)
+        assert maximal_cycles(p) == want
+        found += len(want)
+    assert found > 0
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, trelliskit; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

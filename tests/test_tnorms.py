@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from trelliskit import (
     check,
+    enumerate_tnorms,
     interior_from_subset,
     join_cover_condition,
     join_cover_witness,
@@ -10,6 +14,7 @@ from trelliskit import (
     make_op,
     meet_op,
     pointwise_leq,
+    random_trellis,
     restrict,
     scaled_meet,
     t_coatom,
@@ -234,3 +239,63 @@ def test_neutral_top_witness_shape(pentagon):
     report = check(make_op(pentagon, broken))
     assert report.neutral_top is False
     assert report.witnesses["neutral_top"] == (0,)
+
+
+def first_witnesses(op):
+    """Witness oracle: for each failed flag, the first violating tuple of
+    a plain lexicographic loop over the flag's quantifiers."""
+    tab, t, n = op.table, op.target, op.n
+    rel, meet, join, top = t.rel, t.meet, t.join, t.top
+    grid = list(itertools.product(range(n), repeat=2))
+    cube = list(itertools.product(range(n), repeat=3))
+    laws = {
+        "commutative": (grid, lambda x, y: tab[x, y] == tab[y, x]),
+        "associative": (cube, lambda x, y, z: tab[tab[x, y], z] == tab[x, tab[y, z]]),
+        "neutral_top": (
+            [(x,) for x in range(n)],
+            lambda x: tab[x, top] == x and tab[top, x] == x,
+        ),
+        "increasing": (
+            itertools.product(range(n), repeat=4),
+            lambda x, y, z, w: not (rel[x, y] and rel[z, w])
+            or rel[tab[x, z], tab[y, w]],
+        ),
+        "left_increasing": (
+            cube, lambda x, y, z: not rel[x, y] or rel[tab[x, z], tab[y, z]]
+        ),
+        "right_increasing": (
+            cube, lambda x, y, z: not rel[x, y] or rel[tab[z, x], tab[z, y]]
+        ),
+        "idempotent": ([(x,) for x in range(n)], lambda x: tab[x, x] == x),
+        "conjunctive": (grid, lambda x, y: rel[tab[x, y], meet[x, y]]),
+        "disjunctive": (grid, lambda x, y: rel[join[x, y], tab[x, y]]),
+        "meet_preserving": (
+            cube, lambda x, y, z: tab[x, meet[y, z]] == meet[tab[x, y], tab[x, z]]
+        ),
+    }
+    found = {}
+    for flag, (space, holds) in laws.items():
+        bad = next((args for args in space if not holds(*args)), None)
+        if bad is not None:
+            found[flag] = tuple(int(v) for v in bad)
+    return found
+
+
+def test_witnesses_are_the_lexicographically_first_violations():
+    rng = random.Random(17)
+    np_rng = np.random.default_rng(17)
+    flags = set()
+    for k in range(40):
+        t = random_trellis(rng, 3 + k % 4)
+        tnorms = enumerate_tnorms(t).tnorms
+        tables = [np_rng.integers(0, t.n, (t.n, t.n))]
+        for op in tnorms[:: max(1, len(tnorms) // 3)]:
+            near = op.table.copy()  # one cell off a t-norm
+            near[np_rng.integers(t.n), np_rng.integers(t.n)] = np_rng.integers(t.n)
+            tables += [op.table, near]
+        for tab in tables:
+            op = make_op(t, tab)
+            want = first_witnesses(op)
+            assert check(op).witnesses == want
+            flags.update(want)
+    assert len(flags) == 10  # every flag's witness scan was exercised

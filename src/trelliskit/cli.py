@@ -1,16 +1,19 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 unexpected failure (or a failing verify-paper
-run), 2 validation violations in the input, 3 file parse errors,
-4 unsatisfied preconditions (no bounds, carrier too large, method
-arguments that do not apply to the given carrier, and the like).
+run), 2 validation violations in the input, 3 file parse errors (a file
+that is not UTF-8 text among them), 4 unsatisfied preconditions (no
+bounds, carrier too large, method arguments that do not apply to the
+given carrier or name an unknown element, and the like).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,29 +22,19 @@ from . import __version__, reproduction
 from .elements import ALPHAS, classify
 from .enumeration import enumerate_tnorms, order_diagram
 from .errors import (
-    BottomMissing,
-    CarrierTooLarge,
-    ElementNotInSubset,
-    EmptySubset,
     LimitReached,
-    NoTop,
-    NotACoAtom,
-    NotAnInteriorOperator,
-    NotASubLattice,
     NotATrellis,
-    NotBounded,
-    NotRightTransitiveSubset,
     ParseError,
+    PreconditionError,
     PreconditionViolated,
-    RangeNotRightTransitive,
     TrellisKitError,
     ValidationError,
-    VNotATnorm,
 )
 from .fileformat import document_psoset, document_trellis, export_dot, parse
 from .interior import UnaryMap, interior_from_subset, interior_range
 from .relation import co_atoms, hasse, maximal_cycles
 from .tnorms import (
+    TnormReport,
     check,
     join_cover_condition,
     join_cover_witness,
@@ -61,26 +54,29 @@ EXIT_PRECONDITION = 4
 
 SCHEMA = "trelliskit-report/1"
 
-_PRECONDITION_ERRORS = (
-    BottomMissing,
-    CarrierTooLarge,
-    ElementNotInSubset,
-    EmptySubset,
-    NoTop,
-    NotACoAtom,
-    NotAnInteriorOperator,
-    NotASubLattice,
-    NotATrellis,
-    NotBounded,
-    NotRightTransitiveSubset,
-    PreconditionViolated,
-    RangeNotRightTransitive,
-    VNotATnorm,
-)
+# the ten TnormReport flags, in field order
+_REPORT_FLAGS = tuple(f.name for f in fields(TnormReport) if f.name != "witnesses")
 
 
 def _read_document(path: str):
-    return parse(Path(path).read_text())
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_start = data.rfind(b"\n", 0, e.start) + 1
+        raise ParseError(
+            data.count(b"\n", 0, e.start) + 1,
+            len(data[line_start:e.start].decode("utf-8")) + 1,
+            f"not UTF-8 text (byte {data[e.start]:#04x})",
+        ) from None
+    return parse(io.StringIO(text, newline=None).read())  # universal newlines
+
+
+def _element(p, name: str) -> int:
+    """Index of a carrier element named on the command line."""
+    if name not in p.names:
+        raise PreconditionViolated(f"unknown element name {name!r}")
+    return p.index(name)
 
 
 def _format_table(names, table) -> str:
@@ -96,40 +92,14 @@ def _named(names, tup):
 
 
 def _report_dict(names, rep) -> dict:
-    flags = {
-        key: getattr(rep, key)
-        for key in (
-            "commutative",
-            "associative",
-            "neutral_top",
-            "increasing",
-            "left_increasing",
-            "right_increasing",
-            "conjunctive",
-            "disjunctive",
-            "idempotent",
-            "meet_preserving",
-        )
-    }
+    flags = {key: getattr(rep, key) for key in _REPORT_FLAGS}
     flags["is_tnorm"] = rep.is_tnorm
     flags["witnesses"] = {k: _named(names, w) for k, w in rep.witnesses.items()}
     return flags
 
 
 def _print_report(names, rep) -> None:
-    order = (
-        "commutative",
-        "associative",
-        "neutral_top",
-        "increasing",
-        "left_increasing",
-        "right_increasing",
-        "conjunctive",
-        "disjunctive",
-        "idempotent",
-        "meet_preserving",
-    )
-    for key in order:
+    for key in _REPORT_FLAGS:
         value = getattr(rep, key)
         if value is None:
             continue
@@ -274,7 +244,7 @@ def _subset_from_token(doc, p, token: str) -> list[int]:
         from .elements import right_transitive_set
 
         return sorted(right_transitive_set(p))
-    return sorted(p.index(s) for s in token.split(","))
+    return sorted(_element(p, s) for s in token.split(","))
 
 
 def _map_from_token(doc, p, token: str) -> np.ndarray:
@@ -285,7 +255,7 @@ def _map_from_token(doc, p, token: str) -> np.ndarray:
         raise PreconditionViolated(
             f"map needs {p.n} comma-separated element names, got {len(images)}"
         )
-    return np.array([p.index(s) for s in images], dtype=np.int64)
+    return np.array([_element(p, s) for s in images], dtype=np.int64)
 
 
 def cmd_construct(args) -> int:
@@ -306,7 +276,7 @@ def cmd_construct(args) -> int:
         op = t_join_cover(trellis)
     elif method.startswith("coatom:"):
         name = method.split(":", 1)[1]
-        op = t_coatom(trellis if trellis is not None else p, p.index(name))
+        op = t_coatom(trellis if trellis is not None else p, _element(p, name))
     elif method.startswith(("lambda:", "interior:")):
         if trellis is None:
             raise NotATrellis("interior constructions need meets and joins")
@@ -322,7 +292,7 @@ def cmd_construct(args) -> int:
         v = None
         if v_token is not None:
             rng_members = sorted(interior_range(trellis, im))
-            v = scaled_meet(trellis, rng_members, trellis.index(v_token))
+            v = scaled_meet(trellis, rng_members, _element(trellis, v_token))
         op = tnorm_via_interior(trellis, im, v)
     else:
         print(f"unknown method {method!r}", file=sys.stderr)
@@ -347,6 +317,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise PreconditionViolated(f"--limit must be positive, got {args.limit}")
     doc = _read_document(args.file)
     p = document_psoset(doc)
     target = p
@@ -493,7 +465,7 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"invalid: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except _PRECONDITION_ERRORS as e:
+    except PreconditionError as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (OSError, TrellisKitError) as e:

@@ -11,6 +11,12 @@ class TrellisKitError(Exception):
     pass
 
 
+class PreconditionError(TrellisKitError):
+    """Base for inputs a computation does not apply to (no bounds, no
+    trellis, a carrier over the cap, arguments that do not fit it); the
+    CLI reports them with exit code 4."""
+
+
 class ValidationError(TrellisKitError):
     """Base for structural validation failures; `violations` lists offenders."""
 
@@ -31,23 +37,23 @@ class DuplicateName(ValidationError):
     pass
 
 
-class EmptySubset(TrellisKitError):
+class EmptySubset(PreconditionError):
     pass
 
 
-class ElementNotInSubset(TrellisKitError):
+class ElementNotInSubset(PreconditionError):
     pass
 
 
-class NoTop(TrellisKitError):
+class NoTop(PreconditionError):
     pass
 
 
-class NotBounded(TrellisKitError):
+class NotBounded(PreconditionError):
     pass
 
 
-class NotATrellis(TrellisKitError):
+class NotATrellis(PreconditionError):
     """Some pair has no meet or no join; `pair` is the first offender."""
 
     def __init__(self, message, pair=None, kind=None):
@@ -68,33 +74,33 @@ class NotModular(TrellisKitError):
         self.witness = witness
 
 
-class NotACoAtom(TrellisKitError):
+class NotACoAtom(PreconditionError):
     pass
 
 
-class NotAnInteriorOperator(TrellisKitError):
+class NotAnInteriorOperator(PreconditionError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
 
 
-class BottomMissing(TrellisKitError):
+class BottomMissing(PreconditionError):
     pass
 
 
-class NotRightTransitiveSubset(TrellisKitError):
+class NotRightTransitiveSubset(PreconditionError):
     def __init__(self, message, offenders=()):
         super().__init__(message)
         self.offenders = sorted(offenders)
 
 
-class RangeNotRightTransitive(TrellisKitError):
+class RangeNotRightTransitive(PreconditionError):
     def __init__(self, message, offenders=()):
         super().__init__(message)
         self.offenders = sorted(offenders)
 
 
-class VNotATnorm(TrellisKitError):
+class VNotATnorm(PreconditionError):
     """The supplied binary operation fails the gate for interior-based
     construction: it must be commutative, associative, increasing and
     bounded above by the meet on the restricted carrier."""
@@ -104,7 +110,7 @@ class VNotATnorm(TrellisKitError):
         self.report = report
 
 
-class NotASubLattice(TrellisKitError):
+class NotASubLattice(PreconditionError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
@@ -114,13 +120,13 @@ class TargetMismatch(TrellisKitError):
     pass
 
 
-class PreconditionViolated(TrellisKitError):
+class PreconditionViolated(PreconditionError):
     def __init__(self, message, offenders=()):
         super().__init__(message)
         self.offenders = list(offenders)
 
 
-class CarrierTooLarge(TrellisKitError):
+class CarrierTooLarge(PreconditionError):
     pass
 
 

@@ -38,6 +38,7 @@ from .errors import ParseError, ValidationError
 from .relation import (
     HasseDiagram,
     Psoset,
+    _first,
     strong_components,
     transitive_closure,
     validate_psoset,
@@ -231,8 +232,7 @@ def document_trellis(doc: PsosetDocument) -> tuple[Trellis, StructureKind]:
         ("join", doc.join, t.join),
     ):
         if declared is not None and not np.array_equal(declared, computed):
-            bad = next(zip(*np.nonzero(declared != computed)))
-            x, y = (int(v) for v in bad)
+            x, y = _first(declared != computed)
             raise ValidationError(
                 f"declared {label} table disagrees with the relation at "
                 f"({doc.names[x]}, {doc.names[y]}): "

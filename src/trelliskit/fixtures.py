@@ -8,36 +8,28 @@ it), a trellis with two maximal t-norms and no greatest one, a trellis
 whose right-transitive part is a proper sub-lattice, and a pseudo-chain
 containing a four-element cycle.
 
-Relations are entered as explicit 0/1 matrices, never reconstructed from
-drawings.  Recorded operation tables come with a shading set marking the
-cells whose value coincides with the meet; the test-suite re-derives the
-shading from the relation as a cross-check on all of this data entry.
+The carriers live only in the shipped documents under data/: CARRIERS
+maps each key to a loader that parses its file on first use and caches
+the result, and carrier_document gives the parsed document itself, whose
+`subset rtr` and `map lam` lines hold the recorded right-transitive sets
+and interior maps.  Recorded operation tables come with a shading set
+marking the cells whose value coincides with the meet; the test-suite
+re-derives the shading from the file's relation as a cross-check on all
+of this data entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from importlib import resources
 
 import numpy as np
 
+from .fileformat import PsosetDocument, document_psoset, document_trellis, parse
 from .relation import Psoset, validate_psoset
 from .tnorms import BinaryOpTable, make_op
 from .trellis import Trellis, build_trellis
-
-
-def _rel(text: str) -> np.ndarray:
-    rows = [line.split() for line in text.strip().splitlines()]
-    return np.array([[cell == "1" for cell in row] for row in rows], dtype=bool)
-
-
-def _psoset(names: str, text: str) -> Psoset:
-    return validate_psoset(_rel(text), tuple(names.split()))
-
-
-def _trellis(names: str, text: str) -> Trellis:
-    t, _ = build_trellis(_psoset(names, text))
-    return t
 
 
 def _grid(target, text: str) -> BinaryOpTable:
@@ -48,129 +40,38 @@ def _grid(target, text: str) -> BinaryOpTable:
 
 # --- carriers ---------------------------------------------------------------
 
-
-@lru_cache(maxsize=None)
-def six_element_cycle_psoset() -> Psoset:
-    """Unbounded-above pseudo-order; {d, e, f} is a cycle."""
-    return _psoset(
-        "a b c d e f",
-        """
-        1 1 1 1 1 1
-        0 1 0 1 0 1
-        0 0 1 1 1 1
-        0 0 0 1 1 0
-        0 0 0 0 1 1
-        0 0 0 1 0 1
-        """,
-    )
+# carrier key -> document stem under data/
+_FILES = {
+    "six_cycle": "six_element_cycle",
+    "pentagon": "pentagon",
+    "fork8": "fork8",
+    "diamond7": "diamond7",
+    "twin_peaks7": "twin_peaks7",
+    "hourglass7": "hourglass7",
+    "loop8": "loop8",
+}
 
 
 @lru_cache(maxsize=None)
-def pentagon() -> Trellis:
-    """Chain 0 < a < b < c < 1 with a and c unrelated: the smallest
-    bounded modular trellis that is not a lattice."""
-    return _trellis(
-        "0 a b c 1",
-        """
-        1 1 1 1 1
-        0 1 1 0 1
-        0 0 1 1 1
-        0 0 0 1 1
-        0 0 0 0 1
-        """,
-    )
+def carrier_document(key: str) -> PsosetDocument:
+    """The parsed shipped document of a carrier; shared, so its maps are
+    read-only."""
+    path = resources.files(__package__) / "data" / f"{_FILES[key]}.psoset"
+    doc = parse(path.read_text(encoding="utf-8"))
+    for images in doc.maps.values():
+        images.setflags(write=False)
+    return doc
 
 
 @lru_cache(maxsize=None)
-def fork8() -> Trellis:
-    """Eight-element modular trellis (chain forking into two co-atoms);
-    satisfies the join-cover condition."""
-    return _trellis(
-        "0 a b c d e f 1",
-        """
-        1 1 1 1 1 1 1 1
-        0 1 1 0 1 1 1 1
-        0 0 1 1 1 1 1 1
-        0 0 0 1 1 1 1 1
-        0 0 0 0 1 1 1 1
-        0 0 0 0 0 1 0 1
-        0 0 0 0 0 0 1 1
-        0 0 0 0 0 0 0 1
-        """,
-    )
+def _load(key: str) -> Psoset | Trellis:
+    doc = carrier_document(key)
+    if key == "six_cycle":  # no top, so no trellis
+        return document_psoset(doc)
+    return document_trellis(doc)[0]
 
 
-@lru_cache(maxsize=None)
-def diamond7() -> Trellis:
-    """Seven-element modular trellis (diamond on a stem plus a shortcut
-    to the top) that fails the join-cover condition; its right-transitive
-    part is not closed under meets."""
-    return _trellis(
-        "0 a b c d e 1",
-        """
-        1 1 1 1 1 1 1
-        0 1 1 1 1 1 1
-        0 0 1 1 1 0 1
-        0 0 0 1 0 1 1
-        0 0 0 0 1 1 1
-        0 0 0 0 0 1 1
-        0 0 0 0 0 0 1
-        """,
-    )
-
-
-@lru_cache(maxsize=None)
-def twin_peaks7() -> Trellis:
-    """Seven-element trellis with co-atoms d and e carrying two maximal
-    t-norms and no greatest one."""
-    return _trellis(
-        "0 a b c d e 1",
-        """
-        1 1 1 1 1 1 1
-        0 1 1 0 1 1 1
-        0 0 1 1 1 1 1
-        0 0 0 1 0 1 1
-        0 0 0 0 1 0 1
-        0 0 0 0 0 1 1
-        0 0 0 0 0 0 1
-        """,
-    )
-
-
-@lru_cache(maxsize=None)
-def hourglass7() -> Trellis:
-    """Two stacked diamonds sharing their waist c; a and d unrelated.
-    The right-transitive part {0, b, c, d, e, 1} is a sub-lattice."""
-    return _trellis(
-        "0 a b c d e 1",
-        """
-        1 1 1 1 1 1 1
-        0 1 0 1 0 1 1
-        0 0 1 1 1 1 1
-        0 0 0 1 1 1 1
-        0 0 0 0 1 0 1
-        0 0 0 0 0 1 1
-        0 0 0 0 0 0 1
-        """,
-    )
-
-
-@lru_cache(maxsize=None)
-def loop8() -> Trellis:
-    """Bounded pseudo-chain with the four-element cycle {b, c, e, f}."""
-    return _trellis(
-        "0 a b c d e f 1",
-        """
-        1 1 1 1 1 1 1 1
-        0 1 1 1 1 1 1 1
-        0 0 1 1 1 0 0 1
-        0 0 0 1 0 1 1 1
-        0 0 0 0 1 0 0 1
-        0 0 0 0 0 1 1 1
-        0 0 1 0 0 0 1 1
-        0 0 0 0 0 0 0 1
-        """,
-    )
+CARRIERS = {key: partial(_load, key) for key in _FILES}
 
 
 @lru_cache(maxsize=None)
@@ -184,26 +85,10 @@ def bounded_chain(k: int) -> Trellis:
 @lru_cache(maxsize=None)
 def diamond_lattice() -> Trellis:
     """0 < x, y < 1 with x, y incomparable — a handy honest lattice."""
-    return _trellis(
-        "0 x y 1",
-        """
-        1 1 1 1
-        0 1 0 1
-        0 0 1 1
-        0 0 0 1
-        """,
-    )
-
-
-CARRIERS = {
-    "six_cycle": six_element_cycle_psoset,
-    "pentagon": pentagon,
-    "fork8": fork8,
-    "diamond7": diamond7,
-    "twin_peaks7": twin_peaks7,
-    "hourglass7": hourglass7,
-    "loop8": loop8,
-}
+    rel = np.eye(4, dtype=bool)
+    rel[0] = rel[:, 3] = True
+    t, _ = build_trellis(validate_psoset(rel, ("0", "x", "y", "1")))
+    return t
 
 
 # --- recorded tables ---------------------------------------------------------
@@ -515,15 +400,8 @@ def recorded_keys() -> tuple[str, ...]:
 
 # --- recorded facts ----------------------------------------------------------
 
-# interior maps: element -> image, in carrier element order
-RECORDED_INTERIORS = {
-    "hourglass7": "0 0 b c d e 1",
-    "loop8": "0 a a a d a a 1",
-    "diamond7": "0 a a c d e 1",
-}
-
 RECORDED_FACTS = {
-    "six_cycle.maximal_cycles": [{"d", "e", "f"}],
+    "six_cycle.maximal_cycles": [("d", "e", "f")],
     "pentagon.covers": {("0", "a"), ("a", "b"), ("b", "c"), ("c", "1")},
     "pentagon.dashed": {frozenset({"a", "c"})},
     "pentagon.co_atoms": {"c"},
@@ -553,14 +431,9 @@ RECORDED_FACTS = {
     "fork8.join_cover_condition": True,
     "diamond7.join_cover_condition": False,
     "diamond7.join_cover_witness": ("b", "e", "c", "0"),
-    "diamond7.rtr": {"0", "a", "c", "d", "e", "1"},
     "diamond7.meet_closure_gap": ("c", "d", "b"),  # c ^ d = b outside rtr
     "diamond7.unchecked_increasing_witness": ("c", "e", "d", "e"),
-    "twin_peaks7.co_atoms": {"d", "e"},
     "twin_peaks7.obstruction": ("a", "e", "d"),  # extending T1 with T(a,e)=a
-    "hourglass7.rtr": {"0", "b", "c", "d", "e", "1"},
-    "loop8.rtr": {"0", "a", "d", "1"},
-    "loop8.maximal_cycles": [{"b", "c", "e", "f"}],
+    "loop8.maximal_cycles": [("b", "c", "e", "f")],
     "loop8.back_edge": ("f", "b"),
-    "loop8.inf_ef": "e",
 }

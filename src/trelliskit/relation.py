@@ -23,6 +23,15 @@ from .errors import (
 )
 
 
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry of mask in row-major order, which is
+    the lexicographically first violating tuple; None when there is none."""
+    k = mask.argmax()
+    if not mask.flat[k]:
+        return None
+    return tuple(int(v) for v in np.unravel_index(k, mask.shape))
+
+
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
     """Transitive closure (reflexive when rel is), by Warshall's algorithm:
     after step k every chain through intermediates among 0..k is closed."""

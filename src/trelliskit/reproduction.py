@@ -1,7 +1,8 @@
 """Recompute every recorded table and fact from first principles.
 
-Ten criteria, each comparing library output against the recorded data in
-fixtures.py (transcribed tables and facts) or against an independent
+Ten criteria, each comparing library output against the recorded data
+(the tables and facts in fixtures.py, the right-transitive sets and
+interior maps in the shipped documents) or against an independent
 reference computation.  The CLI's verify-paper subcommand and the
 acceptance test suite both run exactly these functions, so they cannot
 drift apart.
@@ -25,6 +26,7 @@ from .relation import is_pseudo_chain, maximal_cycles, validate_psoset
 from .tnorms import (
     check,
     join_cover_condition,
+    join_cover_witness,
     join_op,
     make_op,
     meet_op,
@@ -43,6 +45,7 @@ from .trellis import (
 )
 
 DEFAULT_SEED = 1405
+FACTS = fx.RECORDED_FACTS
 
 
 @dataclass
@@ -76,58 +79,65 @@ def _names(p, tup):
     return tuple(p.names[i] for i in tup)
 
 
+def _show(labels) -> str:
+    return "(" + ", ".join(labels) + ")"
+
+
 def _table_set(ops):
     return [tuple(op.table.flat) for op in ops]
 
 
 def criterion_1(seed=None) -> CriterionResult:
     ch = _Checks()
-    six = fx.six_element_cycle_psoset()
+    six = fx.CARRIERS["six_cycle"]()
     revalidated = validate_psoset(six.rel, six.names)
     ch.expect(revalidated.same_carrier(six), "six-element carrier validates")
     cycles = [six.labels(c) for c in maximal_cycles(six)]
-    ch.expect(cycles == [("d", "e", "f")], f"maximal cycles {cycles} == [(d, e, f)]")
+    want = FACTS["six_cycle.maximal_cycles"]
+    ch.expect(cycles == want, f"maximal cycles {cycles} == {want}")
 
-    l8 = fx.loop8()
+    l8 = fx.CARRIERS["loop8"]()
     t, _ = build_trellis(validate_psoset(l8.rel, l8.names))
     ch.expect(t.base.same_carrier(l8.base), "cycle carrier validates as a trellis")
     cycles8 = [l8.labels(c) for c in maximal_cycles(l8.base)]
-    ch.expect(
-        cycles8 == [("b", "c", "e", "f")], f"maximal cycles {cycles8} == [(b, c, e, f)]"
-    )
+    want8 = FACTS["loop8.maximal_cycles"]
+    ch.expect(cycles8 == want8, f"maximal cycles {cycles8} == {want8}")
     return ch.result(1, "carrier validation and maximal cycles")
 
 
 def criterion_2(seed=None) -> CriterionResult:
     ch = _Checks()
-    pent = fx.pentagon()
+    pent = fx.CARRIERS["pentagon"]()
     rep = check(meet_op(pent))
     ch.expect(not rep.left_increasing, "meet not left-increasing")
     ch.expect(not rep.right_increasing, "meet not right-increasing")
-    ch.expect(
-        _names(pent, rep.witnesses["left_increasing"]) == ("b", "c", "a"),
-        "left witness (b, c, a)",
-    )
-    ch.expect(
-        _names(pent, rep.witnesses["right_increasing"]) == ("b", "c", "a"),
-        "right witness (b, c, a)",
-    )
+    want = FACTS["pentagon.meet_left_right_witness"]
+    for side in ("left", "right"):
+        ch.expect(
+            _names(pent, rep.witnesses[f"{side}_increasing"]) == want,
+            f"{side} witness {_show(want)}",
+        )
     f_op = fx.recorded_table("pentagon.F")
     rep_f = check(f_op)
     ch.expect(rep_f.left_increasing, "F left-increasing")
     ch.expect(rep_f.right_increasing, "F right-increasing")
     ch.expect(not rep_f.increasing, "F not jointly increasing")
+    x, y, z, w = want = FACTS["pentagon.F_increasing_witness"]
     ch.expect(
-        _names(pent, rep_f.witnesses["increasing"]) == ("a", "1", "b", "c"),
-        "F witness (a, 1, b, c): F(a,b)=a vs F(1,c)=c",
+        _names(pent, rep_f.witnesses["increasing"]) == want,
+        f"F witness {_show(want)}: F({x},{z}) not below F({y},{w})",
     )
     return ch.result(2, "one-sided versus joint monotonicity of the meet")
 
 
 def criterion_3(seed=None) -> CriterionResult:
     ch = _Checks()
-    fork = fx.fork8()
-    ch.expect(join_cover_condition(fork), "eight-element carrier: condition holds")
+    fork = fx.CARRIERS["fork8"]()
+    want = FACTS["fork8.join_cover_condition"]
+    ch.expect(
+        join_cover_condition(fork) == want,
+        f"eight-element carrier: condition {'holds' if want else 'fails'}",
+    )
     tz = t_join_cover(fork)
     ch.expect(
         tz.same_op(fx.recorded_table("fork8.join_cover")),
@@ -135,9 +145,19 @@ def criterion_3(seed=None) -> CriterionResult:
     )
     ch.expect(check(tz).is_tnorm, "and it is a t-norm")
 
-    d7 = fx.diamond7()
+    d7 = fx.CARRIERS["diamond7"]()
     ch.expect(is_modular(d7), "seven-element carrier is modular")
-    ch.expect(not join_cover_condition(d7), "condition fails there")
+    want = FACTS["diamond7.join_cover_condition"]
+    ch.expect(
+        join_cover_condition(d7) == want,
+        f"condition {'holds' if want else 'fails'} there",
+    )
+    witness = join_cover_witness(d7)
+    want = FACTS["diamond7.join_cover_witness"]
+    ch.expect(
+        witness is not None and _names(d7, witness) == want,
+        f"first join-cover witness {_show(want)}",
+    )
     ch.expect(
         not check(t_join_cover(d7)).increasing,
         "and the join-cover table is not increasing",
@@ -147,24 +167,25 @@ def criterion_3(seed=None) -> CriterionResult:
 
 def criterion_4(seed=None) -> CriterionResult:
     ch = _Checks()
-    pent = fx.pentagon()
+    pent = fx.CARRIERS["pentagon"]()
     res = enumerate_tnorms(pent)
     ch.expect(res.count == 6, f"exactly 6 t-norms (got {res.count})")
-    recorded = {k: fx.recorded_table(f"pentagon.T{k}") for k in range(1, 7)}
     canon = {}
-    for k, rec in recorded.items():
+    for label in ("T1", "T2", "T3", "T4", "T5", "T6"):
+        rec = fx.recorded_table(f"pentagon.{label}")
         hits = [
             i for i, op in enumerate(res.tnorms) if np.array_equal(op.table, rec.table)
         ]
-        ch.expect(len(hits) == 1, f"recorded T{k} appears exactly once")
-        canon[k] = hits[0] if hits else None
+        ch.expect(len(hits) == 1, f"recorded {label} appears exactly once")
+        canon[label] = hits[0] if hits else None
     ch.expect(
-        res.greatest is not None and res.greatest == canon.get(6),
+        res.greatest is not None and res.greatest == canon["T6"],
         "greatest is the recorded T6",
     )
     diagram = order_diagram(res)
-    recorded_covers = {(1, 3), (3, 2), (3, 4), (2, 5), (4, 6), (5, 6)}
-    expected = {(canon[a], canon[b]) for a, b in recorded_covers}
+    expected = {
+        (canon[a], canon[b]) for a, b in FACTS["pentagon.order_diagram_covers"]
+    }
     ch.expect(
         set(diagram.cover_edges) == expected,
         "order diagram covers match the recorded six-t-norm diagram",
@@ -176,7 +197,7 @@ def criterion_4(seed=None) -> CriterionResult:
 
 def criterion_5(seed=None) -> CriterionResult:
     ch = _Checks()
-    tp = fx.twin_peaks7()
+    tp = fx.CARRIERS["twin_peaks7"]()
     res = enumerate_tnorms(tp)
     rec1 = fx.recorded_table("twin_peaks7.T1")
     rec2 = fx.recorded_table("twin_peaks7.T2")
@@ -193,7 +214,7 @@ def criterion_5(seed=None) -> CriterionResult:
     )
     ch.expect(res.greatest is None, "no greatest t-norm exists")
 
-    a, d, e = tp.index("a"), tp.index("d"), tp.index("e")
+    a, e, d = (tp.index(s) for s in FACTS["twin_peaks7.obstruction"])
     mod = rec1.table.copy()
     mod[a, e] = a
     mod[e, a] = a
@@ -201,7 +222,8 @@ def criterion_5(seed=None) -> CriterionResult:
     lhs, rhs = mod[mod[a, e], d], mod[a, mod[e, d]]
     ch.expect(
         lhs != rhs and not check(op).associative,
-        f"extending T1 with T(a,e)=a breaks associativity at (a,e,d): "
+        f"extending T1 with T({tp.names[a]},{tp.names[e]})={tp.names[a]} breaks "
+        f"associativity at {_show(_names(tp, (a, e, d)))}: "
         f"{tp.names[lhs]} != {tp.names[rhs]}",
     )
     return ch.result(5, "seven-element carrier: two maximal t-norms, no greatest")
@@ -228,13 +250,27 @@ def criterion_6(seed=DEFAULT_SEED, instances=200) -> CriterionResult:
     return ch.result(6, "search engine equals brute force on random carriers")
 
 
+def _recorded_interior(ch, key):
+    """The carrier, its right-transitive set and the interior map derived
+    from it, each checked against the document's `subset rtr` and
+    `map lam` lines."""
+    t = fx.CARRIERS[key]()
+    doc = fx.carrier_document(key)
+    rtr = sorted(right_transitive_set(t))
+    ch.expect(
+        tuple(rtr) == doc.subsets["rtr"],
+        f"right-transitive set {_show(t.labels(rtr))} matches the recorded subset",
+    )
+    im = interior_from_subset(t, rtr)
+    ch.expect(
+        np.array_equal(im.map, doc.maps["lam"]), "interior map matches the recorded row"
+    )
+    return t, rtr, im
+
+
 def criterion_7(seed=None) -> CriterionResult:
     ch = _Checks()
-    hg = fx.hourglass7()
-    rtr = sorted(right_transitive_set(hg))
-    im = interior_from_subset(hg, rtr)
-    expected = tuple(hg.index(s) for s in fx.RECORDED_INTERIORS["hourglass7"].split())
-    ch.expect(tuple(im.map) == expected, "interior map matches the recorded row")
+    hg, rtr, im = _recorded_interior(ch, "hourglass7")
     for a in "bcde":
         v = scaled_meet(hg, rtr, hg.index(a))
         built = tnorm_via_interior(hg, im, v)
@@ -255,11 +291,7 @@ def criterion_7(seed=None) -> CriterionResult:
 
 def criterion_8(seed=None) -> CriterionResult:
     ch = _Checks()
-    l8 = fx.loop8()
-    rtr = sorted(right_transitive_set(l8))
-    im = interior_from_subset(l8, rtr)
-    expected = tuple(l8.index(s) for s in fx.RECORDED_INTERIORS["loop8"].split())
-    ch.expect(tuple(im.map) == expected, "interior map matches the recorded row")
+    l8, rtr, _ = _recorded_interior(ch, "loop8")
     built = tnorm_via_subset(l8, rtr)
     ch.expect(
         built.same_op(fx.recorded_table("loop8.interior_meet")),
@@ -270,16 +302,12 @@ def criterion_8(seed=None) -> CriterionResult:
 
 def criterion_9(seed=None) -> CriterionResult:
     ch = _Checks()
-    d7 = fx.diamond7()
-    rtr = sorted(right_transitive_set(d7))
-    ch.expect(
-        d7.labels(rtr) == ("0", "a", "c", "d", "e", "1"),
-        "right-transitive set is {0, a, c, d, e, 1}",
-    )
-    c, d = d7.index("c"), d7.index("d")
+    d7, rtr, _ = _recorded_interior(ch, "diamond7")
+    c, d, b = (d7.index(s) for s in FACTS["diamond7.meet_closure_gap"])
     ch.expect(not is_meet_sub_trellis(d7, rtr), "the set is not meet-closed")
     ch.expect(
-        d7.names[d7.meet[c, d]] == "b", "witness: c meet d = b, outside the set"
+        d7.meet[c, d] == b and b not in rtr,
+        f"witness: {d7.names[c]} meet {d7.names[d]} = {d7.names[b]}, outside the set",
     )
     unchecked = tnorm_via_subset(d7, rtr, unchecked=True)
     ch.expect(
@@ -288,13 +316,16 @@ def criterion_9(seed=None) -> CriterionResult:
     )
     rep = check(unchecked)
     wit = rep.witnesses.get("increasing")
+    want = FACTS["diamond7.unchecked_increasing_witness"]
+    x, y, z, w = (d7.index(s) for s in want)
     ch.expect(not rep.increasing, "check reports not increasing")
     ch.expect(
         wit is not None
-        and _names(d7, wit) == ("c", "e", "d", "e")
-        and d7.names[unchecked.table[c, d]] == "b"
-        and not d7.leq(unchecked.table[c, d], d7.index("e")),
-        "witness (c,e,d,e): T(c,d) = b not below e",
+        and _names(d7, wit) == want
+        and unchecked.table[x, z] == b
+        and not d7.leq(b, unchecked.table[y, w]),
+        f"witness {_show(want)}: T({d7.names[x]},{d7.names[z]}) = {d7.names[b]} "
+        f"not below T({d7.names[y]},{d7.names[w]})",
     )
     return ch.result(9, "counterexample: non-meet-closed range breaks monotonicity")
 

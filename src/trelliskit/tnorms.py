@@ -37,7 +37,7 @@ from .errors import (
     VNotATnorm,
 )
 from .interior import UnaryMap, interior_from_subset, validate_interior
-from .relation import Psoset, co_atoms, validate_psoset
+from .relation import Psoset, _first, co_atoms, validate_psoset
 from .trellis import Trellis, build_trellis, is_sub_lattice
 
 
@@ -110,12 +110,6 @@ class TnormReport:
             and self.increasing
             and self.neutral_top
         )
-
-
-def _first(mask: np.ndarray) -> tuple[int, ...]:
-    """Index of the first True entry of mask in row-major order, which is
-    the lexicographically first violating tuple.  mask must have one."""
-    return tuple(int(v) for v in np.unravel_index(mask.argmax(), mask.shape))
 
 
 def check(op: BinaryOpTable) -> TnormReport:
@@ -217,15 +211,19 @@ def _require_bounds(p) -> tuple[int, int]:
     return p.bottom, p.top
 
 
+def _neutral_top(p: Psoset | Trellis, tab: np.ndarray) -> BinaryOpTable:
+    """tab, a fresh array, with the top made neutral: T(top, y) = y and
+    T(x, top) = x overwrite whatever was gathered there."""
+    idx = np.arange(p.n)
+    tab[p.top, :] = idx
+    tab[:, p.top] = idx
+    return BinaryOpTable(target=p, table=_freeze(tab))
+
+
 def t_drastic(p: Psoset | Trellis) -> BinaryOpTable:
     """Smallest t-norm: neutral top, everything else goes to bottom."""
-    bottom, top = _require_bounds(p)
-    n = p.n
-    tab = np.full((n, n), bottom, dtype=np.int64)
-    idx = np.arange(n)
-    tab[:, top] = idx
-    tab[top, :] = idx
-    return BinaryOpTable(target=p, table=_freeze(tab))
+    bottom, _ = _require_bounds(p)
+    return _neutral_top(p, np.full((p.n, p.n), bottom, dtype=np.int64))
 
 
 def t_coatom(p: Psoset | Trellis, i: int) -> BinaryOpTable:
@@ -245,15 +243,11 @@ def join_cover_witness(t: Trellis) -> tuple[int, int, int, int] | None:
     (x v z) v (y v w) != top.  None when the condition holds."""
     bottom, top = _require_bounds(t)
     meet, join = t.meet, t.join
-    n = t.n
-    for x in range(n):
-        for y in range(n):
-            if meet[x, y] == bottom or join[x, y] != top:
-                continue
-            for z in range(n):
-                for w in range(n):
-                    if join[join[x, z], join[y, w]] != top:
-                        return (x, y, z, w)
+    for x, y in zip(*np.nonzero((meet != bottom) & (join == top))):
+        # [z, w]: (x v z) v (y v w) != top
+        hit = _first(join[join[x][:, None], join[y]] != top)
+        if hit is not None:
+            return (int(x), int(y), *hit)
     return None
 
 
@@ -336,7 +330,7 @@ def tnorm_via_interior(
     v defaults to the meet restricted to the operator's range, which makes
     the result meet-preserving.  Every member of the range must be
     right-transitive — that is what makes the construction monotone."""
-    bottom, top = _require_bounds(t)
+    _require_bounds(t)
     report = validate_interior(t, im)
     if not report.ok:
         raise NotAnInteriorOperator("map fails the interior axioms", report)
@@ -352,19 +346,9 @@ def tnorm_via_interior(
         v = meet_op(sub)
     else:
         _gate_v(sub, v)
-    loc = {g: k for k, g in enumerate(members)}
-    n = t.n
-    tab = np.empty((n, n), dtype=np.int64)
-    f = im.map
-    for x in range(n):
-        for y in range(n):
-            if x == top:
-                tab[x, y] = y
-            elif y == top:
-                tab[x, y] = x
-            else:
-                tab[x, y] = members[v.table[loc[int(f[x])], loc[int(f[y])]]]
-    return BinaryOpTable(target=t, table=_freeze(tab))
+    members = np.array(members)
+    loc = np.searchsorted(members, im.map)  # local index of each image
+    return _neutral_top(t, members[v.table[np.ix_(loc, loc)]])
 
 
 def tnorm_via_subset(
@@ -380,20 +364,9 @@ def tnorm_via_subset(
     if unchecked:
         if v is not None:
             raise ValueError("unchecked mode always uses the global meet")
-        bottom, top = _require_bounds(t)
-        im = interior_from_subset(t, A)
-        f = im.map
-        n = t.n
-        tab = np.empty((n, n), dtype=np.int64)
-        for x in range(n):
-            for y in range(n):
-                if x == top:
-                    tab[x, y] = y
-                elif y == top:
-                    tab[x, y] = x
-                else:
-                    tab[x, y] = t.meet[f[x], f[y]]
-        return BinaryOpTable(target=t, table=_freeze(tab))
+        _require_bounds(t)
+        f = interior_from_subset(t, A).map
+        return _neutral_top(t, t.meet[np.ix_(f, f)])
     im = interior_from_subset(t, A)
     return tnorm_via_interior(t, im, v)
 

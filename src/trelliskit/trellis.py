@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomsFailed, EmptySubset, NotATrellis, NotBounded, NotModular
-from .relation import Psoset, down_set, maximal_cycles, up_set, validate_psoset
+from .relation import (
+    Psoset,
+    _first,
+    down_set,
+    maximal_cycles,
+    up_set,
+    validate_psoset,
+)
 
 
 @dataclass(eq=False)
@@ -177,25 +184,22 @@ def check_skala_axioms(meet: np.ndarray, join: np.ndarray) -> AxiomReport:
     """Verify commutativity, idempotence, absorption and part-preservation;
     every violating tuple is reported (row-major order)."""
     n = meet.shape[0]
-    commutative = []
-    idempotent = []
-    absorption = []
+    idx = np.arange(n)
+    col = idx[:, None]
+
+    def tuples(mask, *lead):
+        return [(*lead, *hit) for hit in np.argwhere(mask).tolist()]
+
+    idempotent = tuples((meet.diagonal() != idx) | (join.diagonal() != idx))
+    commutative = tuples((meet != meet.T) | (join != join.T))
+    # [x, y]: x v (y ^ x) = x = x ^ (y v x)
+    absorption = tuples((join[col, meet.T] != col) | (meet[col, join.T] != col))
     part = []
     for x in range(n):
-        if meet[x, x] != x or join[x, x] != x:
-            idempotent.append((x,))
-        for y in range(n):
-            if meet[x, y] != meet[y, x] or join[x, y] != join[y, x]:
-                commutative.append((x, y))
-            # x v (y ^ x) = x = x ^ (y v x)
-            if join[x, meet[y, x]] != x or meet[x, join[y, x]] != x:
-                absorption.append((x, y))
-            for z in range(n):
-                # x v ((x^y) v (x^z)) = x = x ^ ((xvy) ^ (xvz))
-                lhs = join[x, join[meet[x, y], meet[x, z]]]
-                rhs = meet[x, meet[join[x, y], join[x, z]]]
-                if lhs != x or rhs != x:
-                    part.append((x, y, z))
+        # [y, z]: x v ((x^y) v (x^z)) = x = x ^ ((xvy) ^ (xvz))
+        lhs = join[x][join[meet[x][:, None], meet[x]]]
+        rhs = meet[x][meet[join[x][:, None], join[x]]]
+        part += tuples((lhs != x) | (rhs != x), x)
     return AxiomReport(commutative, idempotent, absorption, part)
 
 
@@ -224,13 +228,12 @@ def trellis_from_tables(names, meet, join) -> Trellis:
 
 def modular_violation(t: Trellis) -> tuple[int, int, int] | None:
     """First (x, y, z) with x <= z but x v (y ^ z) != (x v y) ^ z."""
-    n = t.n
     rel, meet, join = t.rel, t.meet, t.join
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if rel[x, z] and join[x, meet[y, z]] != meet[join[x, y], z]:
-                    return (x, y, z)
+    for x in range(t.n):
+        # [y, z]: x <= z but x v (y ^ z) != (x v y) ^ z
+        hit = _first(rel[x] & (join[x][meet] != meet[join[x]]))
+        if hit is not None:
+            return (x, *hit)
     return None
 
 
@@ -274,14 +277,11 @@ def modular_implication_check(t: Trellis) -> bool:
     witness = modular_violation(t)
     if witness is not None:
         raise NotModular("not modular", witness)
-    rel, meet, join, top = t.rel, t.meet, t.join, t.top
+    rel, meet, join = t.rel, t.meet, t.join
     for x in range(t.n):
-        for y in range(t.n):
-            if join[x, y] != top:
-                continue
-            for z in range(t.n):
-                if rel[x, z] and not rel[meet[x, y], z]:
-                    return False
+        # [y, z]: x v y = 1 and x <= z, yet x ^ y is not below z
+        if ((join[x] == t.top)[:, None] & rel[x] & ~rel[meet[x]]).any():
+            return False
     return True
 
 

@@ -2,17 +2,17 @@ import random
 
 import pytest
 
-from trelliskit import fixtures
+from trelliskit.fixtures import CARRIERS
 
 
 @pytest.fixture
 def pentagon():
-    return fixtures.pentagon()
+    return CARRIERS["pentagon"]()
 
 
 @pytest.fixture
 def hourglass():
-    return fixtures.hourglass7()
+    return CARRIERS["hourglass7"]()
 
 
 @pytest.fixture

@@ -121,6 +121,14 @@ def test_construct_bad_method_is_a_precondition_failure(capsys):
     assert code == 4
     code, _, err = run(capsys, "construct", HOURGLASS, "--method", "lambda:0,a")
     assert code == 4  # a is not right-transitive there
+    for path, method in (
+        (PENTAGON, "coatom:zz"),
+        (PENTAGON, "lambda:0,zz"),
+        (HOURGLASS, "lambda:rtr:V=zz"),
+        (HOURGLASS, "interior:0,0,b,c,d,zz,1"),
+    ):
+        code, _, err = run(capsys, "construct", path, "--method", method)
+        assert code == 4 and "unknown element name 'zz'" in err, method
 
 
 def test_enumerate_text_output(capsys):
@@ -147,6 +155,25 @@ def test_enumerate_limit_is_not_an_error(capsys):
     code, out, _ = run(capsys, "enumerate", PENTAGON, "--limit", "2")
     assert code == 0
     assert "stopped at limit" in out
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_enumerate_limit_must_be_positive(capsys, limit):
+    code, _, err = run(capsys, "enumerate", PENTAGON, f"--limit={limit}")
+    assert code == 4 and "--limit must be positive" in err
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.psoset"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 3 and "line 1, column 1" in err
+    bad.write_bytes("psoset-document v1\nelements: \u00e9 b".encode() + b"\xff\n")
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 3 and "line 2, column 14" in err
+    bad.write_bytes(b"psoset-document v1\r\nelements: a\r\nrelation:\r1\r\n")
+    code, _, _ = run(capsys, "validate", str(bad))
+    assert code == 0  # universal newlines, as in text-mode reading
 
 
 def test_enumerate_refuses_unbounded(capsys):

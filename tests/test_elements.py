@@ -10,7 +10,12 @@ from trelliskit import (
     subset,
 )
 from trelliskit.errors import EmptySubset
-from trelliskit.fixtures import CARRIERS, bounded_chain, diamond_lattice
+from trelliskit.fixtures import (
+    CARRIERS,
+    RECORDED_FACTS,
+    bounded_chain,
+    diamond_lattice,
+)
 
 
 def named(t, mask):
@@ -20,10 +25,10 @@ def named(t, mask):
 def test_pentagon_classes():
     t = CARRIERS["pentagon"]()
     cls = classify(t)
-    assert named(t, cls.rtr) == {"0", "b", "c", "1"}
-    assert named(t, cls.tr) == {"0", "1"}
+    assert named(t, cls.rtr) == RECORDED_FACTS["pentagon.rtr"]
+    assert named(t, cls.tr) == RECORDED_FACTS["pentagon.tr"]
     assert named(t, cls.dis) == {"0", "1"}
-    assert right_transitive_set(t) == t.indices(("0", "b", "c", "1"))
+    assert right_transitive_set(t) == t.indices(RECORDED_FACTS["pentagon.rtr"])
 
 
 def test_hourglass_classes():

@@ -16,7 +16,7 @@ from trelliskit import (
 )
 from trelliskit.errors import ParseError, ValidationError
 from trelliskit.fileformat import parse, serialize
-from trelliskit.fixtures import CARRIERS, bounded_chain
+from trelliskit.fixtures import CARRIERS, RECORDED, bounded_chain, recorded_table
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "trelliskit" / "data"
 
@@ -36,6 +36,25 @@ def test_shipped_trellis_documents_cross_check():
     ref = CARRIERS["pentagon"]()
     assert np.array_equal(t.meet, ref.meet)
     assert t.names == ref.names
+
+
+@pytest.mark.parametrize(
+    "key", [k for k, e in sorted(RECORDED.items()) if e.shaded is not None]
+)
+def test_recorded_shading_marks_the_meet_cells(key):
+    # the shading was transcribed apart from the tables, and the meet comes
+    # from the shipped document's relation: all three must agree
+    entry = RECORDED[key]
+    t = CARRIERS[entry.carrier]()
+    table = recorded_table(key).table
+    region = [t.index(s) for s in entry.region]
+    agree = {
+        (t.names[x], t.names[y])
+        for x in region
+        for y in region
+        if table[x, y] == t.meet[x, y]
+    }
+    assert agree == entry.shaded
 
 
 def test_document_from_psoset_round_trip():

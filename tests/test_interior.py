@@ -3,6 +3,7 @@ import pytest
 
 from trelliskit import (
     UnaryMap,
+    classify,
     interior_from_subset,
     interior_range,
     validate_interior,
@@ -12,25 +13,20 @@ from trelliskit.errors import (
     NotAnInteriorOperator,
     NotRightTransitiveSubset,
 )
-from trelliskit.fixtures import CARRIERS, RECORDED_INTERIORS, bounded_chain
+from trelliskit.fixtures import CARRIERS, bounded_chain, carrier_document
 
 
-def map_from_names(t, names):
-    return UnaryMap(t, np.array([t.index(s) for s in names.split()], dtype=np.int64))
-
-
-@pytest.mark.parametrize("key", sorted(RECORDED_INTERIORS))
+@pytest.mark.parametrize("key", ["diamond7", "hourglass7", "loop8"])
 def test_recorded_interior_maps(key):
     t = CARRIERS[key]()
-    expected = map_from_names(t, RECORDED_INTERIORS[key])
-    rtr = sorted(t.indices(RECORDED_INTERIORS[key].split()) | {t.bottom})
+    doc = carrier_document(key)
     # the recorded rows are exactly the subset-interiors of the
-    # right-transitive parts
-    from trelliskit import classify
-
+    # right-transitive parts, and their images are those parts
     members = sorted(np.flatnonzero(classify(t).rtr))
+    assert tuple(members) == doc.subsets["rtr"]
     got = interior_from_subset(t, members)
-    assert np.array_equal(got.map, expected.map), key
+    assert np.array_equal(got.map, doc.maps["lam"]), key
+    assert got.image() == frozenset(members)
 
 
 def test_identity_is_an_interior_on_a_lattice():

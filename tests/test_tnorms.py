@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from trelliskit import (
+    AxiomReport,
+    Trellis,
     check,
+    is_meet_sub_trellis,
+    right_transitive_set,
+    check_skala_axioms,
     enumerate_tnorms,
     interior_from_subset,
     join_cover_condition,
@@ -13,7 +18,10 @@ from trelliskit import (
     join_op,
     make_op,
     meet_op,
+    modular_implication_check,
+    modular_violation,
     pointwise_leq,
+    random_pseudo_chain,
     random_trellis,
     restrict,
     scaled_meet,
@@ -27,6 +35,7 @@ from trelliskit.errors import (
     ElementNotInSubset,
     NotACoAtom,
     NotASubLattice,
+    NotModular,
     RangeNotRightTransitive,
     TargetMismatch,
     VNotATnorm,
@@ -121,12 +130,64 @@ def test_join_cover_condition_and_construction():
 
 
 def test_pentagon_construction_landing_spots(pentagon):
+    def subset(*names):
+        return tnorm_via_subset(pentagon, pentagon.indices(names))
+
+    built = {
+        "drastic": t_drastic(pentagon),
+        "join_cover": t_join_cover(pentagon),
+        "coatom_c": t_coatom(pentagon, pentagon.index("c")),
+        "subset_01": subset("0", "1"),
+        "subset_0c": subset("0", "c"),
+        "subset_0b": subset("0", "b"),
+        "subset_0bc": subset("0", "b", "c"),
+        "subset_rtr": subset(*RECORDED_FACTS["pentagon.rtr"]),
+    }
     landing = RECORDED_FACTS["pentagon.constructions"]
-    assert t_join_cover(pentagon).same_op(recorded_table(f"pentagon.{landing['join_cover']}"))
-    got = tnorm_via_subset(pentagon, pentagon.indices(("0", "b")))
-    assert got.same_op(recorded_table(f"pentagon.{landing['subset_0b']}"))
-    got = tnorm_via_subset(pentagon, pentagon.indices(("0", "b", "c")))
-    assert got.same_op(recorded_table(f"pentagon.{landing['subset_rtr']}"))
+    assert built.keys() == landing.keys()
+    for key, op in built.items():
+        assert op.same_op(recorded_table(f"pentagon.{landing[key]}")), key
+
+
+def neutral_top_loop(t, value):
+    """The cellwise table: neutral top, value(x, y) everywhere else."""
+    tab = np.empty((t.n, t.n), dtype=np.int64)
+    for x in range(t.n):
+        for y in range(t.n):
+            if x == t.top:
+                tab[x, y] = y
+            elif y == t.top:
+                tab[x, y] = x
+            else:
+                tab[x, y] = value(x, y)
+    return tab
+
+
+def test_table_builders_match_the_cellwise_loops():
+    rng = random.Random(23)
+    carriers = [make() for key, make in CARRIERS.items() if key != "six_cycle"]
+    carriers += [random_trellis(rng, 2 + k % 7) for k in range(60)]
+    built = 0
+    for t in carriers:
+        want = neutral_top_loop(t, lambda x, y: t.bottom)
+        assert np.array_equal(t_drastic(t).table, want)
+        members = sorted(right_transitive_set(t))
+        im = interior_from_subset(t, members)
+        f = im.map
+        want = neutral_top_loop(t, lambda x, y: t.meet[f[x], f[y]])
+        assert np.array_equal(tnorm_via_subset(t, members, unchecked=True).table, want)
+        if not is_meet_sub_trellis(t, members):
+            continue
+        image = sorted(set(f.tolist()))
+        sub, _ = restrict(t, image)
+        v = scaled_meet(t, image, image[rng.randrange(len(image))])
+        for op in (meet_op(sub), v):
+            want = neutral_top_loop(
+                t, lambda x, y: image[op.table[image.index(f[x]), image.index(f[y])]]
+            )
+            assert np.array_equal(tnorm_via_interior(t, im, op).table, want)
+            built += 1
+    assert built > 40
 
 
 def test_restrict_recomputes_tables(hourglass):
@@ -281,6 +342,85 @@ def first_witnesses(op):
     return found
 
 
+def loop_modular_violation(t):
+    n, rel, meet, join = t.n, t.rel, t.meet, t.join
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if rel[x, z] and join[x, meet[y, z]] != meet[join[x, y], z]:
+                    return (x, y, z)
+    return None
+
+
+def loop_modular_implication(t):
+    """None when not modular, else the implication's truth value."""
+    if loop_modular_violation(t) is not None:
+        return None
+    rel, meet, join, top = t.rel, t.meet, t.join, t.top
+    for x in range(t.n):
+        for y in range(t.n):
+            if join[x, y] != top:
+                continue
+            for z in range(t.n):
+                if rel[x, z] and not rel[meet[x, y], z]:
+                    return False
+    return True
+
+
+def loop_join_cover_witness(t):
+    bottom, top, meet, join, n = t.bottom, t.top, t.meet, t.join, t.n
+    for x in range(n):
+        for y in range(n):
+            if meet[x, y] == bottom or join[x, y] != top:
+                continue
+            for z in range(n):
+                for w in range(n):
+                    if join[join[x, z], join[y, w]] != top:
+                        return (x, y, z, w)
+    return None
+
+
+def loop_skala_axioms(meet, join):
+    n = meet.shape[0]
+    commutative, idempotent, absorption, part = [], [], [], []
+    for x in range(n):
+        if meet[x, x] != x or join[x, x] != x:
+            idempotent.append((x,))
+        for y in range(n):
+            if meet[x, y] != meet[y, x] or join[x, y] != join[y, x]:
+                commutative.append((x, y))
+            if join[x, meet[y, x]] != x or meet[x, join[y, x]] != x:
+                absorption.append((x, y))
+            for z in range(n):
+                lhs = join[x, join[meet[x, y], meet[x, z]]]
+                rhs = meet[x, meet[join[x, y], join[x, z]]]
+                if lhs != x or rhs != x:
+                    part.append((x, y, z))
+    return AxiomReport(commutative, idempotent, absorption, part)
+
+
+def trellis_witnesses(t):
+    """Each trellis-level scan's result next to its loop oracle's."""
+    try:
+        implication = modular_implication_check(t)
+    except NotModular:
+        implication = None
+    return {
+        "modular": (modular_violation(t), loop_modular_violation(t)),
+        "implication": (implication, loop_modular_implication(t)),
+        "join_cover": (join_cover_witness(t), loop_join_cover_witness(t)),
+        "axioms": (
+            check_skala_axioms(t.meet, t.join), loop_skala_axioms(t.meet, t.join)
+        ),
+    }
+
+
+def outcome(got):
+    if isinstance(got, AxiomReport):
+        return got.ok
+    return got if got is None or isinstance(got, bool) else "witness"
+
+
 def test_witnesses_are_the_lexicographically_first_violations():
     rng = random.Random(17)
     np_rng = np.random.default_rng(17)
@@ -299,3 +439,29 @@ def test_witnesses_are_the_lexicographically_first_violations():
             assert check(op).witnesses == want
             flags.update(want)
     assert len(flags) == 10  # every flag's witness scan was exercised
+
+    # The trellis-level scans return the loops' tuples in the loops' order:
+    # on the shipped and random trellises, and on random table pairs over a
+    # chain, half of them modular by construction (join always the top, the
+    # top absorbing in the meet) so that the implication scan can fail.
+    carriers = [make() for key, make in CARRIERS.items() if key != "six_cycle"]
+    for k in range(140):
+        make = random_pseudo_chain if k % 2 else random_trellis
+        carriers.append(make(rng, 2 + k % 7))
+    for k in range(60):
+        n = 1 + k % 8
+        meet, join = np_rng.integers(0, n, (2, n, n))
+        if k % 2:
+            join[:] = meet[-1] = n - 1
+        carriers.append(Trellis(bounded_chain(n).base, meet, join))
+    seen = set()
+    for t in carriers:
+        for name, (got, want) in trellis_witnesses(t).items():
+            assert got == want, name
+            seen.add((name, outcome(got)))
+    assert seen == {
+        ("modular", None), ("modular", "witness"),
+        ("implication", None), ("implication", True), ("implication", False),
+        ("join_cover", None), ("join_cover", "witness"),
+        ("axioms", True), ("axioms", False),
+    }

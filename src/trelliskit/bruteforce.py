@@ -19,43 +19,40 @@ import numpy as np
 from .errors import CarrierTooLarge, NotBounded
 from .relation import Psoset
 from .tnorms import BinaryOpTable, check, make_op
-from .trellis import Trellis
 
 _BATCH = 20_000
 
 
-def _cells_and_domains(base: Psoset):
-    n, rel, top = base.n, base.rel, base.top
+def _cells_and_domains(p: Psoset):
+    n, rel, top = p.n, p.rel, p.top
     inner = [x for x in range(n) if x != top]
     cells = [(i, j) for i in inner for j in inner if i <= j]
     domains = [np.flatnonzero(rel[:, i] & rel[:, j]) for i, j in cells]
     return cells, domains
 
 
-def bruteforce_candidate_count(p: Psoset | Trellis) -> int:
+def bruteforce_candidate_count(p: Psoset) -> int:
     """How many raw candidate tables the brute force would scan."""
-    base = p.base if isinstance(p, Trellis) else p
-    if base.bottom is None or base.top is None:
+    if p.bottom is None or p.top is None:
         raise NotBounded("t-norms need a bottom and a top")
-    _, domains = _cells_and_domains(base)
+    _, domains = _cells_and_domains(p)
     return math.prod(len(d) for d in domains)
 
 
-def bruteforce_tnorms(p: Psoset | Trellis, cap: int = 6) -> list[BinaryOpTable]:
+def bruteforce_tnorms(p: Psoset, cap: int = 6) -> list[BinaryOpTable]:
     """All t-norms on a small bounded carrier, the slow exhaustive way.
 
     Returned in the same canonical order as enumeration (row-major table
     tuples), so results compare directly.
     """
-    base = p.base if isinstance(p, Trellis) else p
-    if base.bottom is None or base.top is None:
+    if p.bottom is None or p.top is None:
         raise NotBounded("t-norms need a bottom and a top")
-    n, rel, top = base.n, base.rel, base.top
+    n, rel, top = p.n, p.rel, p.top
     if n > cap:
         raise CarrierTooLarge(
             f"carrier has {n} elements, cap is {cap}; pass cap= to override"
         )
-    cells, domains = _cells_and_domains(base)
+    cells, domains = _cells_and_domains(p)
     lo, hi = np.nonzero(rel)
     idx = np.arange(n)
 

@@ -48,14 +48,18 @@ def _per_element_bad(bad: np.ndarray) -> np.ndarray:
     return ~(bad.any(axis=(1, 2)) | bad.any(axis=(0, 2)) | bad.any(axis=(0, 1)))
 
 
+def _side_masks(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rtr and ltr masks, from the two-step relation alone."""
+    # [a, y]: some x with a <= x <= y, yet not a <= y
+    escapes = (rel @ rel) & ~rel
+    return ~escapes.any(axis=1), ~escapes.any(axis=0)
+
+
 def classify(t: Trellis) -> ElementClassification:
     rel = t.rel
     meet, join = t.meet, t.join
-    n = t.n
 
-    two_step = rel @ rel  # two_step[a, y]: some x with a <= x <= y
-    rtr = ~(two_step & ~rel).any(axis=1)
-    ltr = ~(two_step & ~rel).any(axis=0)
+    rtr, ltr = _side_masks(rel)
     # through[x, a, y] = x <= a and a <= y
     through = rel[:, :, None] & rel[None, :, :]
     mtr = ~(through & ~rel[:, None, :]).any(axis=(0, 2))
@@ -98,7 +102,7 @@ def subset(classification: ElementClassification, alpha: str) -> frozenset[int]:
 
 
 def right_transitive_set(t: Trellis) -> frozenset[int]:
-    return subset(classify(t), "rtr")
+    return frozenset(int(i) for i in np.flatnonzero(_side_masks(t.rel)[0]))
 
 
 def iterated_join(t: Trellis, S) -> int:
@@ -109,7 +113,7 @@ def iterated_join(t: Trellis, S) -> int:
     members = sorted(set(S))
     if not members:
         raise EmptySubset("iterated join of empty subset")
-    rtr = classify(t).rtr
+    rtr = _side_masks(t.rel)[0]
     bad = [x for x in members if not rtr[x]]
     if bad:
         raise PreconditionViolated(
@@ -126,7 +130,7 @@ def iterated_meet(t: Trellis, S) -> int:
     members = sorted(set(S))
     if not members:
         raise EmptySubset("iterated meet of empty subset")
-    ltr = classify(t).ltr
+    ltr = _side_masks(t.rel)[1]
     bad = [x for x in members if not ltr[x]]
     if bad:
         raise PreconditionViolated(

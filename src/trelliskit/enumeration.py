@@ -27,7 +27,6 @@ from .errors import (
 )
 from .relation import HasseDiagram, Psoset, hasse, validate_psoset
 from .tnorms import BinaryOpTable, check, make_op, pointwise_order
-from .trellis import Trellis
 
 
 @dataclass
@@ -43,7 +42,7 @@ class EnumerationResult:
     found up to that point.
     """
 
-    target: Psoset | Trellis
+    target: Psoset
     tnorms: list[BinaryOpTable]
     order: np.ndarray
     maximal: list[int]
@@ -58,7 +57,7 @@ class _Stop(Exception):
 
 
 def enumerate_tnorms(
-    p: Psoset | Trellis, limit: int | None = None, cap: int = 10
+    p: Psoset, limit: int | None = None, cap: int = 10
 ) -> EnumerationResult:
     """All t-norms on a bounded psoset or trellis with at most `cap` elements.
 
@@ -66,10 +65,9 @@ def enumerate_tnorms(
     LimitReached — carrying the partial result — once `limit` t-norms
     have been found.
     """
-    base = p.base if isinstance(p, Trellis) else p
-    if base.bottom is None or base.top is None:
+    if p.bottom is None or p.top is None:
         raise NotBounded("enumeration needs a bottom and a top")
-    n, rel, top = base.n, base.rel, base.top
+    n, rel, top = p.n, p.rel, p.top
     if n > cap:
         raise CarrierTooLarge(
             f"carrier has {n} elements, cap is {cap}; pass cap= to override"
@@ -201,7 +199,7 @@ def enumerate_tnorms(
     return finish(complete=True)
 
 
-def is_maximal_tnorm(p: Psoset | Trellis, op: BinaryOpTable, cap: int = 10) -> bool:
+def is_maximal_tnorm(p: Psoset, op: BinaryOpTable, cap: int = 10) -> bool:
     """No enumerated t-norm sits strictly pointwise above op."""
     if op.names != p.names or not np.array_equal(op.target.rel, p.rel):
         raise TargetMismatch("operations live on different carriers")
@@ -212,7 +210,7 @@ def is_maximal_tnorm(p: Psoset | Trellis, op: BinaryOpTable, cap: int = 10) -> b
     return not (above & ~same).any()
 
 
-def greatest_tnorm(p: Psoset | Trellis, cap: int = 10) -> BinaryOpTable | None:
+def greatest_tnorm(p: Psoset, cap: int = 10) -> BinaryOpTable | None:
     """The t-norm pointwise above all others, when one exists."""
     res = enumerate_tnorms(p, cap=cap)
     return None if res.greatest is None else res.tnorms[res.greatest]

@@ -244,15 +244,14 @@ def document_trellis(doc: PsosetDocument) -> tuple[Trellis, StructureKind]:
 
 
 def make_document(
-    p: Psoset | Trellis,
+    p: Psoset,
     *,
     with_tables: bool = False,
     subsets: dict[str, tuple[int, ...]] | None = None,
     maps: dict[str, np.ndarray] | None = None,
     ops: dict[str, np.ndarray] | None = None,
 ) -> PsosetDocument:
-    base = p.base if isinstance(p, Trellis) else p
-    doc = PsosetDocument(names=base.names, rel=base.rel.copy())
+    doc = PsosetDocument(names=p.names, rel=p.rel.copy())
     if with_tables and isinstance(p, Trellis):
         doc.meet = p.meet.copy()
         doc.join = p.join.copy()

@@ -64,7 +64,7 @@ def carrier_document(key: str) -> PsosetDocument:
 
 
 @lru_cache(maxsize=None)
-def _load(key: str) -> Psoset | Trellis:
+def _load(key: str) -> Psoset:
     doc = carrier_document(key)
     if key == "six_cycle":  # no top, so no trellis
         return document_psoset(doc)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import classify
+from .elements import _side_masks
 from .errors import (
     BottomMissing,
     NotAnInteriorOperator,
@@ -97,7 +97,7 @@ def interior_from_subset(t: Trellis, A) -> UnaryMap:
     members = sorted(set(A))
     if t.bottom not in members:
         raise BottomMissing("subset must contain the bottom element")
-    rtr = classify(t).rtr
+    rtr = _side_masks(t.rel)[0]
     bad = [x for x in members if not rtr[x]]
     if bad:
         raise NotRightTransitiveSubset(
@@ -106,7 +106,7 @@ def interior_from_subset(t: Trellis, A) -> UnaryMap:
     out = np.empty(t.n, dtype=np.int64)
     aset = frozenset(members)
     for x in range(t.n):
-        below = sorted(aset & down_set(t.base, x))  # bottom is always there
+        below = sorted(aset & down_set(t, x))  # bottom is always there
         acc = below[0]
         for v in below[1:]:
             acc = int(t.join[acc, v])

@@ -98,8 +98,8 @@ def criterion_1(seed=None) -> CriterionResult:
 
     l8 = fx.CARRIERS["loop8"]()
     t, _ = build_trellis(validate_psoset(l8.rel, l8.names))
-    ch.expect(t.base.same_carrier(l8.base), "cycle carrier validates as a trellis")
-    cycles8 = [l8.labels(c) for c in maximal_cycles(l8.base)]
+    ch.expect(t.same_carrier(l8), "cycle carrier validates as a trellis")
+    cycles8 = [l8.labels(c) for c in maximal_cycles(l8)]
     want8 = FACTS["loop8.maximal_cycles"]
     ch.expect(cycles8 == want8, f"maximal cycles {cycles8} == {want8}")
     return ch.result(1, "carrier validation and maximal cycles")
@@ -357,7 +357,6 @@ def _laws_for_trellis(t, rng, ch_counts):
     """Apply every random-instance law; return list of violation labels."""
     bad = []
     cls = classify(t)
-    base = t.base
     n = t.n
 
     def implies(a, b):
@@ -403,7 +402,7 @@ def _laws_for_trellis(t, rng, ch_counts):
         if len(folds) != 1:
             bad.append("iterated join depends on the order")
 
-    pc = is_pseudo_chain(base, range(n))
+    pc = is_pseudo_chain(t, range(n))
     if is_modular(t) or pc:
         ch_counts["equality-chain instances"] += 1
         if not (
@@ -444,7 +443,7 @@ def _laws_for_trellis(t, rng, ch_counts):
 
     rep_m = check(meet_op(t))
     rep_j = check(join_op(t))
-    trans = base.is_transitive()
+    trans = t.is_transitive()
     if not (
         rep_m.increasing == trans == rep_m.associative
         and rep_j.increasing == trans == rep_j.associative

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import classify
+from .elements import _side_masks
 from .errors import (
     ElementNotInSubset,
     NotACoAtom,
@@ -43,7 +43,7 @@ from .trellis import Trellis, build_trellis, is_sub_lattice
 
 @dataclass(eq=False)
 class BinaryOpTable:
-    target: Psoset | Trellis
+    target: Psoset
     table: np.ndarray  # table[x, y] = element index
 
     @property
@@ -123,8 +123,9 @@ def check(op: BinaryOpTable) -> TnormReport:
     rel = target.rel
     n = op.n
     top = target.top
-    meet = target.meet if isinstance(target, Trellis) else None
-    join = target.join if isinstance(target, Trellis) else None
+    meet = join = None
+    if isinstance(target, Trellis):
+        meet, join = target.meet, target.join
     witnesses: dict[str, tuple] = {}
 
     ok = tab == tab.T
@@ -211,7 +212,7 @@ def _require_bounds(p) -> tuple[int, int]:
     return p.bottom, p.top
 
 
-def _neutral_top(p: Psoset | Trellis, tab: np.ndarray) -> BinaryOpTable:
+def _neutral_top(p: Psoset, tab: np.ndarray) -> BinaryOpTable:
     """tab, a fresh array, with the top made neutral: T(top, y) = y and
     T(x, top) = x overwrite whatever was gathered there."""
     idx = np.arange(p.n)
@@ -220,17 +221,16 @@ def _neutral_top(p: Psoset | Trellis, tab: np.ndarray) -> BinaryOpTable:
     return BinaryOpTable(target=p, table=_freeze(tab))
 
 
-def t_drastic(p: Psoset | Trellis) -> BinaryOpTable:
+def t_drastic(p: Psoset) -> BinaryOpTable:
     """Smallest t-norm: neutral top, everything else goes to bottom."""
     bottom, _ = _require_bounds(p)
     return _neutral_top(p, np.full((p.n, p.n), bottom, dtype=np.int64))
 
 
-def t_coatom(p: Psoset | Trellis, i: int) -> BinaryOpTable:
+def t_coatom(p: Psoset, i: int) -> BinaryOpTable:
     """Drastic everywhere except T(i, i) = i for a chosen co-atom i."""
     bottom, top = _require_bounds(p)
-    base = p.base if isinstance(p, Trellis) else p
-    if i not in co_atoms(base):
+    if i not in co_atoms(p):
         raise NotACoAtom(f"{p.names[i]} is not a co-atom")
     op = t_drastic(p)
     tab = op.table.copy()
@@ -334,7 +334,7 @@ def tnorm_via_interior(
     report = validate_interior(t, im)
     if not report.ok:
         raise NotAnInteriorOperator("map fails the interior axioms", report)
-    rtr = classify(t).rtr
+    rtr = _side_masks(t.rel)[0]
     image = sorted(im.image())
     bad = [x for x in image if not rtr[x]]
     if bad:

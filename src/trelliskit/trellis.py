@@ -1,18 +1,27 @@
 """Meets and joins over pseudo-orders.
 
 A trellis is a pseudo-ordered set in which every pair has a greatest lower
-bound and a least upper bound.  Unlike a lattice the order need not be
-transitive, so the meet/join tables are genuinely first-class data: most
-algebra below works off the tables, not off order-theoretic shortcuts.
+bound and a least upper bound, so `Trellis` is a `Psoset` that also carries
+its meet and join tables; every function on psosets accepts one.  Unlike a
+lattice the order need not be transitive, so the meet/join tables are
+genuinely first-class data: most algebra below works off the tables, not
+off order-theoretic shortcuts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AxiomsFailed, EmptySubset, NotATrellis, NotBounded, NotModular
+from .errors import (
+    AxiomsFailed,
+    EmptySubset,
+    NotATrellis,
+    NotBounded,
+    NotModular,
+    ValidationError,
+)
 from .relation import (
     Psoset,
     _first,
@@ -24,42 +33,11 @@ from .relation import (
 
 
 @dataclass(eq=False)
-class Trellis:
-    base: Psoset
-    meet: np.ndarray  # meet[x, y] = index of the greatest lower bound
-    join: np.ndarray
+class Trellis(Psoset):
+    """A psoset in which every pair has a meet and a join, with both tables."""
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def names(self):
-        return self.base.names
-
-    @property
-    def rel(self) -> np.ndarray:
-        return self.base.rel
-
-    @property
-    def bottom(self):
-        return self.base.bottom
-
-    @property
-    def top(self):
-        return self.base.top
-
-    def index(self, name: str) -> int:
-        return self.base.index(name)
-
-    def indices(self, names) -> frozenset[int]:
-        return self.base.indices(names)
-
-    def labels(self, subset):
-        return self.base.labels(subset)
-
-    def leq(self, x: int, y: int) -> bool:
-        return self.base.leq(x, y)
+    meet: np.ndarray = field(kw_only=True)  # meet[x, y] = greatest lower bound
+    join: np.ndarray = field(kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -72,49 +50,50 @@ class StructureKind:
     is_bounded: bool
 
 
+def _greatest(sets: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """For each boolean row of sets (a subset of the carrier), the member
+    that every member lies below under rel, or -1 when there is none (it
+    is unique by antisymmetry).  With rel.T in place of rel this is the
+    least member under rel."""
+    # [..., g]: g is in the set and no member s of it has s not <= g
+    top = sets & ~(sets @ ~rel)
+    return np.where(top.any(axis=-1), top.argmax(axis=-1), -1).astype(np.int64)
+
+
+def _bounds(rel: np.ndarray) -> np.ndarray:
+    """[x, y, z]: z <= x and z <= y, the lower bounds of each pair."""
+    return rel.T[:, None, :] & rel.T[None, :, :]
+
+
 def infimum(p: Psoset, S) -> int | None:
     """Greatest lower bound of S, or None when it does not exist."""
     members = sorted(set(S))
     if not members:
         raise EmptySubset("infimum of empty subset")
-    lower = p.rel[:, members].all(axis=1)
-    lows = np.flatnonzero(lower)
-    for g in lows:
-        if p.rel[lows, g].all():
-            return int(g)  # unique by antisymmetry
-    return None
+    g = int(_greatest(p.rel[:, members].all(axis=1), p.rel))
+    return None if g < 0 else g
 
 
 def supremum(p: Psoset, S) -> int | None:
     members = sorted(set(S))
     if not members:
         raise EmptySubset("supremum of empty subset")
-    upper = p.rel[members, :].all(axis=0)
-    ups = np.flatnonzero(upper)
-    for g in ups:
-        if p.rel[g, ups].all():
-            return int(g)
-    return None
+    g = int(_greatest(p.rel[members, :].all(axis=0), p.rel.T))
+    return None if g < 0 else g
 
 
 def _pair_tables(p: Psoset):
-    """Meet/join tables; returns (meet, join, first missing meet pair,
-    first missing join pair)."""
-    n = p.n
-    meet = np.full((n, n), -1, dtype=np.int64)
-    join = np.full((n, n), -1, dtype=np.int64)
-    missing_meet = missing_join = None
-    for x in range(n):
-        for y in range(x, n):
-            m = infimum(p, (x, y))
-            j = supremum(p, (x, y))
-            if m is None and missing_meet is None:
-                missing_meet = (x, y)
-            if j is None and missing_join is None:
-                missing_join = (x, y)
-            meet[x, y] = meet[y, x] = -1 if m is None else m
-            join[x, y] = join[y, x] = -1 if j is None else j
-    return meet, join, missing_meet, missing_join
+    """Meet/join tables (-1 where a pair has none); returns (meet, join,
+    first missing meet pair, first missing join pair).  The join is the
+    meet of the dual order.  The tables are symmetric, so the first
+    missing cell in row-major order is the first pair x <= y."""
+    meet = _greatest(_bounds(p.rel), p.rel)
+    join = _greatest(_bounds(p.rel.T), p.rel.T)
+    return meet, join, _first(meet < 0), _first(join < 0)
+
+
+def _with_tables(p: Psoset, meet: np.ndarray, join: np.ndarray) -> Trellis:
+    return Trellis(p.names, p.rel, p.bottom, p.top, meet=meet, join=join)
 
 
 def build_trellis(p: Psoset) -> tuple[Trellis, StructureKind]:
@@ -133,19 +112,20 @@ def build_trellis(p: Psoset) -> tuple[Trellis, StructureKind]:
         )
     meet.setflags(write=False)
     join.setflags(write=False)
-    t = Trellis(base=p, meet=meet, join=join)
-    return t, structure_kind(p, t)
+    t = _with_tables(p, meet, join)
+    return t, structure_kind(t)
 
 
-def structure_kind(p: Psoset, t: Trellis | None = None) -> StructureKind:
-    """Structure flags; unlike build_trellis this never raises."""
-    if t is None:
+def structure_kind(p: Psoset) -> StructureKind:
+    """Structure flags; unlike build_trellis this never raises.  A Trellis
+    brings its tables, any other psoset has them computed."""
+    if isinstance(p, Trellis):
+        t, has_meet, has_join = p, True, True
+    else:
         meet, join, missing_meet, missing_join = _pair_tables(p)
         has_meet = missing_meet is None
         has_join = missing_join is None
-        t = Trellis(base=p, meet=meet, join=join) if has_meet and has_join else None
-    else:
-        has_meet = has_join = True
+        t = _with_tables(p, meet, join) if has_meet and has_join else None
     is_trellis = has_meet and has_join
     is_lattice = is_trellis and p.is_transitive()
     modular = None
@@ -182,8 +162,28 @@ class AxiomReport:
 
 def check_skala_axioms(meet: np.ndarray, join: np.ndarray) -> AxiomReport:
     """Verify commutativity, idempotence, absorption and part-preservation;
-    every violating tuple is reported (row-major order)."""
+    every violating tuple is reported (row-major order).
+
+    Raises ValidationError unless both tables are square integer tables of
+    one size with every entry in 0..n-1; its violations are the cells
+    holding an entry outside that range, in row-major order."""
+    meet, join = np.asarray(meet), np.asarray(join)
+    if not (
+        meet.ndim == 2
+        and meet.shape[0] == meet.shape[1]
+        and join.shape == meet.shape
+        and np.issubdtype(meet.dtype, np.integer)
+        and np.issubdtype(join.dtype, np.integer)
+    ):
+        raise ValidationError(
+            f"meet and join must be square integer tables of one size, got "
+            f"{meet.dtype} {meet.shape} and {join.dtype} {join.shape}"
+        )
     n = meet.shape[0]
+    outside = (meet < 0) | (meet >= n) | (join < 0) | (join >= n)
+    if outside.any():
+        cells = [tuple(cell) for cell in np.argwhere(outside).tolist()]
+        raise ValidationError(f"table entries outside 0..{n - 1} at {cells}", cells)
     idx = np.arange(n)
     col = idx[:, None]
 
@@ -217,13 +217,12 @@ def induced_order(meet: np.ndarray, join: np.ndarray) -> np.ndarray:
 
 def trellis_from_tables(names, meet, join) -> Trellis:
     """Build a Trellis from algebra tables alone (relation is derived)."""
-    rel = induced_order(np.asarray(meet), np.asarray(join))
-    p = validate_psoset(rel, names)
-    meet = np.asarray(meet, dtype=np.int64).copy()
-    join = np.asarray(join, dtype=np.int64).copy()
+    p = validate_psoset(induced_order(np.asarray(meet), np.asarray(join)), names)
+    meet = np.array(meet, dtype=np.int64)
+    join = np.array(join, dtype=np.int64)
     meet.setflags(write=False)
     join.setflags(write=False)
-    return Trellis(base=p, meet=meet, join=join)
+    return _with_tables(p, meet, join)
 
 
 def modular_violation(t: Trellis) -> tuple[int, int, int] | None:

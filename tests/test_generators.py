@@ -52,7 +52,7 @@ def test_random_trellises_have_honest_tables():
     for _ in range(40):
         t = random_trellis(rng, rng.randint(3, 6))
         assert check_skala_axioms(t.meet, t.join).ok
-        if not t.base.is_transitive():
+        if not t.is_transitive():
             proper += 1
     assert proper >= 2  # not everything collapses to a lattice
 
@@ -62,9 +62,9 @@ def test_random_pseudo_chains():
     cyclic = 0
     for _ in range(40):
         t = random_pseudo_chain(rng, rng.randint(3, 7))
-        assert is_pseudo_chain(t.base, range(t.n))
+        assert is_pseudo_chain(t, range(t.n))
         assert t.bottom == 0 and t.top == t.n - 1
-        if maximal_cycles(t.base):
+        if maximal_cycles(t):
             cyclic += 1
     assert cyclic >= 3
 

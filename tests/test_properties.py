@@ -12,6 +12,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from trelliskit import (
+    ALPHAS,
+    Trellis,
+    build_trellis,
     bruteforce_tnorms,
     check,
     check_skala_axioms,
@@ -26,10 +29,14 @@ from trelliskit import (
     random_bounded_psoset,
     random_pseudo_chain,
     random_trellis,
+    right_transitive_set,
+    structure_kind,
     t_drastic,
     tnorm_via_subset,
     validate_interior,
+    validate_psoset,
 )
+from trelliskit.fixtures import CARRIERS
 
 seeds = st.integers(0, 10**6)
 
@@ -56,7 +63,7 @@ def test_cycles_avoid_one_sided_transitive_elements(seed, n):
     # an element inside a genuine cycle is never left- or right-transitive
     t = random_trellis(random.Random(seed), n, cycle_prob=0.8)
     cls = classify(t)
-    for cycle in maximal_cycles(t.base):
+    for cycle in maximal_cycles(t):
         for x in cycle:
             assert not cls.rtr[x] and not cls.ltr[x]
 
@@ -165,3 +172,40 @@ def test_enumeration_output_is_sorted_and_unique(seed, n):
     assert len(set(keys)) == len(keys)
     for op in res.tnorms:
         assert check(op).is_tnorm
+
+
+def test_relabelling_permutes_every_result():
+    # Element x of p becomes element perm[x] of q.  Every result on q must
+    # be the result on p moved the same way; a kernel, guard or scan that
+    # leans on index order breaks this where the oracles, which share the
+    # index order, cannot see it.
+    rng = random.Random(23)
+    carriers = [make() for make in CARRIERS.values()]
+    carriers += [random_trellis(rng, 2 + k % 5, cycle_prob=0.5) for k in range(30)]
+    cycles_seen = 0
+    for p in carriers:
+        perm = np.array(rng.sample(range(p.n), p.n))
+        inv = np.argsort(perm)
+        q = validate_psoset(p.rel[np.ix_(inv, inv)], [p.names[i] for i in inv])
+
+        def moved(table):
+            return perm[table[np.ix_(inv, inv)]]
+
+        cycles = maximal_cycles(p)
+        cycles_seen += len(cycles)
+        want = {frozenset(int(perm[x]) for x in c) for c in cycles}
+        assert set(maximal_cycles(q)) == want
+        if not isinstance(p, Trellis):
+            continue
+        t, kind = build_trellis(q)
+        assert kind == structure_kind(p)
+        assert np.array_equal(t.meet, moved(p.meet))
+        assert np.array_equal(t.join, moved(p.join))
+        cls_p, cls_t = classify(p), classify(t)
+        for alpha in ALPHAS:
+            assert np.array_equal(getattr(cls_t, alpha), getattr(cls_p, alpha)[inv])
+        rtr = right_transitive_set(p)
+        assert right_transitive_set(t) == {int(perm[x]) for x in rtr}
+        want = {tuple(moved(op.table).flat) for op in enumerate_tnorms(p).tnorms}
+        assert {tuple(op.table.flat) for op in enumerate_tnorms(t).tnorms} == want
+    assert cycles_seen > 0

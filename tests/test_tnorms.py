@@ -453,7 +453,8 @@ def test_witnesses_are_the_lexicographically_first_violations():
         meet, join = np_rng.integers(0, n, (2, n, n))
         if k % 2:
             join[:] = meet[-1] = n - 1
-        carriers.append(Trellis(bounded_chain(n).base, meet, join))
+        c = bounded_chain(n)
+        carriers.append(Trellis(c.names, c.rel, c.bottom, c.top, meet=meet, join=join))
     seen = set()
     for t in carriers:
         for name, (got, want) in trellis_witnesses(t).items():

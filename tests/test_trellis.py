@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,20 @@ from trelliskit import (
     is_sub_trellis,
     modular_implication_check,
     modular_violation,
+    random_bounded_psoset,
+    random_trellis,
     structure_kind,
     supremum,
     trellis_from_tables,
     validate_psoset,
 )
-from trelliskit.errors import AxiomsFailed, EmptySubset, NotATrellis, NotModular
+from trelliskit.errors import (
+    AxiomsFailed,
+    EmptySubset,
+    NotATrellis,
+    NotModular,
+    ValidationError,
+)
 from trelliskit.fixtures import CARRIERS, bounded_chain, diamond_lattice
 
 
@@ -59,11 +69,11 @@ def test_no_trellis_without_a_join():
 
 def test_structure_kind_flags():
     t = bounded_chain(3)
-    kind = structure_kind(t.base, t)
+    kind = structure_kind(t)
     assert kind.is_trellis and kind.is_lattice and kind.is_bounded
 
     p = CARRIERS["pentagon"]()
-    kind = structure_kind(p.base)
+    kind = structure_kind(validate_psoset(p.rel, p.names))
     assert kind.is_trellis and not kind.is_lattice
     assert kind.is_meet_semi_trellis and kind.is_join_semi_trellis
 
@@ -73,13 +83,12 @@ def test_structure_kind_flags():
 
 def test_infimum_supremum_of_subsets(pentagon):
     t = pentagon
-    p = t.base
-    assert infimum(p, t.indices(("a", "c"))) == t.bottom
-    assert supremum(p, t.indices(("a", "c"))) == t.top
-    assert infimum(p, t.indices(("b", "c"))) == t.index("b")
-    assert supremum(p, range(t.n)) == t.top
+    assert infimum(t, t.indices(("a", "c"))) == t.bottom
+    assert supremum(t, t.indices(("a", "c"))) == t.top
+    assert infimum(t, t.indices(("b", "c"))) == t.index("b")
+    assert supremum(t, range(t.n)) == t.top
     with pytest.raises(EmptySubset):
-        infimum(p, ())
+        infimum(t, ())
 
 
 def test_induced_order_round_trip():
@@ -104,6 +113,118 @@ def test_trellis_from_tables_rejects_garbage():
     join[1, 0] = 1
     with pytest.raises(AxiomsFailed):
         trellis_from_tables(("0", "a", "1"), meet, join)
+
+
+@pytest.mark.parametrize(
+    "meet, join, cells",
+    [
+        ([[0, 0], [0, 1]], [[0, 1], [1, 5]], [(1, 1)]),
+        ([[0, -1], [0, 1]], [[0, 1], [2, 1]], [(0, 1), (1, 0)]),
+        ([[0, 0], [0, 1]], [[0, 1, 1], [1, 1, 1]], []),
+        ([[0, 0], [0, 1]], [[0.0, 1.0], [1.0, 1.0]], []),
+    ],
+    ids=["too-large", "negative-and-too-large", "shapes-differ", "not-integer"],
+)
+def test_tables_out_of_shape_or_range_are_a_validation_error(meet, join, cells):
+    # cells hold an entry outside 0..n-1 in either table, in row-major order
+    for call in (
+        lambda: trellis_from_tables(("a", "b"), meet, join),
+        lambda: induced_order(np.asarray(meet), np.asarray(join)),
+        lambda: check_skala_axioms(np.asarray(meet), np.asarray(join)),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert info.value.violations == cells
+
+
+def loop_infimum(rel, S):
+    lows = np.flatnonzero(rel[:, sorted(S)].all(axis=1))
+    for g in lows:
+        if rel[lows, g].all():
+            return int(g)
+    return None
+
+
+def loop_supremum(rel, S):
+    ups = np.flatnonzero(rel[sorted(S), :].all(axis=0))
+    for g in ups:
+        if rel[g, ups].all():
+            return int(g)
+    return None
+
+
+def loop_build(rel):
+    """The per-pair loop the tables were first built with: the tables
+    (-1 where a pair has no bound) and the NotATrellis pair and kind."""
+    n = len(rel)
+    meet = np.full((n, n), -1, dtype=np.int64)
+    join = np.full((n, n), -1, dtype=np.int64)
+    missing_meet = missing_join = None
+    for x in range(n):
+        for y in range(x, n):
+            m = loop_infimum(rel, (x, y))
+            j = loop_supremum(rel, (x, y))
+            if m is None and missing_meet is None:
+                missing_meet = (x, y)
+            if j is None and missing_join is None:
+                missing_join = (x, y)
+            meet[x, y] = meet[y, x] = -1 if m is None else m
+            join[x, y] = join[y, x] = -1 if j is None else j
+    if missing_meet is None and missing_join is None:
+        return meet, join, None
+    pair, kind = missing_meet, "meet"
+    if missing_meet is None or (
+        missing_join is not None and missing_join < missing_meet
+    ):
+        pair, kind = missing_join, "join"
+    return meet, join, (pair, kind)
+
+
+def random_relation(rng, n):
+    """Any reflexive antisymmetric relation: each pair is unrelated or
+    related one way, with a per-carrier density."""
+    rel = np.eye(n, dtype=bool)
+    density = rng.random()
+    for x in range(n):
+        for y in range(x + 1, n):
+            if rng.random() < density:
+                rel[(x, y) if rng.random() < 0.5 else (y, x)] = True
+    return rel
+
+
+def test_tables_and_gaps_match_the_per_pair_loops():
+    rng = random.Random(4)
+    carriers = []
+    for k in range(600):
+        n = 1 + k % 9
+        if k % 3 == 0:
+            carriers.append(validate_psoset(random_relation(rng, n), map(str, range(n))))
+        elif k % 3 == 1:
+            carriers.append(random_bounded_psoset(rng, n))
+        else:
+            carriers.append(random_trellis(rng, n))
+    carriers += [make() for make in CARRIERS.values()]
+    seen = set()
+    for p in carriers:
+        meet, join, gap = loop_build(p.rel)
+        kind = structure_kind(p)
+        assert kind.is_meet_semi_trellis == (meet >= 0).all()
+        assert kind.is_join_semi_trellis == (join >= 0).all()
+        if gap is None:
+            t, _ = build_trellis(p)
+            assert np.array_equal(t.meet, meet) and np.array_equal(t.join, join)
+            seen.add("trellis")
+        else:
+            with pytest.raises(NotATrellis) as info:
+                build_trellis(p)
+            assert (info.value.pair, info.value.kind) == gap
+            pair, kind = gap
+            tie = (meet[pair] < 0) and (join[pair] < 0)
+            seen.add("tie" if tie else kind)
+        for S in ({0}, set(range(p.n)), set(rng.sample(range(p.n), rng.randint(1, p.n)))):
+            assert infimum(p, S) == loop_infimum(p.rel, S)
+            assert supremum(p, S) == loop_supremum(p.rel, S)
+    assert seen == {"trellis", "meet", "join", "tie"}
 
 
 def test_modularity_checks():

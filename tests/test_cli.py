@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from trelliskit import cli
-from trelliskit.fixtures import CARRIERS, recorded_table
+from trelliskit.fileformat import make_document, serialize
+from trelliskit.fixtures import CARRIERS, bounded_chain, recorded_table
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "trelliskit" / "data"
 
@@ -185,6 +186,16 @@ def test_enumerate_refuses_unbounded(capsys):
 def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", str(DATA / "fork8.psoset"), "--cap", "6")
     assert code == 4 and "cap" in err
+
+
+def test_enumerate_deep_search_stops_at_limit(tmp_path, capsys):
+    chain = tmp_path / "chain50.psoset"
+    chain.write_text(serialize(make_document(bounded_chain(50))))
+    code, out, err = run(
+        capsys, "enumerate", str(chain), "--cap", "50", "--limit", "1"
+    )
+    assert code == 0 and err == ""
+    assert "t-norms found: 1  (stopped at limit)" in out
 
 
 def test_validate_writes_carrier_dot(tmp_path, capsys):

@@ -8,10 +8,12 @@ import pytest
 from trelliskit import (
     bruteforce_candidate_count,
     bruteforce_tnorms,
+    check,
     enumerate_tnorms,
     enumeration,
     greatest_tnorm,
     is_maximal_tnorm,
+    make_op,
     order_diagram,
     pointwise_leq,
     pointwise_order,
@@ -82,6 +84,80 @@ def slow_all_tnorms(t):
         if ok:
             found.append(tuple(tuple(row) for row in tab))
     return sorted(found)
+
+
+def recursive_numpy_search(p):
+    """The search as first written, kept as an oracle for the kernel:
+    numpy boolean domains, recursion, and the whole n^3 associativity
+    tensor rebuilt after each assignment.  Returns the canonically
+    sorted tables and the search counters."""
+    n, rel, top = p.n, p.rel, p.top
+    inner = [x for x in range(n) if x != top]
+    cells = [(i, j) for i in inner for j in inner if i <= j]
+    doms = [rel[:, rel[i] | rel[j]].all(axis=1) for i, j in cells]
+    order = sorted(range(len(cells)), key=lambda k: (int(doms[k].sum()), cells[k]))
+    cells = [cells[k] for k in order]
+    doms = [doms[k] for k in order]
+    m = len(cells)
+
+    def cell_leq(c, d):
+        (i, j), (a, b) = c, d
+        return bool((rel[i, a] and rel[j, b]) or (rel[i, b] and rel[j, a]))
+
+    fut_above = [[k2 for k2 in range(k + 1, m) if cell_leq(cells[k], cells[k2])]
+                 for k in range(m)]
+    fut_below = [[k2 for k2 in range(k + 1, m) if cell_leq(cells[k2], cells[k])]
+                 for k in range(m)]
+    tab = np.full((n, n), -1, dtype=np.int64)
+    tab[:, top] = tab[top, :] = np.arange(n)
+    stats = dict.fromkeys(
+        ("nodes", "monotone_prunes", "associativity_prunes", "final_check_rejects"), 0
+    )
+    found = []
+
+    def partial_assoc_ok():
+        safe = np.where(tab >= 0, tab, 0)
+        left = tab[safe, :]
+        left_def = (tab[:, :, None] >= 0) & (left >= 0)
+        right = tab[:, safe]
+        right_def = (tab[None, :, :] >= 0) & (right >= 0)
+        return not ((left_def & right_def) & (left != right)).any()
+
+    def dfs(k):
+        if k == m:
+            if check(make_op(p, tab)).is_tnorm:
+                found.append(tab.copy())
+            else:
+                stats["final_check_rejects"] += 1
+            return
+        i, j = cells[k]
+        for v in np.flatnonzero(doms[k]):
+            stats["nodes"] += 1
+            tab[i, j] = tab[j, i] = v
+            if not partial_assoc_ok():
+                stats["associativity_prunes"] += 1
+                continue
+            saved = []
+            wiped = False
+            for k2, bound in [(k2, rel[v]) for k2 in fut_above[k]] + [
+                (k2, rel[:, v]) for k2 in fut_below[k]
+            ]:
+                saved.append((k2, doms[k2]))
+                doms[k2] = doms[k2] & bound
+                if not doms[k2].any():
+                    wiped = True
+                    break
+            if wiped:
+                stats["monotone_prunes"] += 1
+            else:
+                dfs(k + 1)
+            for k2, old in reversed(saved):
+                doms[k2] = old
+        tab[i, j] = tab[j, i] = -1
+
+    dfs(0)
+    found.sort(key=lambda t: tuple(t.flat))
+    return found, stats
 
 
 @pytest.mark.parametrize(
@@ -311,3 +387,63 @@ def test_pointwise_order_between_two_lists(pentagon):
 def test_is_maximal_tnorm_refuses_other_carriers(pentagon):
     with pytest.raises(TargetMismatch):
         is_maximal_tnorm(pentagon, t_drastic(bounded_chain(5)))
+
+
+SHIPPED_SEARCH = {
+    # key: (t-norms, nodes, monotone_prunes, associativity_prunes, final_check_rejects)
+    "pentagon": (6, 19, 0, 1, 0),
+    "fork8": (764, 5588, 0, 2206, 0),
+    "diamond7": (103, 577, 0, 182, 0),
+    "twin_peaks7": (151, 635, 0, 191, 0),
+    "hourglass7": (115, 542, 0, 163, 0),
+    "loop8": (11, 129, 7, 7, 0),
+}
+
+
+def test_kernel_equals_the_recursive_numpy_search():
+    rng = random.Random(515)
+    carriers = [bounded_chain(1), bounded_chain(2), diamond_lattice()]
+    for k in range(300):
+        make = random_trellis if k % 2 else random_bounded_psoset
+        carriers.append(make(rng, 2 + k % 5))
+    seen = {"assoc": False, "monotone": False}
+    for t in carriers + [CARRIERS[key]() for key in SHIPPED_SEARCH]:
+        tables, stats = recursive_numpy_search(t)
+        res = enumerate_tnorms(t)
+        assert grids(res) == [tuple(map(tuple, tab.tolist())) for tab in tables]
+        assert res.search_stats == stats
+        order = pointwise_order(tables, t.rel)
+        assert_order_matches(res, order)
+        seen["assoc"] |= stats["associativity_prunes"] > 0
+        seen["monotone"] |= stats["monotone_prunes"] > 0
+    assert seen["assoc"] and seen["monotone"]
+
+
+@pytest.mark.parametrize("key", sorted(SHIPPED_SEARCH))
+def test_shipped_search_counters_are_pinned(key):
+    res = enumerate_tnorms(CARRIERS[key]())
+    stats = res.search_stats
+    assert (
+        res.count,
+        stats["nodes"],
+        stats["monotone_prunes"],
+        stats["associativity_prunes"],
+        stats["final_check_rejects"],
+    ) == SHIPPED_SEARCH[key]
+
+
+def test_deep_search_ends_in_a_partial_result():
+    # 1225 searched cells: one recursion level per cell overflowed the stack
+    with pytest.raises(LimitReached) as info:
+        enumerate_tnorms(bounded_chain(50), cap=50, limit=1)
+    partial = info.value.result
+    assert partial.count == 1 and partial.complete is False
+    assert partial.tnorms[0].same_op(t_drastic(bounded_chain(50)))
+
+
+def test_one_element_carrier_has_one_tnorm():
+    res = enumerate_tnorms(bounded_chain(1))
+    assert res.complete and res.count == 1
+    assert grids(res) == [((0,),)]
+    assert res.maximal == [0] and res.greatest == 0
+    assert res.search_stats == dict.fromkeys(res.search_stats, 0)

@@ -3,10 +3,10 @@
 Materializes every commutative table with a neutral top whose inner
 cells stay inside the common lower bounds of their coordinates (any
 table violating that is already not jointly increasing), then filters
-batches with vectorized monotonicity and associativity scans and runs a
-final per-table check() on the survivors.  No search tree, no forward
-checking, no domain tightening beyond the lower-bound set — deliberately
-independent of enumeration.py so the two routes can disagree loudly.
+each batch through the axiom kernel check() is built on.  No search
+tree, no forward checking, no domain tightening beyond the lower-bound
+set — deliberately independent of enumeration.py so the two routes can
+disagree loudly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CarrierTooLarge, NotBounded
 from .relation import Psoset
-from .tnorms import BinaryOpTable, check, make_op
+from .tnorms import BinaryOpTable, _tnorm_mask, make_op
 
 _BATCH = 20_000
 
@@ -53,40 +53,21 @@ def bruteforce_tnorms(p: Psoset, cap: int = 6) -> list[BinaryOpTable]:
             f"carrier has {n} elements, cap is {cap}; pass cap= to override"
         )
     cells, domains = _cells_and_domains(p)
-    lo, hi = np.nonzero(rel)
     idx = np.arange(n)
 
-    survivors: list[np.ndarray] = []
+    ops = []
     candidates = itertools.product(*domains)
     while True:
         chunk = list(itertools.islice(candidates, _BATCH))
         if not chunk:
             break
         vals = np.asarray(chunk, dtype=np.int64)
-        c = len(chunk)
-        tabs = np.empty((c, n, n), dtype=np.int64)
+        tabs = np.empty((len(chunk), n, n), dtype=np.int64)
         tabs[:, :, top] = idx
         tabs[:, top, :] = idx
         for k, (i, j) in enumerate(cells):
             tabs[:, i, j] = vals[:, k]
             tabs[:, j, i] = vals[:, k]
-
-        low = tabs[:, lo[:, None], lo[None, :]]
-        high = tabs[:, hi[:, None], hi[None, :]]
-        keep = rel[low, high].all(axis=(1, 2))
-        tabs = tabs[keep]
-        if len(tabs):
-            t_idx = np.arange(len(tabs))[:, None, None, None]
-            left = tabs[t_idx, tabs[:, :, :, None], idx[None, None, None, :]]
-            right = tabs[t_idx, idx[None, :, None, None], tabs[:, None, :, :]]
-            keep = (left == right).all(axis=(1, 2, 3))
-            tabs = tabs[keep]
-        survivors.extend(tabs)
-
-    ops = []
-    for t in survivors:
-        op = make_op(p, t)
-        if check(op).is_tnorm:
-            ops.append(op)
+        ops += [make_op(p, t) for t in tabs[_tnorm_mask(tabs, rel, top)]]
     ops.sort(key=lambda o: tuple(o.table.flat))
     return ops

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubset, PreconditionViolated
+from .relation import _escapes
 from .trellis import Trellis
 
 ALPHAS = ("dis", "ass", "meet_ass", "join_ass", "tr", "ltr", "rtr", "mtr")
@@ -50,8 +51,7 @@ def _per_element_bad(bad: np.ndarray) -> np.ndarray:
 
 def _side_masks(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rtr and ltr masks, from the two-step relation alone."""
-    # [a, y]: some x with a <= x <= y, yet not a <= y
-    escapes = (rel @ rel) & ~rel
+    escapes = _escapes(rel)
     return ~escapes.any(axis=1), ~escapes.any(axis=0)
 
 

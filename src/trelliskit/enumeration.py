@@ -22,8 +22,9 @@ other fully-defined equation was checked when its own last cell was set.
 The search is one loop over an explicit stack indexed by depth (the
 values still to try, the domains on entry and the cell), so no carrier
 size can hit Python's recursion limit.  Every completed table still goes
-through check() before being reported: the pruning is an optimization,
-never the authority on what counts as a t-norm.
+through the axiom kernel check() is built on before being reported, in
+chunks of _CHECK_CHUNK tables: the pruning is an optimization, never the
+authority on what counts as a t-norm.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from .errors import (
     TargetMismatch,
 )
 from .relation import HasseDiagram, Psoset, hasse, validate_psoset
-from .tnorms import BinaryOpTable, check, make_op, pointwise_order
+from .tnorms import BinaryOpTable, _tnorm_mask, pointwise_order
+
+_CHECK_CHUNK = 64  # completed tables per axiom-kernel call
 
 
 @dataclass
@@ -146,6 +149,16 @@ def enumerate_tnorms(
 
     nodes = assoc_prunes = monotone_prunes = rejects = 0
     found: list[BinaryOpTable] = []
+    pending: list[list[list[int]]] = []  # completed tables not yet checked
+
+    def flush() -> None:
+        nonlocal rejects
+        tabs = np.array(pending, dtype=np.int64)
+        kept = tabs[_tnorm_mask(tabs, p.rel, top)]
+        kept.setflags(write=False)
+        found.extend(BinaryOpTable(target=p, table=t) for t in kept)
+        rejects += len(tabs) - len(kept)
+        pending.clear()
 
     def finish(complete: bool) -> EnumerationResult:
         found.sort(key=lambda op: tuple(op.table.flat))
@@ -177,16 +190,18 @@ def enumerate_tnorms(
     k = 0
     while k >= 0:
         if k == m:
-            op = make_op(p, tab)
-            if check(op).is_tnorm:
-                found.append(op)
+            pending.append([row[:] for row in tab])
+            # Flush early when this chunk could reach the limit, so that a
+            # partial result holds the first `limit` t-norms of the search.
+            if len(pending) == _CHECK_CHUNK or (
+                limit is not None and len(found) + len(pending) >= limit
+            ):
+                flush()
                 if limit is not None and len(found) >= limit:
                     raise LimitReached(
                         f"stopped after {len(found)} t-norms (limit={limit})",
                         finish(complete=False),
                     )
-            else:
-                rejects += 1
             k -= 1
             continue
         i, j = cells[k]
@@ -214,6 +229,8 @@ def enumerate_tnorms(
             level[k] = d
             if k < m:
                 rest[k] = d[k]
+    if pending:
+        flush()
     return finish(complete=True)
 
 

@@ -19,6 +19,7 @@ from .errors import (
     NotAnInteriorOperator,
     NotBounded,
     NotRightTransitiveSubset,
+    ValidationError,
 )
 from .relation import down_set
 from .trellis import Trellis
@@ -58,9 +59,18 @@ class InteriorReport:
 
 
 def validate_interior(t: Trellis, m: UnaryMap) -> InteriorReport:
-    rel, meet = t.rel, t.meet
-    f = np.asarray(m.map, dtype=np.int64)
-    n = t.n
+    """Check the interior axioms.  Raises ValidationError unless the map is
+    an integer array of length n with every entry in 0..n-1; its violations
+    are the positions holding an entry outside that range."""
+    rel, meet, n = t.rel, t.meet, t.n
+    f = np.asarray(m.map)
+    if f.shape != (n,) or not np.issubdtype(f.dtype, np.integer):
+        raise ValidationError(
+            f"map must be an integer array of length {n}, got {f.dtype} {f.shape}"
+        )
+    outside = np.flatnonzero((f < 0) | (f >= n)).tolist()
+    if outside:
+        raise ValidationError(f"map entries outside 0..{n - 1} at {outside}", outside)
     contractive = [int(x) for x in range(n) if not rel[f[x], x]]
     idempotent = [int(x) for x in range(n) if f[f[x]] != f[x]]
     hom = [

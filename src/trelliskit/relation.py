@@ -32,6 +32,12 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in np.unravel_index(k, mask.shape))
 
 
+def _escapes(rel: np.ndarray) -> np.ndarray:
+    """[a, y]: some x with a <= x <= y, yet not a <= y.  rel is transitive
+    exactly when this is empty."""
+    return (rel @ rel) & ~rel
+
+
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
     """Transitive closure (reflexive when rel is), by Warshall's algorithm:
     after step k every chain through intermediates among 0..k is closed."""
@@ -84,7 +90,7 @@ class Psoset:
         return self._closure
 
     def is_transitive(self) -> bool:
-        return bool(np.array_equal(self.closure, self.rel))
+        return not _escapes(self.rel).any()
 
     def same_carrier(self, other: "Psoset") -> bool:
         return self.names == other.names and np.array_equal(self.rel, other.rel)

@@ -90,16 +90,16 @@ class TnormReport:
     or no meet/join tables on the carrier).  `witnesses[flag]` holds the
     lexicographically first violating tuple for each failed flag."""
 
-    commutative: bool
-    associative: bool
-    neutral_top: bool | None
-    increasing: bool
-    left_increasing: bool
-    right_increasing: bool
-    conjunctive: bool | None
-    disjunctive: bool | None
-    idempotent: bool
-    meet_preserving: bool | None
+    commutative: bool | None = None
+    associative: bool | None = None
+    neutral_top: bool | None = None
+    increasing: bool | None = None
+    left_increasing: bool | None = None
+    right_increasing: bool | None = None
+    conjunctive: bool | None = None
+    disjunctive: bool | None = None
+    idempotent: bool | None = None
+    meet_preserving: bool | None = None
     witnesses: dict[str, tuple] = field(default_factory=dict)
 
     @property
@@ -112,98 +112,82 @@ class TnormReport:
         )
 
 
+def _axiom_bad(axiom: str, tabs: np.ndarray, rel: np.ndarray, top: int) -> np.ndarray:
+    """Violation mask of one of the four t-norm axioms over a (b, n, n)
+    stack of tables, with the table axis first."""
+    idx = np.arange(tabs.shape[-1])
+    if axiom == "neutral_top":  # [b, x]: T(x, top) != x or T(top, x) != x
+        return (tabs[:, :, top] != idx) | (tabs[:, top, :] != idx)
+    if axiom == "commutative":  # [b, x, y]: T(x, y) != T(y, x)
+        return tabs != tabs.transpose(0, 2, 1)
+    if axiom == "increasing":
+        # [b, p, q]: not T(x, z) <= T(y, t), for the related pairs p = (x, y)
+        # and q = (z, t) numbered in the row-major order of np.nonzero(rel)
+        lo, hi = np.nonzero(rel)
+        low, high = tabs[:, lo[:, None], lo[None, :]], tabs[:, hi[:, None], hi[None, :]]
+        return ~rel[low, high]
+    b = np.arange(len(tabs))[:, None, None, None]  # associative
+    left = tabs[b, tabs[:, :, :, None], idx]  # [b, x, y, z] = T(T(x, y), z)
+    right = tabs[b, idx[:, None, None], tabs[:, None, :, :]]  # T(x, T(y, z))
+    return left != right
+
+
+_AXIOMS = ("neutral_top", "commutative", "increasing", "associative")  # cheapest first
+
+
+def _tnorm_mask(tabs: np.ndarray, rel: np.ndarray, top: int) -> np.ndarray:
+    """(b,) bool: which tables of the (b, n, n) stack are t-norms.  Each
+    axiom only runs on the tables that passed the ones before it."""
+    keep = np.ones(len(tabs), dtype=bool)
+    for axiom in _AXIOMS:
+        live = np.flatnonzero(keep)
+        if not len(live):
+            break
+        bad = _axiom_bad(axiom, tabs[live], rel, top)
+        keep[live] = ~bad.reshape(len(live), -1).any(axis=1)
+    return keep
+
+
+# Witnesses whose leading coordinates number related pairs, and how many.
+_PAIR_AXES = {"increasing": 2, "left_increasing": 1, "right_increasing": 1}
+
+
 def check(op: BinaryOpTable) -> TnormReport:
     """Exhaustive axiom scan with deterministic first witnesses.
 
-    Vectorized detection; on failure the witness is the first violation
-    of the same mask in row-major order.
+    Each flag has a violation mask; on failure its witness is the first
+    violation of that mask in row-major order.
     """
-    tab = op.table
-    target = op.target
-    rel = target.rel
-    n = op.n
-    top = target.top
-    meet = join = None
-    if isinstance(target, Trellis):
-        meet, join = target.meet, target.join
-    witnesses: dict[str, tuple] = {}
-
-    ok = tab == tab.T
-    commutative = bool(ok.all())
-    if not commutative:
-        witnesses["commutative"] = _first(~ok)
-
-    ok = tab[tab, :] == tab[:, tab]  # [x, y, z]: T(T(x, y), z) = T(x, T(y, z))
-    associative = bool(ok.all())
-    if not associative:
-        witnesses["associative"] = _first(~ok)
-
-    idx = np.arange(n)
-    if top is None:
-        neutral_top = None
-    else:
-        neutral_top = bool((tab[:, top] == idx).all() and (tab[top, :] == idx).all())
-        if not neutral_top:
-            off = (tab[:, top] != idx) | (tab[top, :] != idx)
-            witnesses["neutral_top"] = _first(off)
-
+    tab, target = op.table, op.target
+    rel, top = target.rel, target.top
+    bad = {
+        axiom: _axiom_bad(axiom, tab[None], rel, top)[0]
+        for axiom in _AXIOMS
+        if top is not None or axiom != "neutral_top"
+    }
     # lo[p] <= hi[p] runs over the related pairs in row-major order, so a
     # first hit at pair index p keeps the witness lexicographic in (x, y).
     lo, hi = np.nonzero(rel)
-    big = tab[lo[:, None], lo[None, :]]
-    bigger = tab[hi[:, None], hi[None, :]]
-    ok = rel[big, bigger]  # [p, q]: T(x, z) <= T(y, t) for pairs p, q
-    increasing = bool(ok.all())
-    if not increasing:
-        p, q = _first(~ok)
-        witnesses["increasing"] = (int(lo[p]), int(hi[p]), int(lo[q]), int(hi[q]))
+    # [p, z]: not T(x, z) <= T(y, z), and not T(z, x) <= T(z, y)
+    bad["left_increasing"] = ~rel[tab[lo, :], tab[hi, :]]
+    bad["right_increasing"] = ~rel[tab[:, lo], tab[:, hi]].T
+    bad["idempotent"] = tab.diagonal() != np.arange(op.n)
+    if isinstance(target, Trellis):
+        meet, join = target.meet, target.join
+        bad["conjunctive"] = ~rel[tab, meet]
+        bad["disjunctive"] = ~rel[join, tab]
+        # [x, y, z]: T(x, y ^ z) != T(x, y) ^ T(x, z)
+        bad["meet_preserving"] = tab[:, meet] != meet[tab[:, :, None], tab[:, None, :]]
 
-    ok = rel[tab[lo, :], tab[hi, :]]  # [p, z]: T(x, z) <= T(y, z)
-    left_increasing = bool(ok.all())
-    if not left_increasing:
-        p, z = _first(~ok)
-        witnesses["left_increasing"] = (int(lo[p]), int(hi[p]), z)
-
-    ok = rel[tab[:, lo], tab[:, hi]]  # [z, p]: T(z, x) <= T(z, y)
-    right_increasing = bool(ok.all())
-    if not right_increasing:
-        p, z = _first(~ok.T)
-        witnesses["right_increasing"] = (int(lo[p]), int(hi[p]), z)
-
-    idempotent = bool((tab.diagonal() == idx).all())
-    if not idempotent:
-        witnesses["idempotent"] = _first(tab.diagonal() != idx)
-
-    conjunctive = disjunctive = meet_preserving = None
-    if meet is not None:
-        ok = rel[tab, meet]
-        conjunctive = bool(ok.all())
-        if not conjunctive:
-            witnesses["conjunctive"] = _first(~ok)
-        ok = rel[join, tab]
-        disjunctive = bool(ok.all())
-        if not disjunctive:
-            witnesses["disjunctive"] = _first(~ok)
-        lhs = tab[:, meet]  # [x, y, z] = T(x, y ^ z)
-        rhs = meet[tab[:, :, None], tab[:, None, :]]  # meet(T(x,y), T(x,z))
-        ok = lhs == rhs
-        meet_preserving = bool(ok.all())
-        if not meet_preserving:
-            witnesses["meet_preserving"] = _first(~ok)
-
-    return TnormReport(
-        commutative=commutative,
-        associative=associative,
-        neutral_top=neutral_top,
-        increasing=increasing,
-        left_increasing=left_increasing,
-        right_increasing=right_increasing,
-        conjunctive=conjunctive,
-        disjunctive=disjunctive,
-        idempotent=idempotent,
-        meet_preserving=meet_preserving,
-        witnesses=witnesses,
-    )
+    report = TnormReport()
+    for name, mask in bad.items():
+        hit = _first(mask)
+        setattr(report, name, hit is None)
+        if hit is not None:
+            k = _PAIR_AXES.get(name, 0)
+            pairs = tuple(v for p in hit[:k] for v in (int(lo[p]), int(hi[p])))
+            report.witnesses[name] = pairs + hit[k:]
+    return report
 
 
 def _require_bounds(p) -> tuple[int, int]:

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .relation import (
     Psoset,
+    _escapes,
     _first,
     down_set,
     maximal_cycles,
@@ -241,8 +242,9 @@ def is_modular(t: Trellis) -> bool:
 
 
 def _closed_under(table: np.ndarray, members: list[int]) -> bool:
-    sub = table[np.ix_(members, members)]
-    return bool(np.isin(sub, members).all())
+    inside = np.zeros(len(table), dtype=bool)
+    inside[members] = True
+    return bool(inside[table[np.ix_(members, members)]].all())
 
 
 def is_meet_sub_trellis(t: Trellis, A) -> bool:
@@ -263,9 +265,7 @@ def is_sub_lattice(t: Trellis, A) -> bool:
     members = sorted(set(A))
     if not is_sub_trellis(t, members):
         return False
-    sub = t.rel[np.ix_(members, members)]
-    two_step = sub @ sub
-    return bool((~two_step | sub).all())
+    return not _escapes(t.rel[np.ix_(members, members)]).any()
 
 
 def modular_implication_check(t: Trellis) -> bool:

@@ -38,6 +38,7 @@ from trelliskit.fixtures import (
     diamond_lattice,
     recorded_table,
 )
+from trelliskit.tnorms import _tnorm_mask
 
 # canonical (row-major) positions of the recorded pentagon tables
 PENTAGON_ORDER = ("T1", "T3", "T2", "T5", "T4", "T6")
@@ -364,10 +365,9 @@ def test_order_equals_pointwise_leq_on_random_carriers():
 
 
 def test_no_tnorms_means_no_maximal_and_no_greatest(pentagon, monkeypatch):
-    class Rejected:
-        is_tnorm = False
-
-    monkeypatch.setattr(enumeration, "check", lambda op: Rejected)
+    monkeypatch.setattr(
+        enumeration, "_tnorm_mask", lambda tabs, rel, top: np.zeros(len(tabs), bool)
+    )
     res = enumerate_tnorms(pentagon)
     assert res.count == 0 and res.order.shape == (0, 0)
     assert res.maximal == [] and res.greatest is None
@@ -447,3 +447,34 @@ def test_one_element_carrier_has_one_tnorm():
     assert grids(res) == [((0,),)]
     assert res.maximal == [0] and res.greatest == 0
     assert res.search_stats == dict.fromkeys(res.search_stats, 0)
+
+
+@pytest.mark.parametrize("key", sorted(SHIPPED_SEARCH))
+def test_kernel_equals_check_on_the_shipped_tnorms(key):
+    p = CARRIERS[key]()
+    tabs = np.array([op.table for op in enumerate_tnorms(p).tnorms])
+    assert _tnorm_mask(tabs, p.rel, p.top).all()
+    # One table of the batch mutated: T(x, bottom) = x breaks commutativity
+    # there, and only that table drops out.
+    mid = len(tabs) // 2
+    x = next(v for v in range(p.n) if v not in (p.bottom, p.top))
+    tabs[mid, x, p.bottom] = x
+    got = _tnorm_mask(tabs, p.rel, p.top)
+    assert got.tolist() == [check(make_op(p, tab)).is_tnorm for tab in tabs]
+    assert np.flatnonzero(~got).tolist() == [mid]
+
+
+def test_limit_across_check_chunks():
+    fork8 = CARRIERS["fork8"]()
+    full = set(grids(enumerate_tnorms(fork8)))
+    assert len(full) == 764
+    chunk = enumeration._CHECK_CHUNK
+    smaller = set()
+    for limit in (1, chunk - 1, chunk, chunk + 1, 763, 764):
+        with pytest.raises(LimitReached) as info:
+            enumerate_tnorms(fork8, limit=limit)
+        partial = info.value.result
+        assert partial.count == limit and partial.complete is False
+        got = set(grids(partial))
+        assert len(got) == limit and smaller <= got <= full
+        smaller = got

@@ -6,12 +6,14 @@ from trelliskit import (
     classify,
     interior_from_subset,
     interior_range,
+    tnorm_via_interior,
     validate_interior,
 )
 from trelliskit.errors import (
     BottomMissing,
     NotAnInteriorOperator,
     NotRightTransitiveSubset,
+    ValidationError,
 )
 from trelliskit.fixtures import CARRIERS, bounded_chain, carrier_document
 
@@ -106,3 +108,16 @@ def test_interiors_are_contractive_and_idempotent_by_construction():
     for x in range(t.n):
         assert t.leq(im(x), x)
         assert im(im(x)) == im(x)
+
+
+@pytest.mark.parametrize(
+    "images, positions",
+    [([0, 0, 0, 0, 9], [4]), ([0, 1, 2], []), ([0, 0, 0, 0, -1], [4])],
+)
+def test_maps_out_of_range_are_a_validation_error(images, positions):
+    t = CARRIERS["pentagon"]()
+    im = UnaryMap(t, np.array(images, dtype=np.int64))
+    for entry in (validate_interior, interior_range, tnorm_via_interior):
+        with pytest.raises(ValidationError) as info:
+            entry(t, im)
+        assert info.value.violations == positions, entry.__name__

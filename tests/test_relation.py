@@ -205,16 +205,22 @@ def test_hasse_covers_equal_the_matmul_definition():
 
 def test_maximal_cycles_equal_mutual_reachability():
     rng = random.Random(31)
+    acyclic = random.Random(32)
     found = 0
+    transitive = set()
     for k in range(80):
-        p = random_bounded_psoset(rng, 3 + k % 6, cycle_prob=0.6)
-        reach = closure_by_squaring(p.rel)
-        groups = {frozenset(np.flatnonzero(reach[x] & reach[:, x]).tolist())
-                  for x in range(p.n)}
-        want = sorted((g for g in groups if len(g) >= 2), key=min)
-        assert maximal_cycles(p) == want
-        found += len(want)
-    assert found > 0
+        cyclic = random_bounded_psoset(rng, 3 + k % 6, cycle_prob=0.6)
+        poset = random_bounded_psoset(acyclic, 3 + k % 6, k % 3, cycle_prob=0)
+        for p in (cyclic, poset):
+            reach = closure_by_squaring(p.rel)
+            groups = {frozenset(np.flatnonzero(reach[x] & reach[:, x]).tolist())
+                      for x in range(p.n)}
+            want = sorted((g for g in groups if len(g) >= 2), key=min)
+            assert maximal_cycles(p) == want
+            found += len(want)
+            assert p.is_transitive() == np.array_equal(p.closure, p.rel)
+            transitive.add(p.is_transitive())
+    assert found > 0 and transitive == {True, False}
 
 
 def test_import_does_not_load_scipy():

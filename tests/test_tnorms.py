@@ -21,6 +21,7 @@ from trelliskit import (
     modular_implication_check,
     modular_violation,
     pointwise_leq,
+    random_bounded_psoset,
     random_pseudo_chain,
     random_trellis,
     restrict,
@@ -47,6 +48,7 @@ from trelliskit.fixtures import (
     diamond_lattice,
     recorded_table,
 )
+from trelliskit.tnorms import _tnorm_mask
 
 
 def test_make_op_validates_and_freezes(pentagon):
@@ -466,3 +468,59 @@ def test_witnesses_are_the_lexicographically_first_violations():
         ("join_cover", None), ("join_cover", "witness"),
         ("axioms", True), ("axioms", False),
     }
+
+
+AXIOMS = ("commutative", "associative", "neutral_top", "increasing")
+
+# On the chain 0 < 1 < 2 < 3, tables that fail exactly one t-norm axiom:
+# the inner 3x3 block (rows and columns 0..2) of each, the top neutral.
+ONE_AXIOM_OFF = {
+    "commutative": [[0, 0, 0], [0, 0, 0], [0, 1, 2]],
+    "associative": [[0, 0, 0], [0, 0, 1], [0, 1, 1]],
+    "neutral_top": None,  # constant bottom
+    "increasing": [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+}
+
+
+def failed_axioms(report):
+    return {name for name in AXIOMS if not getattr(report, name)}
+
+
+def test_kernel_equals_check_when_one_axiom_fails():
+    chain = bounded_chain(4)
+    tables = []
+    for name, inner in ONE_AXIOM_OFF.items():
+        tab = np.zeros((4, 4), dtype=np.int64)
+        if inner is not None:
+            tab[:3, :3] = inner
+            tab[3], tab[:, 3] = np.arange(4), np.arange(4)
+        assert failed_axioms(check(make_op(chain, tab))) == {name}
+        tables.append(tab)
+    carriers = [(chain, tables + [op.table for op in enumerate_tnorms(chain).tnorms])]
+
+    # Random carriers: their t-norms, one or two cells off them (the pair
+    # (i, j), (j, i) keeps the table commutative) and random tables.
+    rng = random.Random(61)
+    np_rng = np.random.default_rng(61)
+    for k in range(60):
+        make = random_trellis if k % 2 else random_bounded_psoset
+        t = make(rng, 3 + k % 4)
+        tables = list(np_rng.integers(0, t.n, (3, t.n, t.n)))
+        for op in enumerate_tnorms(t).tnorms[:20]:
+            i, j, v = np_rng.integers(t.n, size=3)
+            one, both = op.table.copy(), op.table.copy()
+            one[i, j] = both[i, j] = both[j, i] = v
+            tables += [op.table, one, both]
+        carriers.append((t, tables))
+
+    alone = set()
+    for t, tables in carriers:
+        tabs = np.array(tables)
+        reports = [check(make_op(t, tab)) for tab in tabs]
+        want = [report.is_tnorm for report in reports]
+        assert _tnorm_mask(tabs, t.rel, t.top).tolist() == want
+        for report in reports:
+            failed = failed_axioms(report)
+            if len(failed) == 1:
+                alone |= failed
+    assert alone == set(AXIOMS)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubset, PreconditionViolated
-from .relation import _escapes
-from .trellis import Trellis
+from .relation import _escapes, _members
+from .trellis import Trellis, infimum, supremum
 
 ALPHAS = ("dis", "ass", "meet_ass", "join_ass", "tr", "ltr", "rtr", "mtr")
 
@@ -106,11 +106,9 @@ def right_transitive_set(t: Trellis) -> frozenset[int]:
 
 
 def iterated_join(t: Trellis, S) -> int:
-    """Left-fold of the join over S in index order.
-
-    Only safe when every member is right-transitive (then the result is the
-    supremum and does not depend on the fold order)."""
-    members = sorted(set(S))
+    """The join of S.  Every member must be right-transitive: then any
+    fold of the join over S gives the same element, the supremum of S."""
+    members = _members(t, S)
     if not members:
         raise EmptySubset("iterated join of empty subset")
     rtr = _side_masks(t.rel)[0]
@@ -119,15 +117,12 @@ def iterated_join(t: Trellis, S) -> int:
         raise PreconditionViolated(
             f"not right-transitive: {[t.names[x] for x in bad]}", bad
         )
-    acc = members[0]
-    for x in members[1:]:
-        acc = int(t.join[acc, x])
-    return acc
+    return supremum(t, members)
 
 
 def iterated_meet(t: Trellis, S) -> int:
-    """Dual of iterated_join; members must be left-transitive."""
-    members = sorted(set(S))
+    """Dual of iterated_join: the infimum of left-transitive members."""
+    members = _members(t, S)
     if not members:
         raise EmptySubset("iterated meet of empty subset")
     ltr = _side_masks(t.rel)[1]
@@ -136,7 +131,4 @@ def iterated_meet(t: Trellis, S) -> int:
         raise PreconditionViolated(
             f"not left-transitive: {[t.names[x] for x in bad]}", bad
         )
-    acc = members[0]
-    for x in members[1:]:
-        acc = int(t.meet[acc, x])
-    return acc
+    return infimum(t, members)

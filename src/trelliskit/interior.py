@@ -21,8 +21,8 @@ from .errors import (
     NotRightTransitiveSubset,
     ValidationError,
 )
-from .relation import down_set
-from .trellis import Trellis
+from .relation import _members
+from .trellis import Trellis, _greatest
 
 
 @dataclass(eq=False)
@@ -98,13 +98,14 @@ def interior_from_subset(t: Trellis, A) -> UnaryMap:
     """Map each x to the join of everything in A below x.
 
     Needs the bottom in A (so the joined set is never empty) and every
-    member of A right-transitive (so the iterated join is an honest,
-    order-independent supremum).  Closure of A under meet/join is *not*
-    checked here; validate the result if you need an interior operator.
+    member of A right-transitive (then any fold of the join is the
+    supremum, so all n images are read off at once as suprema).  Closure
+    of A under meet/join is *not* checked here; validate the result if
+    you need an interior operator.
     """
     if t.bottom is None or t.top is None:
         raise NotBounded("subset-interior needs a bounded trellis")
-    members = sorted(set(A))
+    members = _members(t, A)
     if t.bottom not in members:
         raise BottomMissing("subset must contain the bottom element")
     rtr = _side_masks(t.rel)[0]
@@ -113,13 +114,10 @@ def interior_from_subset(t: Trellis, A) -> UnaryMap:
         raise NotRightTransitiveSubset(
             f"not right-transitive: {[t.names[x] for x in bad]}", bad
         )
-    out = np.empty(t.n, dtype=np.int64)
-    aset = frozenset(members)
-    for x in range(t.n):
-        below = sorted(aset & down_set(t, x))  # bottom is always there
-        acc = below[0]
-        for v in below[1:]:
-            acc = int(t.join[acc, v])
-        out[x] = acc
+    inside = np.zeros(t.n, dtype=bool)
+    inside[members] = True
+    below = inside & t.rel.T  # [x, a]: a in A and a <= x
+    # [x, z]: z lies above every A-member below x; the least such z is the image
+    out = _greatest(~(below @ ~t.rel), t.rel.T)
     out.setflags(write=False)
     return UnaryMap(target=t, map=out)

@@ -20,6 +20,7 @@ from .errors import (
     NoTop,
     NotAntisymmetric,
     NotReflexive,
+    ValidationError,
 )
 
 
@@ -36,6 +37,23 @@ def _escapes(rel: np.ndarray) -> np.ndarray:
     """[a, y]: some x with a <= x <= y, yet not a <= y.  rel is transitive
     exactly when this is empty."""
     return (rel @ rel) & ~rel
+
+
+def _members(p: Psoset, A) -> list[int]:
+    """The distinct members of the subset A, sorted, as Python ints.
+    Raises ValidationError unless every entry is an integer in 0..n-1;
+    its violations are the entries that are not."""
+    A = list(A)
+    bad = [
+        a
+        for a in A
+        if isinstance(a, bool)
+        or not isinstance(a, (int, np.integer))
+        or not 0 <= a < p.n
+    ]
+    if bad:
+        raise ValidationError(f"subset entries not in 0..{p.n - 1}: {bad}", bad)
+    return sorted({int(a) for a in A})
 
 
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
@@ -161,7 +179,7 @@ def reachable(p: Psoset, x: int, y: int) -> bool:
 
 def restricted_reachable(p: Psoset, C, x: int, y: int) -> bool:
     """Reachability where every chain element must come from C."""
-    members = sorted(set(C))
+    members = _members(p, C)
     if x not in members or y not in members:
         missing = [e for e in (x, y) if e not in members]
         raise ElementNotInSubset(
@@ -178,7 +196,7 @@ def _restricted_closure(p: Psoset, members: list[int]) -> np.ndarray:
 
 def is_pseudo_chain(p: Psoset, C) -> bool:
     """Every pair of C is connected by a chain inside C in some direction."""
-    members = sorted(set(C))
+    members = _members(p, C)
     if not members:
         raise EmptySubset("pseudo-chain test on empty subset")
     closed = _restricted_closure(p, members)
@@ -187,7 +205,7 @@ def is_pseudo_chain(p: Psoset, C) -> bool:
 
 def is_cycle(p: Psoset, C) -> bool:
     """Every pair of C is connected by chains inside C in both directions."""
-    members = sorted(set(C))
+    members = _members(p, C)
     if not members:
         raise EmptySubset("cycle test on empty subset")
     return bool(_restricted_closure(p, members).all())

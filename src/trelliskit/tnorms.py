@@ -28,6 +28,7 @@ import numpy as np
 from .elements import _side_masks
 from .errors import (
     ElementNotInSubset,
+    EmptySubset,
     NotACoAtom,
     NotASubLattice,
     NotAnInteriorOperator,
@@ -37,7 +38,7 @@ from .errors import (
     VNotATnorm,
 )
 from .interior import UnaryMap, interior_from_subset, validate_interior
-from .relation import Psoset, _first, co_atoms, validate_psoset
+from .relation import Psoset, _first, _members, co_atoms, validate_psoset
 from .trellis import Trellis, build_trellis, is_sub_lattice
 
 
@@ -259,7 +260,9 @@ def restrict(t: Trellis, A) -> tuple[Trellis, list[int]]:
 
     Returns the restricted trellis plus the sorted member list mapping
     local indices back to global ones."""
-    members = sorted(set(A))
+    members = _members(t, A)
+    if not members:
+        raise EmptySubset("restriction to an empty subset")
     sub_rel = t.rel[np.ix_(members, members)]
     sub_names = tuple(t.names[x] for x in members)
     sub_p = validate_psoset(sub_rel, sub_names)
@@ -273,7 +276,7 @@ def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
     Conjunctive, commutative, associative and increasing on the
     restriction; for a below the restriction's top it has no neutral
     element, which is fine for the interior-based constructions."""
-    members = sorted(set(A))
+    members = _members(t, A)
     if not is_sub_lattice(t, members):
         raise NotASubLattice(f"{t.labels(members)} is not a sub-lattice")
     if a not in members:
@@ -284,12 +287,14 @@ def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
     return BinaryOpTable(target=sub, table=_freeze(tab))
 
 
-def _gate_v(sub: Trellis, v: BinaryOpTable) -> None:
-    """The range operation must be commutative, associative, increasing
-    and bounded above by the restricted meet.  (A neutral element is NOT
-    required: the construction never evaluates v against the original
-    top, and the useful suppliers — scaled meets — generally lack one.)"""
-    if v.names != sub.names or not np.array_equal(v.target.rel, sub.rel):
+def _gate_v(t: Trellis, image: list[int], v: BinaryOpTable) -> None:
+    """The range operation must live on the range and be commutative,
+    associative, increasing and bounded above by the range's meet.  (A
+    neutral element is NOT required: the construction never evaluates v
+    against the original top, and the useful suppliers — scaled meets —
+    generally lack one.)"""
+    sub_rel = t.rel[np.ix_(image, image)]
+    if v.names != t.labels(image) or not np.array_equal(v.target.rel, sub_rel):
         raise VNotATnorm("operation is not defined on the operator's range")
     report = check(v)
     if not (
@@ -305,14 +310,20 @@ def _gate_v(sub: Trellis, v: BinaryOpTable) -> None:
         )
 
 
+def _meet_of_images(t: Trellis, f: np.ndarray) -> BinaryOpTable:
+    """Neutral top; elsewhere the carrier's meet of the images f[x], f[y]."""
+    return _neutral_top(t, t.meet[np.ix_(f, f)])
+
+
 def tnorm_via_interior(
     t: Trellis, im: UnaryMap, v: BinaryOpTable | None = None
 ) -> BinaryOpTable:
     """T(x, y) = x or y when the other argument is the top; otherwise apply
     v to the interior images of x and y.
 
-    v defaults to the meet restricted to the operator's range, which makes
-    the result meet-preserving.  Every member of the range must be
+    v defaults to the range's meet, which makes the result meet-preserving;
+    the range is closed under meets (the homomorphism axiom), so that is
+    the carrier's meet of the images.  Every member of the range must be
     right-transitive — that is what makes the construction monotone."""
     _require_bounds(t)
     report = validate_interior(t, im)
@@ -325,12 +336,10 @@ def tnorm_via_interior(
         raise RangeNotRightTransitive(
             f"range members not right-transitive: {[t.names[x] for x in bad]}", bad
         )
-    sub, members = restrict(t, image)
     if v is None:
-        v = meet_op(sub)
-    else:
-        _gate_v(sub, v)
-    members = np.array(members)
+        return _meet_of_images(t, im.map)
+    _gate_v(t, image, v)
+    members = np.array(image)
     loc = np.searchsorted(members, im.map)  # local index of each image
     return _neutral_top(t, members[v.table[np.ix_(loc, loc)]])
 
@@ -349,8 +358,7 @@ def tnorm_via_subset(
         if v is not None:
             raise ValueError("unchecked mode always uses the global meet")
         _require_bounds(t)
-        f = interior_from_subset(t, A).map
-        return _neutral_top(t, t.meet[np.ix_(f, f)])
+        return _meet_of_images(t, interior_from_subset(t, A).map)
     im = interior_from_subset(t, A)
     return tnorm_via_interior(t, im, v)
 

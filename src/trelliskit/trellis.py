@@ -26,6 +26,7 @@ from .relation import (
     Psoset,
     _escapes,
     _first,
+    _members,
     down_set,
     maximal_cycles,
     up_set,
@@ -68,7 +69,7 @@ def _bounds(rel: np.ndarray) -> np.ndarray:
 
 def infimum(p: Psoset, S) -> int | None:
     """Greatest lower bound of S, or None when it does not exist."""
-    members = sorted(set(S))
+    members = _members(p, S)
     if not members:
         raise EmptySubset("infimum of empty subset")
     g = int(_greatest(p.rel[:, members].all(axis=1), p.rel))
@@ -76,7 +77,7 @@ def infimum(p: Psoset, S) -> int | None:
 
 
 def supremum(p: Psoset, S) -> int | None:
-    members = sorted(set(S))
+    members = _members(p, S)
     if not members:
         raise EmptySubset("supremum of empty subset")
     g = int(_greatest(p.rel[members, :].all(axis=0), p.rel.T))
@@ -248,21 +249,21 @@ def _closed_under(table: np.ndarray, members: list[int]) -> bool:
 
 
 def is_meet_sub_trellis(t: Trellis, A) -> bool:
-    return _closed_under(t.meet, sorted(set(A)))
+    return _closed_under(t.meet, _members(t, A))
 
 
 def is_join_sub_trellis(t: Trellis, A) -> bool:
-    return _closed_under(t.join, sorted(set(A)))
+    return _closed_under(t.join, _members(t, A))
 
 
 def is_sub_trellis(t: Trellis, A) -> bool:
-    members = sorted(set(A))
+    members = _members(t, A)
     return _closed_under(t.meet, members) and _closed_under(t.join, members)
 
 
 def is_sub_lattice(t: Trellis, A) -> bool:
     """Sub-trellis on which the order is transitive."""
-    members = sorted(set(A))
+    members = _members(t, A)
     if not is_sub_trellis(t, members):
         return False
     return not _escapes(t.rel[np.ix_(members, members)]).any()

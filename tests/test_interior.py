@@ -1,12 +1,23 @@
+import random
+
 import numpy as np
 import pytest
 
 from trelliskit import (
     UnaryMap,
     classify,
+    down_set,
     interior_from_subset,
     interior_range,
+    iterated_join,
+    iterated_meet,
+    meet_op,
+    random_pseudo_chain,
+    random_trellis,
+    restrict,
+    scaled_meet,
     tnorm_via_interior,
+    tnorm_via_subset,
     validate_interior,
 )
 from trelliskit.errors import (
@@ -121,3 +132,78 @@ def test_maps_out_of_range_are_a_validation_error(images, positions):
         with pytest.raises(ValidationError) as info:
             entry(t, im)
         assert info.value.violations == positions, entry.__name__
+
+
+# Oracles: the constructions as they were written before they read the
+# carrier's own tables.
+
+
+def fold(table, S):
+    """Left fold of a meet or join table over S in index order."""
+    members = sorted(S)
+    acc = members[0]
+    for x in members[1:]:
+        acc = int(table[acc, x])
+    return acc
+
+
+def folded_interior(t, A):
+    """Each x mapped to the fold of the join over the A-members below x."""
+    return np.array([fold(t.join, set(A) & down_set(t, x)) for x in range(t.n)])
+
+
+def restricted_construction(t, f, v=None):
+    """The interior construction evaluated on the range rebuilt as its own
+    trellis, with v defaulting to that trellis's meet."""
+    sub, members = restrict(t, sorted(set(f.tolist())))
+    if v is None:
+        v = meet_op(sub)
+    members = np.array(members)
+    loc = np.searchsorted(members, f)
+    tab = members[v.table[np.ix_(loc, loc)]]
+    tab[t.top, :] = tab[:, t.top] = np.arange(t.n)
+    return tab
+
+
+def test_constructions_equal_the_folds_and_the_rebuilt_range():
+    rng = random.Random(2207)
+    carriers = [make() for key, make in CARRIERS.items() if key != "six_cycle"]
+    carriers += [
+        (random_trellis if k % 2 else random_pseudo_chain)(rng, 2 + k % 8)
+        for k in range(320)
+    ]
+    accepted = rejected = 0
+    for t in carriers:
+        cls = classify(t)
+        rtr = np.flatnonzero(cls.rtr).tolist()
+        ltr = np.flatnonzero(cls.ltr).tolist()
+        folds = ((rtr, t.join, iterated_join), (ltr, t.meet, iterated_meet))
+        for S, table, fn in folds:
+            S = rng.sample(S, rng.randint(1, len(S)))
+            assert fn(t, S) == fold(table, S) == fold(table, S[::-1])
+        subsets = [rtr] + [
+            sorted(set(rng.sample(rtr, rng.randint(0, len(rtr)))) | {t.bottom})
+            for _ in range(2)
+        ]
+        for A in subsets:
+            f = folded_interior(t, A)
+            im = interior_from_subset(t, A)
+            assert np.array_equal(im.map, f)
+            want = t.meet[np.ix_(f, f)]
+            want[t.top, :] = want[:, t.top] = np.arange(t.n)
+            got = tnorm_via_subset(t, A, unchecked=True).table
+            assert np.array_equal(got, want)
+            if not validate_interior(t, im).ok:
+                with pytest.raises(NotAnInteriorOperator):
+                    tnorm_via_subset(t, A)
+                rejected += 1
+                continue
+            got = tnorm_via_subset(t, A).table
+            assert np.array_equal(got, restricted_construction(t, f))
+            accepted += 1
+            # a range of right-transitive members is a sub-lattice
+            image = sorted(set(f.tolist()))
+            v = scaled_meet(t, image, rng.choice(image))
+            got = tnorm_via_interior(t, im, v).table
+            assert np.array_equal(got, restricted_construction(t, f, v))
+    assert accepted > 500 and rejected > 20

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import trelliskit as tk
 from trelliskit import (
     HasseDiagram,
     Psoset,
@@ -21,7 +22,13 @@ from trelliskit import (
     up_set,
     validate_psoset,
 )
-from trelliskit.errors import DuplicateName, NotAntisymmetric, NotReflexive
+from trelliskit.errors import (
+    DuplicateName,
+    EmptySubset,
+    NotAntisymmetric,
+    NotReflexive,
+    ValidationError,
+)
 from trelliskit.fixtures import CARRIERS, RECORDED_FACTS, bounded_chain
 from trelliskit.relation import transitive_closure
 
@@ -221,6 +228,47 @@ def test_maximal_cycles_equal_mutual_reachability():
             assert p.is_transitive() == np.array_equal(p.closure, p.rel)
             transitive.add(p.is_transitive())
     assert found > 0 and transitive == {True, False}
+
+
+# Every entry point that reads a subset, called on pentagon with subset A.
+SUBSET_READERS = {
+    "restricted_reachable": lambda t, A: tk.restricted_reachable(t, A, 0, 0),
+    "is_pseudo_chain": tk.is_pseudo_chain,
+    "is_cycle": tk.is_cycle,
+    "infimum": tk.infimum,
+    "supremum": tk.supremum,
+    "is_meet_sub_trellis": tk.is_meet_sub_trellis,
+    "is_join_sub_trellis": tk.is_join_sub_trellis,
+    "is_sub_trellis": tk.is_sub_trellis,
+    "is_sub_lattice": tk.is_sub_lattice,
+    "iterated_join": tk.iterated_join,
+    "iterated_meet": tk.iterated_meet,
+    "interior_from_subset": tk.interior_from_subset,
+    "restrict": tk.restrict,
+    "scaled_meet": lambda t, A: tk.scaled_meet(t, A, 0),
+    "tnorm_via_subset": tk.tnorm_via_subset,
+    "tnorm_via_subset_unchecked": lambda t, A: tk.tnorm_via_subset(
+        t, A, unchecked=True
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 9, 1.0, True])
+@pytest.mark.parametrize("reader", sorted(SUBSET_READERS))
+def test_subset_entries_out_of_range_are_a_validation_error(reader, bad):
+    # -1 used to be read as the top, 9 to end in an IndexError
+    t = CARRIERS["pentagon"]()
+    with pytest.raises(ValidationError) as err:
+        SUBSET_READERS[reader](t, [0, bad])
+    assert err.value.violations == [bad]
+
+
+def test_subset_reader_sorts_and_dedupes():
+    t = CARRIERS["pentagon"]()
+    assert tk.supremum(t, np.array([2, 0, 2])) == tk.supremum(t, [0, 2])
+    assert tk.restrict(t, (3, 0, 3, 4))[1] == [0, 3, 4]
+    with pytest.raises(EmptySubset):
+        tk.restrict(t, [])
 
 
 def test_import_does_not_load_scipy():

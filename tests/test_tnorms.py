@@ -7,6 +7,7 @@ import pytest
 from trelliskit import (
     AxiomReport,
     Trellis,
+    build_trellis,
     check,
     is_meet_sub_trellis,
     right_transitive_set,
@@ -31,6 +32,7 @@ from trelliskit import (
     t_join_cover,
     tnorm_via_interior,
     tnorm_via_subset,
+    validate_psoset,
 )
 from trelliskit.errors import (
     ElementNotInSubset,
@@ -193,14 +195,29 @@ def test_table_builders_match_the_cellwise_loops():
 
 
 def test_restrict_recomputes_tables(hourglass):
+    # {0, b, c, d, e, 1} is closed under meet and join, so the restriction's
+    # tables are the carrier's, read at the members
     members = sorted(hourglass.indices(("0", "b", "c", "d", "e", "1")))
     sub, back = restrict(hourglass, members)
     assert back == members
-    assert sub.n == len(members)
-    # the restriction has its own top: meets against it are identities
-    k = sub.index("e")
-    assert sub.meet[k, sub.index("c")] == sub.index("c") or True
+    assert sub.names == hourglass.labels(members)
     assert np.array_equal(sub.rel, hourglass.rel[np.ix_(members, members)])
+    glob = np.array(members)
+    assert np.array_equal(glob[sub.meet], hourglass.meet[np.ix_(members, members)])
+    assert np.array_equal(glob[sub.join], hourglass.join[np.ix_(members, members)])
+
+    # 0 < x, y < m < 1 restricted to {0, x, y, 1}: x v y is m in the
+    # carrier, but m is not a member, so inside the restriction it is 1
+    rel = np.eye(5, dtype=bool)
+    rel[0] = rel[:, 4] = True
+    rel[1:3, 3] = True
+    t, _ = build_trellis(validate_psoset(rel, ("0", "x", "y", "m", "1")))
+    assert t.join[t.index("x"), t.index("y")] == t.index("m")
+    sub, back = restrict(t, t.indices(("0", "x", "y", "1")))
+    assert back == [0, 1, 2, 4]
+    x, y = sub.index("x"), sub.index("y")
+    assert sub.join[x, y] == sub.top == sub.index("1")
+    assert sub.meet[x, y] == sub.bottom == sub.index("0")
 
 
 def test_scaled_meet_properties(hourglass):
@@ -267,6 +284,17 @@ def test_gate_rejects_foreign_or_lawless_tables(hourglass):
     v_other = scaled_meet(hourglass, other, hourglass.index("b"))
     with pytest.raises(VNotATnorm):
         tnorm_via_subset(hourglass, members, v_other)
+
+
+def test_gate_rejects_a_table_on_another_order_of_the_range(hourglass):
+    # the names are the range's, but the order is a chain's
+    members = sorted(hourglass.indices(("0", "b", "c", "d", "e", "1")))
+    chain_rel = bounded_chain(len(members)).rel
+    assert not np.array_equal(chain_rel, hourglass.rel[np.ix_(members, members)])
+    chain, _ = build_trellis(validate_psoset(chain_rel, hourglass.labels(members)))
+    assert check(meet_op(chain)).conjunctive
+    with pytest.raises(VNotATnorm):
+        tnorm_via_subset(hourglass, members, meet_op(chain))
 
 
 def test_unchecked_subset_route_reproduces_the_counterexample():

@@ -40,7 +40,6 @@ from .relation import (
     Psoset,
     _first,
     strong_components,
-    transitive_closure,
     validate_psoset,
 )
 from .trellis import StructureKind, Trellis, build_trellis
@@ -262,51 +261,55 @@ def make_document(
 
 
 def _levels(n: int, covers) -> list[int]:
-    """Rank for each node: condense cycles among cover edges, then take
-    longest-path depth from the sources."""
-    if not covers:
-        return [0] * n
-    graph = np.zeros((n, n), dtype=bool)
-    graph[tuple(np.transpose(covers))] = True
-    comp = strong_components(transitive_closure(graph)).tolist()
-    level = [0] * n
-    comp_edges = {
-        (comp[u], comp[v]) for u, v in covers if comp[u] != comp[v]
-    }
-    for _ in range(n):
-        changed = False
-        for cu, cv in comp_edges:
-            if level[cv] < level[cu] + 1:
-                level[cv] = level[cu] + 1
-                changed = True
-        if not changed:
-            break
-    return [level[comp[x]] for x in range(n)]
+    """Rank for each node: condense the cycles among the cover edges, then
+    take each component's longest-path depth from the sources.
+
+    The components come from one Tarjan pass over the cover edges, in
+    reverse topological order, so a single sweep over them backwards
+    settles every depth.  O(n + number of covers)."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v in covers:
+        succ[u].append(v)
+    components = strong_components(succ)
+    comp = [0] * n
+    for c, members in enumerate(components):
+        for x in members:
+            comp[x] = c
+    depth = [0] * len(components)
+    for c in range(len(components) - 1, -1, -1):
+        below = depth[c] + 1
+        for x in components[c]:
+            for y in succ[x]:
+                d = comp[y]
+                if d != c and depth[d] < below:
+                    depth[d] = below
+    return [depth[c] for c in comp]
 
 
 def export_dot(diagram: HasseDiagram, names) -> str:
     """DOT text: solid undirected covers, dashed unrelated-but-connected
-    pairs, directed in-cycle edges; nodes ranked by diagram level."""
+    pairs, directed in-cycle edges; nodes ranked by diagram level.
+    Names are quoted with backslash and double quote escaped."""
     n = len(names)
-
-    def q(x: int) -> str:
-        return '"' + names[x].replace('"', r"\"") + '"'
+    q = ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in names]
 
     covers = sorted(diagram.cover_edges)
-    back = set(diagram.back_edges)
-    dashed = sorted(tuple(sorted(p)) for p in diagram.dashed_pairs)
-    levels = _levels(n, covers)
+    back = diagram.back_edges
+    dashed = sorted((u, v) if u < v else (v, u) for u, v in diagram.dashed_pairs)
+    ranks: list[list[str]] = [[] for _ in range(n)]
+    for x, lev in enumerate(_levels(n, covers)):
+        ranks[lev].append(q[x])
 
     out = ["digraph psoset {", "  rankdir=BT;", "  node [shape=plaintext];"]
-    for lev in sorted(set(levels)):
-        group = " ".join(f"{q(x)};" for x in range(n) if levels[x] == lev)
-        out.append("  { rank=same; " + group + " }")
+    for group in ranks:
+        if group:
+            out.append("  { rank=same; " + " ".join(f"{s};" for s in group) + " }")
     for u, v in covers:
         if (u, v) not in back:
-            out.append(f"  {q(u)} -> {q(v)} [dir=none];")
+            out.append(f"  {q[u]} -> {q[v]} [dir=none];")
     for u, v in dashed:
-        out.append(f"  {q(u)} -> {q(v)} [dir=none, style=dashed];")
+        out.append(f"  {q[u]} -> {q[v]} [dir=none, style=dashed];")
     for u, v in sorted(back):
-        out.append(f"  {q(u)} -> {q(v)};")
+        out.append(f"  {q[u]} -> {q[v]};")
     out.append("}")
     return "\n".join(out) + "\n"

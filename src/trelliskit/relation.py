@@ -56,21 +56,89 @@ def _members(p: Psoset, A) -> list[int]:
     return sorted({int(a) for a in A})
 
 
+# Where packing starts to pay.  Best-of-20 closure times in ms, unpacked /
+# packed, on a 2-vCPU Intel Xeon (Python 3.11, numpy 2.4):
+#   t-norm orders of diamond7, hourglass7, twin_peaks7 (n = 103-151):
+#       0.65-1.5 / 1.1-2.5
+#   random relations, about 4 successors per node:
+#       n = 8: 0.029 / 0.083    n = 300: 5.1 / 5.9    n = 350: 8.0 / 7.9
+#       n = 512: 16 / 14
+#   samples of fork8's t-norm order:
+#       n = 256: 3.1-3.5 / 2.9-3.9    n = 320: 5.4-5.7 / 4.2-5.0
+#       n = 384: 8.5-10 / 5.2-7.7
+#   fork8's t-norm order (n = 764): 61 / 15
+_PACK_FROM = 320
+
+
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
     """Transitive closure (reflexive when rel is), by Warshall's algorithm:
-    after step k every chain through intermediates among 0..k is closed."""
-    closure = np.array(rel, dtype=bool)
-    for k in range(len(closure)):
-        closure |= closure[:, k, None] & closure[k]
-    return closure
+    after step k every chain through intermediates among 0..k is closed.
+
+    Below _PACK_FROM nodes each step ORs column k's outer product into the
+    boolean matrix.  From _PACK_FROM on the rows are packed eight nodes a
+    byte, and step k ORs row k into just the rows that reach k."""
+    n = len(rel)
+    if n < _PACK_FROM:
+        closure = np.array(rel, dtype=bool)
+        for k in range(n):
+            closure |= closure[:, k, None] & closure[k]
+        return closure
+    rows = np.packbits(np.asarray(rel, dtype=bool), axis=1)
+    for k in range(n):
+        hit = np.flatnonzero(rows[:, k >> 3] & (0x80 >> (k & 7)))
+        rows[hit] |= rows[k]
+    return np.unpackbits(rows, axis=1, count=n).view(bool)
 
 
-def strong_components(closure: np.ndarray) -> np.ndarray:
-    """Label each node of a transitively closed relation by the smallest
-    node it shares a cycle with, or by itself when it is on no cycle."""
-    mutual = closure & closure.T
-    mutual |= np.eye(len(mutual), dtype=bool)
-    return mutual.argmax(axis=1) if len(mutual) else np.zeros(0, dtype=np.intp)
+def strong_components(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of the digraph on 0..n-1 with
+    successor lists succ, by Tarjan's algorithm with an explicit stack.
+
+    Components come out in reverse topological order: an edge that leaves
+    a component leads into one listed before it.  O(V + E)."""
+    n = len(succ)
+    index = [-1] * n  # discovery number, -1 while unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components
 
 
 @dataclass(eq=False)
@@ -177,6 +245,10 @@ def reachable(p: Psoset, x: int, y: int) -> bool:
     return bool(p.closure[x, y])
 
 
+def _restricted_closure(p: Psoset, members: list[int]) -> np.ndarray:
+    return transitive_closure(p.rel[np.ix_(members, members)])
+
+
 def restricted_reachable(p: Psoset, C, x: int, y: int) -> bool:
     """Reachability where every chain element must come from C."""
     members = _members(p, C)
@@ -185,13 +257,8 @@ def restricted_reachable(p: Psoset, C, x: int, y: int) -> bool:
         raise ElementNotInSubset(
             f"endpoints {[p.names[e] for e in missing]} not in subset"
         )
-    sub = p.rel[np.ix_(members, members)]
-    closed = transitive_closure(sub)
+    closed = _restricted_closure(p, members)
     return bool(closed[members.index(x), members.index(y)])
-
-
-def _restricted_closure(p: Psoset, members: list[int]) -> np.ndarray:
-    return transitive_closure(p.rel[np.ix_(members, members)])
 
 
 def is_pseudo_chain(p: Psoset, C) -> bool:
@@ -215,9 +282,9 @@ def maximal_cycles(p: Psoset) -> list[frozenset[int]]:
     """Maximal cycles = strongly connected components of the relation,
     singletons dropped (antisymmetry already rules out 2-cycles), sorted
     by their smallest member."""
-    labels = strong_components(p.closure)
-    groups = [np.flatnonzero(labels == x) for x in range(p.n) if labels[x] == x]
-    return [frozenset(g.tolist()) for g in groups if len(g) >= 2]
+    succ = [np.flatnonzero(row).tolist() for row in p.rel]
+    cycles = [c for c in strong_components(succ) if len(c) >= 2]
+    return sorted(map(frozenset, cycles), key=min)
 
 
 def down_set(p: Psoset, x: int) -> frozenset[int]:
@@ -238,20 +305,27 @@ def co_atoms(p: Psoset) -> frozenset[int]:
 
 
 def hasse(p: Psoset) -> HasseDiagram:
-    noid = p.rel & ~np.eye(p.n, dtype=bool)
-    has_mid = np.zeros_like(noid)  # [x, y]: some z with x < z < y
+    """The diagram of p's relation (see HasseDiagram).
+
+    Covers come from the relation itself; dashed pairs and back edges
+    need reachability, so they read the transitive closure, which for a
+    pseudo-order can relate more than the relation does."""
+    eye = np.eye(p.n, dtype=bool)
+    noid = p.rel & ~eye
+    rows = np.packbits(noid, axis=1)
+    mid = np.zeros_like(rows)  # [x, y] bit: some z with x < z < y
     for x in range(p.n):
-        has_mid[x] = noid[noid[x]].any(axis=0)
-    covers = noid & ~has_mid
-    cover_edges = frozenset(
-        (int(x), int(y)) for x, y in zip(*np.nonzero(covers))
-    )
+        mid[x] = np.bitwise_or.reduce(rows[noid[x]], axis=0)
+    has_mid = np.unpackbits(mid, axis=1, count=p.n).view(bool)
     reach = p.closure
-    unrelated = ~p.rel & ~p.rel.T
-    dashed = unrelated & (reach | reach.T) & ~np.eye(p.n, dtype=bool)
-    dashed_pairs = frozenset(
-        frozenset((int(x), int(y))) for x, y in zip(*np.nonzero(dashed)) if x < y
+    dashed = ~p.rel & ~p.rel.T & (reach | reach.T) & ~eye
+
+    def pairs(mask):
+        xs, ys = np.nonzero(mask)
+        return zip(xs.tolist(), ys.tolist())
+
+    return HasseDiagram(
+        cover_edges=frozenset(pairs(noid & ~has_mid)),
+        dashed_pairs=frozenset(map(frozenset, pairs(np.triu(dashed)))),
+        back_edges=frozenset(pairs(noid & reach.T)),
     )
-    back = noid & reach.T
-    back_edges = frozenset((int(x), int(y)) for x, y in zip(*np.nonzero(back)))
-    return HasseDiagram(cover_edges, dashed_pairs, back_edges)

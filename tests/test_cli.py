@@ -1,14 +1,19 @@
+import hashlib
 import json
+import random
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trelliskit import cli
+from trelliskit import cli, random_trellis
 from trelliskit.fileformat import make_document, serialize
 from trelliskit.fixtures import CARRIERS, bounded_chain, recorded_table
 
-DATA = Path(__file__).resolve().parents[1] / "src" / "trelliskit" / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "src" / "trelliskit" / "data"
+PINNED = json.loads((ROOT / "perfbench" / "pinned.json").read_text())
 
 PENTAGON = str(DATA / "pentagon.psoset")
 HOURGLASS = str(DATA / "hourglass7.psoset")
@@ -203,6 +208,73 @@ def test_validate_writes_carrier_dot(tmp_path, capsys):
     code, _, _ = run(capsys, "validate", PENTAGON, "--dot", str(dot_path))
     assert code == 0
     assert '"a" -> "c" [dir=none, style=dashed];' in dot_path.read_text()
+
+
+def test_dot_quotes_backslashes_in_names(tmp_path, capsys):
+    # a name ending in a backslash used to leave its DOT string open
+    doc = tmp_path / "awkward.psoset"
+    doc.write_text(
+        "psoset-document v1\n"
+        'elements: 0 a\\ "b 1\n'
+        "relation:\n1 1 1 1\n0 1 0 1\n0 0 1 1\n0 0 0 1\n"
+    )
+    dot_path = tmp_path / "awkward.dot"
+    code, _, _ = run(capsys, "validate", str(doc), "--dot", str(dot_path))
+    assert code == 0
+    dot = dot_path.read_text()
+    quoted = re.findall(r'"(?:[^"\\]|\\.)*"', dot)
+    assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", dot)
+    names = {re.sub(r"\\(.)", r"\1", s[1:-1]) for s in quoted}
+    assert names == {"0", "a\\", '"b', "1"}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def enumerate_outcome(capsys, path: str, dot: Path) -> dict:
+    """enumerate --json --dot on one file, in the form of pinned.json."""
+    code = cli.main(["enumerate", path, "--json", "--dot", str(dot)])
+    text = capsys.readouterr().out
+    return {
+        "exit_code": code,
+        "count": json.loads(text)["count"] if text else None,
+        "stdout_sha256": sha256(text.encode()),
+        "dot_sha256": sha256(dot.read_bytes()) if dot.exists() else None,
+        "stdout_bytes": len(text.encode()),
+    }
+
+
+def test_every_shipped_carrier_has_a_pin():
+    assert sorted(path.name for path in DATA.glob("*.psoset")) == sorted(PINNED)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_shipped_enumerate_outputs_match_the_pins(name, tmp_path, capsys, monkeypatch):
+    # the pins hash stdout, which names the file, so run from the root
+    # with the relative path the benchmark passes
+    monkeypatch.chdir(ROOT)
+    got = enumerate_outcome(capsys, f"src/trelliskit/data/{name}", tmp_path / "out.dot")
+    assert got == PINNED[name]
+
+
+def test_stress_carrier_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    # the 3rd random_trellis(random.Random(7), 8): 2522 t-norms, whose
+    # order needs the packed closure; the hashes were recorded with the
+    # unpacked, closure-based diagram code
+    rng = random.Random(7)
+    for _ in range(3):
+        t = random_trellis(rng, 8)
+    monkeypatch.chdir(tmp_path)
+    Path("stress.psoset").write_text(serialize(make_document(t)))
+    got = enumerate_outcome(capsys, "stress.psoset", tmp_path / "stress.dot")
+    assert got["exit_code"] == 0 and got["count"] == 2522
+    assert got["stdout_sha256"] == (
+        "f114bb171e5872961881abc14f0f03c200625e17f9665bfe21fdf2cffc041c8f"
+    )
+    assert got["dot_sha256"] == (
+        "96a326e148a85ac98f2aeec1fc45d7e2b8176f2d0a37d8adf18c9c72121bbe88"
+    )
 
 
 def test_verify_paper_smoke(capsys):

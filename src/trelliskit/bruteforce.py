@@ -16,8 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import CarrierTooLarge, NotBounded
-from .relation import Psoset
+from .relation import Psoset, _require_bounds, _require_cap
 from .tnorms import BinaryOpTable, _tnorm_mask, make_op
 
 _BATCH = 20_000
@@ -33,8 +32,7 @@ def _cells_and_domains(p: Psoset):
 
 def bruteforce_candidate_count(p: Psoset) -> int:
     """How many raw candidate tables the brute force would scan."""
-    if p.bottom is None or p.top is None:
-        raise NotBounded("t-norms need a bottom and a top")
+    _require_bounds(p)
     _, domains = _cells_and_domains(p)
     return math.prod(len(d) for d in domains)
 
@@ -45,13 +43,9 @@ def bruteforce_tnorms(p: Psoset, cap: int = 6) -> list[BinaryOpTable]:
     Returned in the same canonical order as enumeration (row-major table
     tuples), so results compare directly.
     """
-    if p.bottom is None or p.top is None:
-        raise NotBounded("t-norms need a bottom and a top")
-    n, rel, top = p.n, p.rel, p.top
-    if n > cap:
-        raise CarrierTooLarge(
-            f"carrier has {n} elements, cap is {cap}; pass cap= to override"
-        )
+    _, top = _require_bounds(p)
+    _require_cap(p, cap)
+    n, rel = p.n, p.rel
     cells, domains = _cells_and_domains(p)
     idx = np.arange(n)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, reproduction
-from .elements import ALPHAS, classify
+from .elements import ALPHAS, classify, right_transitive_set
 from .enumeration import enumerate_tnorms, order_diagram
 from .errors import (
     LimitReached,
@@ -30,13 +30,12 @@ from .errors import (
     TrellisKitError,
     ValidationError,
 )
-from .fileformat import document_psoset, document_trellis, export_dot, parse
+from .fileformat import _checked_trellis, document_psoset, export_dot, parse
 from .interior import UnaryMap, interior_from_subset, interior_range
 from .relation import co_atoms, hasse, maximal_cycles
 from .tnorms import (
     TnormReport,
     check,
-    join_cover_condition,
     join_cover_witness,
     scaled_meet,
     t_coatom,
@@ -111,64 +110,86 @@ def _print_report(names, rep) -> None:
 
 
 def _emit_dot(args, diagram, names) -> None:
-    if getattr(args, "dot", None):
+    if args.dot:
         Path(args.dot).write_text(export_dot(diagram, names))
 
 
-def cmd_validate(args) -> int:
-    doc = _read_document(args.file)
-    payload: dict = {"schema": SCHEMA, "command": "validate", "file": args.file}
+def _print_json(args, **fields) -> None:
+    """Print a report: fields plus the schema and the command name."""
+    report = {"schema": SCHEMA, "command": args.command, **fields}
+    print(json.dumps(report, indent=2, sort_keys=True))
+
+
+def _carrier(path: str):
+    """(document, carrier, kind, gap) for the document at path.
+
+    The carrier is the document's trellis, with any declared meet/join
+    tables checked against it, or its psoset when it is no trellis; gap
+    is then the NotATrellis saying why, and None otherwise.  kind is the
+    carrier's StructureKind.  The relation is validated once."""
+    doc = _read_document(path)
     p = document_psoset(doc)  # ValidationError propagates -> exit 2
-    payload["elements"] = list(p.names)
-    payload["psoset_valid"] = True
-    payload["bottom"] = None if p.bottom is None else p.names[p.bottom]
-    payload["top"] = None if p.top is None else p.names[p.top]
     try:
-        t, kind = document_trellis(doc)  # cross-checks declared tables
-    except NotATrellis as e:
-        t, kind = None, structure_kind(p)
-        payload["trellis_gap"] = str(e)
-    payload["is_trellis"] = kind.is_trellis
-    payload["is_lattice"] = kind.is_lattice
-    payload["declared_tables"] = bool(doc.meet is not None or doc.join is not None)
-    if t is not None:
-        axioms = check_skala_axioms(t.meet, t.join)
-        payload["axioms_ok"] = axioms.ok
+        t, kind = _checked_trellis(doc, p)
+    except NotATrellis as gap:
+        return doc, p, structure_kind(p), gap
+    return doc, t, kind, None
+
+
+def _label(p, x):
+    return None if x is None else p.names[x]
+
+
+def cmd_validate(args) -> int:
+    doc, p, kind, gap = _carrier(args.file)
+    fields: dict = {
+        "file": args.file,
+        "elements": list(p.names),
+        "psoset_valid": True,
+        "bottom": _label(p, p.bottom),
+        "top": _label(p, p.top),
+        "is_trellis": kind.is_trellis,
+        "is_lattice": kind.is_lattice,
+        "declared_tables": doc.meet is not None or doc.join is not None,
+    }
+    if gap is None:
+        fields["axioms_ok"] = check_skala_axioms(p.meet, p.join).ok
+    else:
+        fields["trellis_gap"] = str(gap)
     _emit_dot(args, hasse(p), p.names)
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(args, **fields)
+        return EXIT_OK
+    print(f"elements: {' '.join(p.names)}")
+    print("psoset: valid")
+    print(f"bottom: {fields['bottom']}  top: {fields['top']}")
+    if gap is None:
+        flavor = "lattice" if kind.is_lattice else "proper trellis"
+        print(f"trellis: yes ({flavor})")
+        if fields["declared_tables"]:
+            print("declared meet/join tables: match")
+        print(f"axioms: {'pass' if fields['axioms_ok'] else 'FAIL'}")
     else:
-        print(f"elements: {' '.join(p.names)}")
-        print("psoset: valid")
-        print(f"bottom: {payload['bottom']}  top: {payload['top']}")
-        if kind.is_trellis:
-            flavor = "lattice" if kind.is_lattice else "proper trellis"
-            print(f"trellis: yes ({flavor})")
-            if payload["declared_tables"]:
-                print("declared meet/join tables: match")
-            print(f"axioms: {'pass' if payload['axioms_ok'] else 'FAIL'}")
-        else:
-            print(f"trellis: no — {payload['trellis_gap']}")
+        print(f"trellis: no — {gap}")
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    doc = _read_document(args.file)
-    t, _ = document_trellis(doc)
+    _, t, _, gap = _carrier(args.file)
+    if gap is not None:
+        raise gap
     cls = classify(t)
     subsets = {
         alpha: [t.names[i] for i in np.flatnonzero(getattr(cls, alpha))]
         for alpha in ALPHAS
     }
     if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "command": "classify",
-            "file": args.file,
-            "elements": {s: dict(cls.flags(t.index(s))) for s in t.names},
-            "subsets": subsets,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(
+            args,
+            file=args.file,
+            elements={s: dict(cls.flags(t.index(s))) for s in t.names},
+            subsets=subsets,
+        )
         return EXIT_OK
     width = max(len(s) for s in t.names)
     header = " ".join(f"{a:>8}" for a in ALPHAS)
@@ -184,20 +205,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    doc = _read_document(args.file)
-    p = document_psoset(doc)
-    try:
-        t, kind = document_trellis(doc)
-    except NotATrellis:
-        t, kind = None, structure_kind(p)
+    _, p, kind, gap = _carrier(args.file)
     cycles = [list(p.labels(c)) for c in maximal_cycles(p)]
-    payload: dict = {
-        "schema": SCHEMA,
-        "command": "structure",
+    fields: dict = {
         "file": args.file,
         "elements": list(p.names),
-        "bottom": None if p.bottom is None else p.names[p.bottom],
-        "top": None if p.top is None else p.names[p.top],
+        "bottom": _label(p, p.bottom),
+        "top": _label(p, p.top),
         "kind": {
             "meet_semi_trellis": kind.is_meet_semi_trellis,
             "join_semi_trellis": kind.is_join_semi_trellis,
@@ -208,32 +222,32 @@ def cmd_structure(args) -> int:
         },
         "maximal_cycles": cycles,
         "pseudo_order_transitive": p.is_transitive(),
+        "co_atoms": (
+            [p.names[i] for i in sorted(co_atoms(p))] if p.top is not None else None
+        ),
     }
-    payload["co_atoms"] = (
-        [p.names[i] for i in sorted(co_atoms(p))] if p.top is not None else None
-    )
-    if t is not None and kind.is_bounded:
-        payload["join_cover_condition"] = join_cover_condition(t)
-        witness = join_cover_witness(t)
-        payload["join_cover_witness"] = (
+    if gap is None and kind.is_bounded:
+        witness = join_cover_witness(p)
+        fields["join_cover_condition"] = witness is None
+        fields["join_cover_witness"] = (
             None if witness is None else _named(p.names, witness)
         )
     _emit_dot(args, hasse(p), p.names)
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(args, **fields)
         return EXIT_OK
     print(f"elements: {' '.join(p.names)}")
-    print(f"bottom: {payload['bottom']}  top: {payload['top']}")
-    for key, value in payload["kind"].items():
+    print(f"bottom: {fields['bottom']}  top: {fields['top']}")
+    for key, value in fields["kind"].items():
         print(f"{key}: {value}")
-    print(f"transitive: {payload['pseudo_order_transitive']}")
+    print(f"transitive: {fields['pseudo_order_transitive']}")
     print(f"maximal cycles: {cycles if cycles else 'none'}")
-    if payload["co_atoms"] is not None:
-        print(f"co-atoms: {' '.join(payload['co_atoms'])}")
-    if "join_cover_condition" in payload:
-        print(f"join-cover condition: {payload['join_cover_condition']}")
-        if payload["join_cover_witness"]:
-            print(f"join-cover witness: {' '.join(payload['join_cover_witness'])}")
+    if fields["co_atoms"] is not None:
+        print(f"co-atoms: {' '.join(fields['co_atoms'])}")
+    if "join_cover_condition" in fields:
+        print(f"join-cover condition: {fields['join_cover_condition']}")
+        if fields["join_cover_witness"]:
+            print(f"join-cover witness: {' '.join(fields['join_cover_witness'])}")
     return EXIT_OK
 
 
@@ -241,8 +255,6 @@ def _subset_from_token(doc, p, token: str) -> list[int]:
     if token in doc.subsets:
         return sorted(doc.subsets[token])
     if token == "rtr":
-        from .elements import right_transitive_set
-
         return sorted(right_transitive_set(p))
     return sorted(_element(p, s) for s in token.split(","))
 
@@ -259,56 +271,45 @@ def _map_from_token(doc, p, token: str) -> np.ndarray:
 
 
 def cmd_construct(args) -> int:
-    doc = _read_document(args.file)
+    doc, p, _, gap = _carrier(args.file)
     method = args.method
-    p = document_psoset(doc)
-    trellis = None
-    try:
-        trellis, _ = document_trellis(doc)
-    except NotATrellis:
-        pass
-
     if method == "drastic":
-        op = t_drastic(trellis if trellis is not None else p)
+        op = t_drastic(p)
     elif method == "z":
-        if trellis is None:
+        if gap is not None:
             raise NotATrellis("the z construction needs meets and joins")
-        op = t_join_cover(trellis)
+        op = t_join_cover(p)
     elif method.startswith("coatom:"):
-        name = method.split(":", 1)[1]
-        op = t_coatom(trellis if trellis is not None else p, _element(p, name))
+        op = t_coatom(p, _element(p, method.split(":", 1)[1]))
     elif method.startswith(("lambda:", "interior:")):
-        if trellis is None:
+        if gap is not None:
             raise NotATrellis("interior constructions need meets and joins")
         kind, rest = method.split(":", 1)
         v_token = None
         if ":V=" in rest:
             rest, v_token = rest.split(":V=", 1)
         if kind == "lambda":
-            members = _subset_from_token(doc, trellis, rest)
-            im = interior_from_subset(trellis, members)
+            im = interior_from_subset(p, _subset_from_token(doc, p, rest))
         else:
-            im = UnaryMap(trellis, _map_from_token(doc, trellis, rest))
+            im = UnaryMap(p, _map_from_token(doc, p, rest))
         v = None
         if v_token is not None:
-            rng_members = sorted(interior_range(trellis, im))
-            v = scaled_meet(trellis, rng_members, _element(trellis, v_token))
-        op = tnorm_via_interior(trellis, im, v)
+            rng_members = sorted(interior_range(p, im))
+            v = scaled_meet(p, rng_members, _element(p, v_token))
+        op = tnorm_via_interior(p, im, v)
     else:
         print(f"unknown method {method!r}", file=sys.stderr)
         return EXIT_PRECONDITION
 
     rep = check(op)
     if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "command": "construct",
-            "file": args.file,
-            "method": method,
-            "table": [[p.names[v] for v in row] for row in op.table],
-            "report": _report_dict(p.names, rep),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(
+            args,
+            file=args.file,
+            method=method,
+            table=[[p.names[v] for v in row] for row in op.table],
+            report=_report_dict(p.names, rep),
+        )
         return EXIT_OK
     print(f"method: {method}")
     print(_format_table(p.names, op.table))
@@ -319,19 +320,13 @@ def cmd_construct(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise PreconditionViolated(f"--limit must be positive, got {args.limit}")
-    doc = _read_document(args.file)
-    p = document_psoset(doc)
-    target = p
-    try:
-        target, _ = document_trellis(doc)
-    except NotATrellis:
-        pass
+    _, p, _, _ = _carrier(args.file)
     kwargs = {}
     if args.cap is not None:
         kwargs["cap"] = args.cap
     hit_limit = False
     try:
-        res = enumerate_tnorms(target, limit=args.limit, **kwargs)
+        res = enumerate_tnorms(p, limit=args.limit, **kwargs)
     except LimitReached as e:
         res = e.result
         hit_limit = True
@@ -340,21 +335,19 @@ def cmd_enumerate(args) -> int:
     if diagram is not None:
         _emit_dot(args, diagram, [f"T{k + 1}" for k in range(res.count)])
     if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "command": "enumerate",
-            "file": args.file,
-            "count": res.count,
-            "complete": res.complete,
-            "tnorms": [
+        _print_json(
+            args,
+            file=args.file,
+            count=res.count,
+            complete=res.complete,
+            tnorms=[
                 [[p.names[v] for v in row] for row in op.table] for op in res.tnorms
             ],
-            "maximal": res.maximal,
-            "greatest": res.greatest,
-            "cover_edges": sorted(diagram.cover_edges) if diagram else None,
-            "search_stats": res.search_stats,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+            maximal=res.maximal,
+            greatest=res.greatest,
+            cover_edges=sorted(diagram.cover_edges) if diagram else None,
+            search_stats=res.search_stats,
+        )
         return EXIT_OK
     print(f"t-norms found: {res.count}" + ("  (stopped at limit)" if hit_limit else ""))
     for k, op in enumerate(res.tnorms):
@@ -376,11 +369,10 @@ def cmd_enumerate(args) -> int:
 def cmd_verify_paper(args) -> int:
     results = reproduction.run_all(seed=args.seed)
     if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "command": "verify-paper",
-            "seed": args.seed,
-            "criteria": [
+        _print_json(
+            args,
+            seed=args.seed,
+            criteria=[
                 {
                     "number": r.number,
                     "title": r.title,
@@ -389,9 +381,8 @@ def cmd_verify_paper(args) -> int:
                 }
                 for r in results
             ],
-            "all_passed": all(r.passed for r in results),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+            all_passed=all(r.passed for r in results),
+        )
     else:
         for r in results:
             print(r.line)
@@ -402,13 +393,10 @@ def cmd_verify_paper(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--dot", metavar="PATH", help="write a DOT diagram here")
-    common.add_argument(
-        "--seed", type=int, default=reproduction.DEFAULT_SEED,
-        help="seed for the random suites",
-    )
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true", help="machine-readable output")
+    dot_opt = argparse.ArgumentParser(add_help=False)
+    dot_opt.add_argument("--dot", metavar="PATH", help="write a DOT diagram here")
 
     ap = argparse.ArgumentParser(
         prog="trelliskit",
@@ -417,39 +405,39 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("validate", parents=[common], help="check a carrier file")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_validate)
+    # the subcommands that read a document, and whether they draw one
+    commands = {}
+    for name, func, dot, help_ in (
+        ("validate", cmd_validate, True, "check a carrier file"),
+        ("classify", cmd_classify, False, "element classes"),
+        ("structure", cmd_structure, True, "structure report"),
+        ("construct", cmd_construct, False, "build a t-norm"),
+        ("enumerate", cmd_enumerate, True, "all t-norms"),
+    ):
+        parents = [json_opt, dot_opt] if dot else [json_opt]
+        sp = commands[name] = sub.add_parser(name, parents=parents, help=help_)
+        sp.add_argument("file")
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("classify", parents=[common], help="element classes")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("structure", parents=[common], help="structure report")
-    sp.add_argument("file")
-    sp.set_defaults(func=cmd_structure)
-
-    sp = sub.add_parser("construct", parents=[common], help="build a t-norm")
-    sp.add_argument("file")
-    sp.add_argument(
+    commands["construct"].add_argument(
         "--method",
         required=True,
         help="drastic | z | coatom:<elt> | lambda:<subset>[:V=<elt>] | "
         "interior:<map>[:V=<elt>]; <subset> and <map> name a document "
         "section or spell the data inline, comma-separated",
     )
-    sp.set_defaults(func=cmd_construct)
-
-    sp = sub.add_parser("enumerate", parents=[common], help="all t-norms")
-    sp.add_argument("file")
+    sp = commands["enumerate"]
     sp.add_argument("--limit", type=int, default=None, help="stop after N t-norms")
     sp.add_argument("--cap", type=int, default=None, help="carrier size guard")
-    sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser(
         "verify-paper",
-        parents=[common],
+        parents=[json_opt],
         help="recompute every recorded table and fact from the built-in carriers",
+    )
+    sp.add_argument(
+        "--seed", type=int, default=reproduction.DEFAULT_SEED,
+        help="seed for the random suites",
     )
     sp.set_defaults(func=cmd_verify_paper)
     return ap

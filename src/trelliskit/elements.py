@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySubset, PreconditionViolated
-from .relation import _escapes, _members
+from .errors import PreconditionViolated
+from .relation import _nonempty, _require_side, _side_masks
 from .trellis import Trellis, infimum, supremum
 
 ALPHAS = ("dis", "ass", "meet_ass", "join_ass", "tr", "ltr", "rtr", "mtr")
@@ -47,12 +47,6 @@ def _per_element_bad(bad: np.ndarray) -> np.ndarray:
     """bad is an (n,n,n) violation tensor; an element is clean when it
     appears in no violating tuple, in any position."""
     return ~(bad.any(axis=(1, 2)) | bad.any(axis=(0, 2)) | bad.any(axis=(0, 1)))
-
-
-def _side_masks(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rtr and ltr masks, from the two-step relation alone."""
-    escapes = _escapes(rel)
-    return ~escapes.any(axis=1), ~escapes.any(axis=0)
 
 
 def classify(t: Trellis) -> ElementClassification:
@@ -108,27 +102,13 @@ def right_transitive_set(t: Trellis) -> frozenset[int]:
 def iterated_join(t: Trellis, S) -> int:
     """The join of S.  Every member must be right-transitive: then any
     fold of the join over S gives the same element, the supremum of S."""
-    members = _members(t, S)
-    if not members:
-        raise EmptySubset("iterated join of empty subset")
-    rtr = _side_masks(t.rel)[0]
-    bad = [x for x in members if not rtr[x]]
-    if bad:
-        raise PreconditionViolated(
-            f"not right-transitive: {[t.names[x] for x in bad]}", bad
-        )
+    members = _nonempty(t, S, "iterated join")
+    _require_side(t, members, "right", PreconditionViolated)
     return supremum(t, members)
 
 
 def iterated_meet(t: Trellis, S) -> int:
     """Dual of iterated_join: the infimum of left-transitive members."""
-    members = _members(t, S)
-    if not members:
-        raise EmptySubset("iterated meet of empty subset")
-    ltr = _side_masks(t.rel)[1]
-    bad = [x for x in members if not ltr[x]]
-    if bad:
-        raise PreconditionViolated(
-            f"not left-transitive: {[t.names[x] for x in bad]}", bad
-        )
+    members = _nonempty(t, S, "iterated meet")
+    _require_side(t, members, "left", PreconditionViolated)
     return infimum(t, members)

@@ -33,14 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CarrierTooLarge,
-    LimitReached,
-    NotBounded,
-    PreconditionViolated,
-    TargetMismatch,
+from .errors import LimitReached, PreconditionViolated, TargetMismatch
+from .relation import (
+    HasseDiagram,
+    Psoset,
+    _require_bounds,
+    _require_cap,
+    hasse,
+    validate_psoset,
 )
-from .relation import HasseDiagram, Psoset, hasse, validate_psoset
 from .tnorms import BinaryOpTable, _tnorm_mask, pointwise_order
 
 _CHECK_CHUNK = 64  # completed tables per axiom-kernel call
@@ -78,13 +79,9 @@ def enumerate_tnorms(
     LimitReached — carrying the partial result — once `limit` t-norms
     have been found.
     """
-    if p.bottom is None or p.top is None:
-        raise NotBounded("enumeration needs a bottom and a top")
-    n, top = p.n, p.top
-    if n > cap:
-        raise CarrierTooLarge(
-            f"carrier has {n} elements, cap is {cap}; pass cap= to override"
-        )
+    _, top = _require_bounds(p)
+    _require_cap(p, cap)
+    n = p.n
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
     rel = p.rel.tolist()
@@ -236,7 +233,7 @@ def enumerate_tnorms(
 
 def is_maximal_tnorm(p: Psoset, op: BinaryOpTable, cap: int = 10) -> bool:
     """No enumerated t-norm sits strictly pointwise above op."""
-    if op.names != p.names or not np.array_equal(op.target.rel, p.rel):
+    if not op.target.same_carrier(p):
         raise TargetMismatch("operations live on different carriers")
     res = enumerate_tnorms(p, cap=cap)
     tables = np.array([other.table for other in res.tnorms])

@@ -88,16 +88,18 @@ class BottomMissing(PreconditionError):
     pass
 
 
-class NotRightTransitiveSubset(PreconditionError):
+class PreconditionViolated(PreconditionError):
     def __init__(self, message, offenders=()):
         super().__init__(message)
-        self.offenders = sorted(offenders)
+        self.offenders = list(offenders)
 
 
-class RangeNotRightTransitive(PreconditionError):
-    def __init__(self, message, offenders=()):
-        super().__init__(message)
-        self.offenders = sorted(offenders)
+class NotRightTransitiveSubset(PreconditionViolated):
+    pass
+
+
+class RangeNotRightTransitive(PreconditionViolated):
+    pass
 
 
 class VNotATnorm(PreconditionError):
@@ -111,19 +113,11 @@ class VNotATnorm(PreconditionError):
 
 
 class NotASubLattice(PreconditionError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class TargetMismatch(TrellisKitError):
     pass
-
-
-class PreconditionViolated(PreconditionError):
-    def __init__(self, message, offenders=()):
-        super().__init__(message)
-        self.offenders = list(offenders)
 
 
 class CarrierTooLarge(PreconditionError):

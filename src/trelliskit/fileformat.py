@@ -224,7 +224,11 @@ def document_psoset(doc: PsosetDocument) -> Psoset:
 def document_trellis(doc: PsosetDocument) -> tuple[Trellis, StructureKind]:
     """Build the trellis from the relation and cross-check any declared
     meet/join tables against the computed ones."""
-    p = document_psoset(doc)
+    return _checked_trellis(doc, document_psoset(doc))
+
+
+def _checked_trellis(doc: PsosetDocument, p: Psoset) -> tuple[Trellis, StructureKind]:
+    """document_trellis, given p = document_psoset(doc)."""
     t, kind = build_trellis(p)
     for label, declared, computed in (
         ("meet", doc.meet, t.meet),

@@ -66,7 +66,11 @@ def carrier_document(key: str) -> PsosetDocument:
 @lru_cache(maxsize=None)
 def _load(key: str) -> Psoset:
     doc = carrier_document(key)
-    if key == "six_cycle":  # no top, so no trellis
+    # six_cycle is a trellis, but it has no top.  It is kept a plain
+    # Psoset because callers treat every Trellis carrier as bounded:
+    # loaded as a Trellis, test_relabelling_permutes_every_result fails
+    # with NotBounded.
+    if key == "six_cycle":
         return document_psoset(doc)
     return document_trellis(doc)[0]
 
@@ -392,10 +396,6 @@ RECORDED: dict[str, RecordedTable] = {
 def recorded_table(key: str) -> BinaryOpTable:
     entry = RECORDED[key]
     return _grid(CARRIERS[entry.carrier](), entry.grid)
-
-
-def recorded_keys() -> tuple[str, ...]:
-    return tuple(sorted(RECORDED))
 
 
 # --- recorded facts ----------------------------------------------------------

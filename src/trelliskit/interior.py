@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import _side_masks
 from .errors import (
     BottomMissing,
     NotAnInteriorOperator,
-    NotBounded,
     NotRightTransitiveSubset,
     ValidationError,
 )
-from .relation import _members
+from .relation import _members, _require_bounds, _require_side
 from .trellis import Trellis, _greatest
 
 
@@ -103,17 +101,11 @@ def interior_from_subset(t: Trellis, A) -> UnaryMap:
     of A under meet/join is *not* checked here; validate the result if
     you need an interior operator.
     """
-    if t.bottom is None or t.top is None:
-        raise NotBounded("subset-interior needs a bounded trellis")
+    bottom, _ = _require_bounds(t)
     members = _members(t, A)
-    if t.bottom not in members:
+    if bottom not in members:
         raise BottomMissing("subset must contain the bottom element")
-    rtr = _side_masks(t.rel)[0]
-    bad = [x for x in members if not rtr[x]]
-    if bad:
-        raise NotRightTransitiveSubset(
-            f"not right-transitive: {[t.names[x] for x in bad]}", bad
-        )
+    _require_side(t, members, "right", NotRightTransitiveSubset)
     inside = np.zeros(t.n, dtype=bool)
     inside[members] = True
     below = inside & t.rel.T  # [x, a]: a in A and a <= x

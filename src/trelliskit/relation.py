@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    CarrierTooLarge,
     DuplicateName,
     ElementNotInSubset,
     EmptySubset,
     NoTop,
     NotAntisymmetric,
+    NotBounded,
     NotReflexive,
     ValidationError,
 )
@@ -39,6 +41,40 @@ def _escapes(rel: np.ndarray) -> np.ndarray:
     return (rel @ rel) & ~rel
 
 
+def _side_masks(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rtr and ltr masks, from the two-step relation alone."""
+    escapes = _escapes(rel)
+    return ~escapes.any(axis=1), ~escapes.any(axis=0)
+
+
+# --- preconditions ----------------------------------------------------------
+# Each guard below is the one check of its precondition; the callers
+# choose the exception class where the guard takes one.
+
+
+def _require_bounds(p: Psoset) -> tuple[int, int]:
+    """(bottom, top); NotBounded when p lacks either."""
+    if p.bottom is None or p.top is None:
+        raise NotBounded("the carrier needs a bottom and a top")
+    return p.bottom, p.top
+
+
+def _require_cap(p: Psoset, cap: int) -> None:
+    if p.n > cap:
+        raise CarrierTooLarge(
+            f"carrier has {p.n} elements, cap is {cap}; pass cap= to override"
+        )
+
+
+def _require_side(p: Psoset, members: list[int], side: str, error) -> None:
+    """Raise error, listing the offenders, unless every member is
+    right-transitive (side "right") or left-transitive (side "left")."""
+    ok = _side_masks(p.rel)[side == "left"]
+    bad = [x for x in members if not ok[x]]
+    if bad:
+        raise error(f"not {side}-transitive: {[p.names[x] for x in bad]}", bad)
+
+
 def _members(p: Psoset, A) -> list[int]:
     """The distinct members of the subset A, sorted, as Python ints.
     Raises ValidationError unless every entry is an integer in 0..n-1;
@@ -54,6 +90,15 @@ def _members(p: Psoset, A) -> list[int]:
     if bad:
         raise ValidationError(f"subset entries not in 0..{p.n - 1}: {bad}", bad)
     return sorted({int(a) for a in A})
+
+
+def _nonempty(p: Psoset, A, what: str) -> list[int]:
+    """_members(p, A), raising EmptySubset for "<what> of an empty subset"
+    when there are none."""
+    members = _members(p, A)
+    if not members:
+        raise EmptySubset(f"{what} of an empty subset")
+    return members
 
 
 # Where packing starts to pay.  Best-of-20 closure times in ms, unpacked /
@@ -179,6 +224,8 @@ class Psoset:
         return not _escapes(self.rel).any()
 
     def same_carrier(self, other: "Psoset") -> bool:
+        """Same names and same relation: the one test of whether two
+        carriers, or the operations on them, match."""
         return self.names == other.names and np.array_equal(self.rel, other.rel)
 
 
@@ -263,18 +310,14 @@ def restricted_reachable(p: Psoset, C, x: int, y: int) -> bool:
 
 def is_pseudo_chain(p: Psoset, C) -> bool:
     """Every pair of C is connected by a chain inside C in some direction."""
-    members = _members(p, C)
-    if not members:
-        raise EmptySubset("pseudo-chain test on empty subset")
+    members = _nonempty(p, C, "pseudo-chain test")
     closed = _restricted_closure(p, members)
     return bool((closed | closed.T).all())
 
 
 def is_cycle(p: Psoset, C) -> bool:
     """Every pair of C is connected by chains inside C in both directions."""
-    members = _members(p, C)
-    if not members:
-        raise EmptySubset("cycle test on empty subset")
+    members = _nonempty(p, C, "cycle test")
     return bool(_restricted_closure(p, members).all())
 
 

@@ -25,20 +25,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import _side_masks
 from .errors import (
     ElementNotInSubset,
-    EmptySubset,
     NotACoAtom,
     NotASubLattice,
     NotAnInteriorOperator,
-    NotBounded,
     RangeNotRightTransitive,
     TargetMismatch,
     VNotATnorm,
 )
 from .interior import UnaryMap, interior_from_subset, validate_interior
-from .relation import Psoset, _first, _members, co_atoms, validate_psoset
+from .relation import (
+    Psoset,
+    _first,
+    _members,
+    _nonempty,
+    _require_bounds,
+    _require_side,
+    co_atoms,
+    validate_psoset,
+)
 from .trellis import Trellis, build_trellis, is_sub_lattice
 
 
@@ -59,7 +65,9 @@ class BinaryOpTable:
         return int(self.table[x, y])
 
     def same_op(self, other: "BinaryOpTable") -> bool:
-        return self.names == other.names and np.array_equal(self.table, other.table)
+        return self.target.same_carrier(other.target) and np.array_equal(
+            self.table, other.table
+        )
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -191,12 +199,6 @@ def check(op: BinaryOpTable) -> TnormReport:
     return report
 
 
-def _require_bounds(p) -> tuple[int, int]:
-    if p.bottom is None or p.top is None:
-        raise NotBounded("construction needs bottom and top")
-    return p.bottom, p.top
-
-
 def _neutral_top(p: Psoset, tab: np.ndarray) -> BinaryOpTable:
     """tab, a fresh array, with the top made neutral: T(top, y) = y and
     T(x, top) = x overwrite whatever was gathered there."""
@@ -214,7 +216,7 @@ def t_drastic(p: Psoset) -> BinaryOpTable:
 
 def t_coatom(p: Psoset, i: int) -> BinaryOpTable:
     """Drastic everywhere except T(i, i) = i for a chosen co-atom i."""
-    bottom, top = _require_bounds(p)
+    _require_bounds(p)
     if i not in co_atoms(p):
         raise NotACoAtom(f"{p.names[i]} is not a co-atom")
     op = t_drastic(p)
@@ -260,9 +262,7 @@ def restrict(t: Trellis, A) -> tuple[Trellis, list[int]]:
 
     Returns the restricted trellis plus the sorted member list mapping
     local indices back to global ones."""
-    members = _members(t, A)
-    if not members:
-        raise EmptySubset("restriction to an empty subset")
+    members = _nonempty(t, A, "restriction")
     sub_rel = t.rel[np.ix_(members, members)]
     sub_names = tuple(t.names[x] for x in members)
     sub_p = validate_psoset(sub_rel, sub_names)
@@ -329,13 +329,8 @@ def tnorm_via_interior(
     report = validate_interior(t, im)
     if not report.ok:
         raise NotAnInteriorOperator("map fails the interior axioms", report)
-    rtr = _side_masks(t.rel)[0]
     image = sorted(im.image())
-    bad = [x for x in image if not rtr[x]]
-    if bad:
-        raise RangeNotRightTransitive(
-            f"range members not right-transitive: {[t.names[x] for x in bad]}", bad
-        )
+    _require_side(t, image, "right", RangeNotRightTransitive)
     if v is None:
         return _meet_of_images(t, im.map)
     _gate_v(t, image, v)
@@ -357,7 +352,6 @@ def tnorm_via_subset(
     if unchecked:
         if v is not None:
             raise ValueError("unchecked mode always uses the global meet")
-        _require_bounds(t)
         return _meet_of_images(t, interior_from_subset(t, A).map)
     im = interior_from_subset(t, A)
     return tnorm_via_interior(t, im, v)
@@ -365,7 +359,7 @@ def tnorm_via_subset(
 
 def pointwise_leq(a: BinaryOpTable, b: BinaryOpTable) -> bool:
     """a <= b cellwise in the carrier's order; carriers must match."""
-    if a.names != b.names or not np.array_equal(a.target.rel, b.target.rel):
+    if not a.target.same_carrier(b.target):
         raise TargetMismatch("operations live on different carriers")
     return bool(a.target.rel[a.table, b.table].all())
 

@@ -14,22 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AxiomsFailed,
-    EmptySubset,
-    NotATrellis,
-    NotBounded,
-    NotModular,
-    ValidationError,
-)
+from .errors import AxiomsFailed, NotATrellis, NotModular, ValidationError
 from .relation import (
     Psoset,
     _escapes,
     _first,
     _members,
-    down_set,
-    maximal_cycles,
-    up_set,
+    _nonempty,
+    _require_bounds,
     validate_psoset,
 )
 
@@ -69,17 +61,13 @@ def _bounds(rel: np.ndarray) -> np.ndarray:
 
 def infimum(p: Psoset, S) -> int | None:
     """Greatest lower bound of S, or None when it does not exist."""
-    members = _members(p, S)
-    if not members:
-        raise EmptySubset("infimum of empty subset")
+    members = _nonempty(p, S, "infimum")
     g = int(_greatest(p.rel[:, members].all(axis=1), p.rel))
     return None if g < 0 else g
 
 
 def supremum(p: Psoset, S) -> int | None:
-    members = _members(p, S)
-    if not members:
-        raise EmptySubset("supremum of empty subset")
+    members = _nonempty(p, S, "supremum")
     g = int(_greatest(p.rel[members, :].all(axis=0), p.rel.T))
     return None if g < 0 else g
 
@@ -272,15 +260,14 @@ def is_sub_lattice(t: Trellis, A) -> bool:
 def modular_implication_check(t: Trellis) -> bool:
     """On a bounded modular trellis: x <= z and x v y = 1 force x ^ y <= z.
     Scans every triple; included as an executable sanity check."""
-    if t.top is None or t.bottom is None:
-        raise NotBounded("check needs bottom and top")
+    _, top = _require_bounds(t)
     witness = modular_violation(t)
     if witness is not None:
         raise NotModular("not modular", witness)
     rel, meet, join = t.rel, t.meet, t.join
     for x in range(t.n):
         # [y, z]: x v y = 1 and x <= z, yet x ^ y is not below z
-        if ((join[x] == t.top)[:, None] & rel[x] & ~rel[meet[x]]).any():
+        if ((join[x] == top)[:, None] & rel[x] & ~rel[meet[x]]).any():
             return False
     return True
 
@@ -303,7 +290,4 @@ __all__ = [
     "is_sub_trellis",
     "is_sub_lattice",
     "modular_implication_check",
-    "maximal_cycles",
-    "down_set",
-    "up_set",
 ]

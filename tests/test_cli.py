@@ -283,3 +283,83 @@ def test_verify_paper_smoke(capsys):
     lines = [l for l in out.splitlines() if l.startswith("criterion")]
     assert len(lines) == 10
     assert all("PASS" in l for l in lines)
+
+
+# Exit code of each subcommand, run with --json, on each shipped document.
+# Only the six-element cycle, which has no top, is refused (exit 4), by
+# the commands that need bounds.
+SWEEP = {
+    "validate": (),
+    "classify": (),
+    "structure": (),
+    "enumerate": (),
+    "construct": ("--method", "drastic"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP))
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_every_subcommand_on_every_shipped_document(command, name, capsys):
+    path = str(DATA / name)
+    code, out, err = run(capsys, command, path, *SWEEP[command], "--json")
+    refused = name == "six_element_cycle.psoset" and command in (
+        "enumerate", "construct"
+    )
+    if refused:
+        assert (code, out) == (4, "")
+        assert "bottom and a top" in err
+        return
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["schema"] == "trelliskit-report/1"
+    assert payload["command"] == command
+    assert payload["file"] == path
+
+
+# A bounded psoset that is not a trellis: a and b have two minimal upper
+# bounds, c and d, so no join.
+NO_JOIN = (
+    "psoset-document v1\n"
+    "elements: 0 a b c d 1\n"
+    "relation:\n"
+    "1 1 1 1 1 1\n0 1 0 1 1 1\n0 0 1 1 1 1\n"
+    "0 0 0 1 0 1\n0 0 0 0 1 1\n0 0 0 0 0 1\n"
+)
+
+
+def test_every_subcommand_on_a_bounded_psoset_that_is_no_trellis(tmp_path, capsys):
+    path = tmp_path / "no_join.psoset"
+    path.write_text(NO_JOIN)
+    gap = "pair (a, b) has no join"
+    code, payload = run_json(capsys, "validate", str(path))
+    assert code == 0 and payload["is_trellis"] is False
+    assert payload["trellis_gap"] == gap and "axioms_ok" not in payload
+    code, _, err = run(capsys, "classify", str(path))
+    assert code == 4 and gap in err
+    code, payload = run_json(capsys, "structure", str(path))
+    assert code == 0 and payload["kind"]["bounded"] is True
+    assert payload["kind"]["trellis"] is False
+    assert "join_cover_condition" not in payload
+    code, payload = run_json(capsys, "construct", str(path), "--method", "drastic")
+    assert code == 0 and payload["report"]["is_tnorm"] is True
+    code, _, err = run(capsys, "construct", str(path), "--method", "z")
+    assert code == 4 and "meets and joins" in err
+    code, payload = run_json(capsys, "enumerate", str(path))
+    assert code == 0 and payload["complete"] is True and payload["count"] >= 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", PENTAGON, "--dot", "out.dot"],
+        ["construct", PENTAGON, "--method", "drastic", "--dot", "out.dot"],
+        ["verify-paper", "--dot", "out.dot"],
+        ["validate", PENTAGON, "--seed", "1"],
+        ["enumerate", PENTAGON, "--seed", "1"],
+    ],
+)
+def test_options_a_subcommand_does_not_use_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -12,8 +12,11 @@ from trelliskit import (
     enumerate_tnorms,
     enumeration,
     greatest_tnorm,
+    interior_from_subset,
     is_maximal_tnorm,
+    join_cover_witness,
     make_op,
+    modular_implication_check,
     order_diagram,
     pointwise_leq,
     pointwise_order,
@@ -23,6 +26,7 @@ from trelliskit import (
     t_coatom,
     t_drastic,
     t_join_cover,
+    tnorm_via_interior,
     tnorm_via_subset,
 )
 from trelliskit.errors import (
@@ -32,12 +36,15 @@ from trelliskit.errors import (
     PreconditionViolated,
     TargetMismatch,
 )
+from trelliskit.fileformat import document_trellis
 from trelliskit.fixtures import (
     CARRIERS,
     bounded_chain,
+    carrier_document,
     diamond_lattice,
     recorded_table,
 )
+from trelliskit.interior import UnaryMap
 from trelliskit.tnorms import _tnorm_mask
 
 # canonical (row-major) positions of the recorded pentagon tables
@@ -296,9 +303,37 @@ def test_cap_guard():
         enumerate_tnorms(bounded_chain(12), cap=12, limit=1)
 
 
-def test_unbounded_carriers_are_refused():
+def _six_cycle_trellis():
+    # every pair has a meet and a join, but there is no top
+    t, kind = document_trellis(carrier_document("six_cycle"))
+    assert kind.is_trellis and not kind.is_bounded
+    return t
+
+
+# Every entry point that needs a bottom and a top.  The bounds are checked
+# first, so the other arguments are placeholders.
+BOUNDED_ENTRY_POINTS = {
+    "t_drastic": t_drastic,
+    "t_coatom": lambda t: t_coatom(t, 1),
+    "t_join_cover": t_join_cover,
+    "join_cover_witness": join_cover_witness,
+    "enumerate_tnorms": enumerate_tnorms,
+    "bruteforce_tnorms": bruteforce_tnorms,
+    "bruteforce_candidate_count": bruteforce_candidate_count,
+    "interior_from_subset": lambda t: interior_from_subset(t, [t.bottom]),
+    "tnorm_via_interior": lambda t: tnorm_via_interior(
+        t, UnaryMap(t, np.arange(t.n))
+    ),
+    "modular_implication_check": modular_implication_check,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BOUNDED_ENTRY_POINTS))
+@pytest.mark.parametrize("carrier", ["psoset", "trellis"])
+def test_unbounded_carriers_are_refused(entry, carrier):
+    t = CARRIERS["six_cycle"]() if carrier == "psoset" else _six_cycle_trellis()
     with pytest.raises(NotBounded):
-        enumerate_tnorms(CARRIERS["six_cycle"]())
+        BOUNDED_ENTRY_POINTS[entry](t)
 
 
 def test_fork8_count_and_construction_membership():

@@ -23,10 +23,13 @@ from trelliskit import (
     validate_psoset,
 )
 from trelliskit.errors import (
+    BottomMissing,
     DuplicateName,
+    ElementNotInSubset,
     EmptySubset,
     NotAntisymmetric,
     NotReflexive,
+    PreconditionError,
     ValidationError,
 )
 from trelliskit.fixtures import CARRIERS, RECORDED_FACTS, bounded_chain
@@ -261,6 +264,40 @@ def test_subset_entries_out_of_range_are_a_validation_error(reader, bad):
     with pytest.raises(ValidationError) as err:
         SUBSET_READERS[reader](t, [0, bad])
     assert err.value.violations == [bad]
+
+
+# What each reader does with the empty subset: the exception class it
+# raises, or None when it answers (each of those answers True).
+EMPTY_SUBSET_OUTCOMES = {
+    "restricted_reachable": ElementNotInSubset,
+    "is_pseudo_chain": EmptySubset,
+    "is_cycle": EmptySubset,
+    "infimum": EmptySubset,
+    "supremum": EmptySubset,
+    "is_meet_sub_trellis": None,
+    "is_join_sub_trellis": None,
+    "is_sub_trellis": None,
+    "is_sub_lattice": None,
+    "iterated_join": EmptySubset,
+    "iterated_meet": EmptySubset,
+    "interior_from_subset": BottomMissing,
+    "restrict": EmptySubset,
+    "scaled_meet": ElementNotInSubset,
+    "tnorm_via_subset": BottomMissing,
+    "tnorm_via_subset_unchecked": BottomMissing,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(SUBSET_READERS))
+def test_empty_subset(reader):
+    t = CARRIERS["pentagon"]()
+    error = EMPTY_SUBSET_OUTCOMES[reader]
+    if error is None:
+        assert SUBSET_READERS[reader](t, []) is True
+        return
+    with pytest.raises(PreconditionError) as err:
+        SUBSET_READERS[reader](t, [])
+    assert type(err.value) is error
 
 
 def test_subset_reader_sorts_and_dedupes():

@@ -552,3 +552,18 @@ def test_kernel_equals_check_when_one_axiom_fails():
             if len(failed) == 1:
                 alone |= failed
     assert alone == set(AXIOMS)
+
+
+def test_same_op_compares_the_carriers_relations():
+    # a five-element chain under the pentagon's names: same names, same
+    # drastic table, different order
+    pentagon = CARRIERS["pentagon"]()
+    chain, _ = build_trellis(
+        validate_psoset(bounded_chain(5).rel, pentagon.names)
+    )
+    a, b = t_drastic(pentagon), t_drastic(chain)
+    assert np.array_equal(a.table, b.table)
+    assert not a.same_op(b) and not b.same_op(a)
+    assert a.same_op(t_drastic(pentagon))
+    with pytest.raises(TargetMismatch):
+        pointwise_leq(a, b)

@@ -19,7 +19,7 @@ from .errors import (
     NotRightTransitiveSubset,
     ValidationError,
 )
-from .relation import _members, _require_bounds, _require_side
+from .relation import _hits, _members, _require_bounds, _require_side
 from .trellis import Trellis, _greatest
 
 
@@ -57,9 +57,10 @@ class InteriorReport:
 
 
 def validate_interior(t: Trellis, m: UnaryMap) -> InteriorReport:
-    """Check the interior axioms.  Raises ValidationError unless the map is
-    an integer array of length n with every entry in 0..n-1; its violations
-    are the positions holding an entry outside that range."""
+    """Check the interior axioms; each list holds its violating elements or
+    pairs in row-major (lexicographic) order.  Raises ValidationError
+    unless the map is an integer array of length n with entries in 0..n-1;
+    its violations are the positions holding an entry outside that range."""
     rel, meet, n = t.rel, t.meet, t.n
     f = np.asarray(m.map)
     if f.shape != (n,) or not np.issubdtype(f.dtype, np.integer):
@@ -69,20 +70,16 @@ def validate_interior(t: Trellis, m: UnaryMap) -> InteriorReport:
     outside = np.flatnonzero((f < 0) | (f >= n)).tolist()
     if outside:
         raise ValidationError(f"map entries outside 0..{n - 1} at {outside}", outside)
-    contractive = [int(x) for x in range(n) if not rel[f[x], x]]
-    idempotent = [int(x) for x in range(n) if f[f[x]] != f[x]]
-    hom = [
-        (x, y)
-        for x in range(n)
-        for y in range(n)
-        if f[meet[x, y]] != meet[f[x], f[y]]
-    ]
-    image = sorted(set(int(v) for v in f))
-    fixed = [int(v) for v in image if f[v] != v]
-    increasing = [
-        (x, y) for x in range(n) for y in range(n) if rel[x, y] and not rel[f[x], f[y]]
-    ]
-    return InteriorReport(contractive, idempotent, hom, fixed, increasing)
+    idx = np.arange(n)
+    in_image = np.zeros(n, dtype=bool)
+    in_image[f] = True
+    return InteriorReport(
+        contractive=np.flatnonzero(~rel[f, idx]).tolist(),
+        idempotent=np.flatnonzero(f[f] != f).tolist(),
+        meet_homomorphism=_hits(f[meet] != meet[f[:, None], f]),
+        fixed_on_range=np.flatnonzero(in_image & (f != idx)).tolist(),
+        increasing=_hits(rel & ~rel[f[:, None], f]),
+    )
 
 
 def interior_range(t: Trellis, m: UnaryMap) -> frozenset[int]:

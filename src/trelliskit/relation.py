@@ -35,6 +35,12 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in np.unravel_index(k, mask.shape))
 
 
+def _hits(mask: np.ndarray) -> list[tuple[int, ...]]:
+    """Index of every True entry of mask, in row-major order, which is
+    lexicographic order; with _first, the one violation scan."""
+    return list(zip(*(ix.tolist() for ix in np.nonzero(mask))))
+
+
 def _escapes(rel: np.ndarray) -> np.ndarray:
     """[a, y]: some x with a <= x <= y, yet not a <= y.  rel is transitive
     exactly when this is empty."""
@@ -249,7 +255,8 @@ def validate_psoset(rel, names) -> Psoset:
     """Check reflexivity/antisymmetry and detect bottom/top.
 
     Raises DuplicateName, NotReflexive or NotAntisymmetric; each error
-    carries every violating element/pair found.
+    carries every violating element, or every violating pair x < y, in
+    row-major (lexicographic) order.
     """
     names = tuple(names)
     if len(set(names)) != len(names):
@@ -263,7 +270,7 @@ def validate_psoset(rel, names) -> Psoset:
             f"{len(names)} names for a {rel.shape[0]}x{rel.shape[0]} relation"
         )
     n = len(names)
-    not_reflexive = [int(x) for x in np.flatnonzero(~rel.diagonal())]
+    not_reflexive = np.flatnonzero(~rel.diagonal()).tolist()
     if not_reflexive:
         raise NotReflexive(
             f"missing x <= x for: {[names[x] for x in not_reflexive]}",
@@ -271,7 +278,7 @@ def validate_psoset(rel, names) -> Psoset:
         )
     both = rel & rel.T & ~np.eye(n, dtype=bool)
     if both.any():
-        pairs = [(int(x), int(y)) for x, y in zip(*np.nonzero(both)) if x < y]
+        pairs = _hits(np.triu(both))
         raise NotAntisymmetric(
             f"mutually related distinct pairs: "
             f"{[(names[x], names[y]) for x, y in pairs]}",
@@ -293,7 +300,8 @@ def reachable(p: Psoset, x: int, y: int) -> bool:
 
 
 def _restricted_closure(p: Psoset, members: list[int]) -> np.ndarray:
-    return transitive_closure(p.rel[np.ix_(members, members)])
+    m = np.asarray(members, dtype=np.intp)
+    return transitive_closure(p.rel[m[:, None], m])
 
 
 def restricted_reachable(p: Psoset, C, x: int, y: int) -> bool:
@@ -342,9 +350,9 @@ def co_atoms(p: Psoset) -> frozenset[int]:
     """Maximal elements of the carrier with the top removed."""
     if p.top is None:
         raise NoTop("co-atoms need a greatest element")
-    rest = [x for x in range(p.n) if x != p.top]
     strict = p.rel & ~np.eye(p.n, dtype=bool)
-    return frozenset(x for x in rest if not any(strict[x, y] for y in rest))
+    # each x but the top lies strictly below the top; a co-atom below nothing else
+    return frozenset(np.flatnonzero(strict.sum(axis=1) == 1).tolist())
 
 
 def hasse(p: Psoset) -> HasseDiagram:
@@ -362,13 +370,8 @@ def hasse(p: Psoset) -> HasseDiagram:
     has_mid = np.unpackbits(mid, axis=1, count=p.n).view(bool)
     reach = p.closure
     dashed = ~p.rel & ~p.rel.T & (reach | reach.T) & ~eye
-
-    def pairs(mask):
-        xs, ys = np.nonzero(mask)
-        return zip(xs.tolist(), ys.tolist())
-
     return HasseDiagram(
-        cover_edges=frozenset(pairs(noid & ~has_mid)),
-        dashed_pairs=frozenset(map(frozenset, pairs(np.triu(dashed)))),
-        back_edges=frozenset(pairs(noid & reach.T)),
+        cover_edges=frozenset(_hits(noid & ~has_mid)),
+        dashed_pairs=frozenset(map(frozenset, _hits(np.triu(dashed)))),
+        back_edges=frozenset(_hits(noid & reach.T)),
     )

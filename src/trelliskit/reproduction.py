@@ -384,8 +384,8 @@ def _laws_for_trellis(t, rng, ch_counts):
     if not is_join_sub_trellis(t, sorted(np.flatnonzero(cls.join_ass))):
         bad.append("join-associative set not join-closed")
 
-    m = np.array(rtr_m)
-    sub = t.join[np.ix_(m, m)]
+    m = np.array(rtr_m, dtype=np.intp)
+    sub = t.join[m[:, None], m]
     left = t.join[sub[:, :, None], m[None, None, :]]
     right = t.join[m[:, None, None], sub[None, :, :]]
     if not (left == right).all():

@@ -38,6 +38,7 @@ from .interior import UnaryMap, interior_from_subset, validate_interior
 from .relation import (
     Psoset,
     _first,
+    _hits,
     _members,
     _nonempty,
     _require_bounds,
@@ -77,12 +78,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def make_op(target, table) -> BinaryOpTable:
-    table = np.asarray(table, dtype=np.int64).copy()
+    """The operation with this table, copied and frozen; ValueError unless
+    it is an n x n integer table with entries in 0..n-1."""
+    table = np.asarray(table)
     if table.shape != (target.n, target.n):
         raise ValueError(f"table shape {table.shape} does not match carrier")
+    if table.dtype.kind not in "iu":  # no bools, no floats to truncate
+        raise ValueError(f"table must hold integers, got {table.dtype}")
     if table.min() < 0 or table.max() >= target.n:
-        raise ValueError("table entries out of range")
-    return BinaryOpTable(target=target, table=_freeze(table))
+        cells = _hits((table < 0) | (table >= target.n))
+        raise ValueError(f"table entries outside 0..{target.n - 1} at {cells}")
+    return BinaryOpTable(target=target, table=_freeze(np.array(table, dtype=np.int64)))
 
 
 def meet_op(t: Trellis) -> BinaryOpTable:
@@ -226,15 +232,19 @@ def t_coatom(p: Psoset, i: int) -> BinaryOpTable:
 
 
 def join_cover_witness(t: Trellis) -> tuple[int, int, int, int] | None:
-    """First (x, y, z, w) with x ^ y != bottom, x v y = top, yet
-    (x v z) v (y v w) != top.  None when the condition holds."""
+    """First (x, y, z, w) in row-major (lexicographic) order with
+    x ^ y != bottom, x v y = top, yet (x v z) v (y v w) != top.  None when
+    the condition holds."""
     bottom, top = _require_bounds(t)
     meet, join = t.meet, t.join
-    for x, y in zip(*np.nonzero((meet != bottom) & (join == top))):
-        # [z, w]: (x v z) v (y v w) != top
-        hit = _first(join[join[x][:, None], join[y]] != top)
+    covers, off_top = (meet != bottom) & (join == top), join != top
+    for x in np.flatnonzero(covers.any(axis=1)).tolist():
+        # [y, z, w]: x ^ y != bottom, x v y = top, yet (x v z) v (y v w) != top
+        hit = _first(
+            covers[x, :, None, None] & off_top[join[x, :, None], join[:, None]]
+        )
         if hit is not None:
-            return (int(x), int(y), *hit)
+            return (x, *hit)
     return None
 
 
@@ -263,9 +273,8 @@ def restrict(t: Trellis, A) -> tuple[Trellis, list[int]]:
     Returns the restricted trellis plus the sorted member list mapping
     local indices back to global ones."""
     members = _nonempty(t, A, "restriction")
-    sub_rel = t.rel[np.ix_(members, members)]
-    sub_names = tuple(t.names[x] for x in members)
-    sub_p = validate_psoset(sub_rel, sub_names)
+    m = np.asarray(members, dtype=np.intp)
+    sub_p = validate_psoset(t.rel[m[:, None], m], [t.names[x] for x in members])
     sub_t, _ = build_trellis(sub_p)
     return sub_t, members
 
@@ -287,13 +296,13 @@ def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
     return BinaryOpTable(target=sub, table=_freeze(tab))
 
 
-def _gate_v(t: Trellis, image: list[int], v: BinaryOpTable) -> None:
+def _gate_v(t: Trellis, image: np.ndarray, v: BinaryOpTable) -> None:
     """The range operation must live on the range and be commutative,
     associative, increasing and bounded above by the range's meet.  (A
     neutral element is NOT required: the construction never evaluates v
     against the original top, and the useful suppliers — scaled meets —
     generally lack one.)"""
-    sub_rel = t.rel[np.ix_(image, image)]
+    sub_rel = t.rel[image[:, None], image]
     if v.names != t.labels(image) or not np.array_equal(v.target.rel, sub_rel):
         raise VNotATnorm("operation is not defined on the operator's range")
     report = check(v)
@@ -312,7 +321,8 @@ def _gate_v(t: Trellis, image: list[int], v: BinaryOpTable) -> None:
 
 def _meet_of_images(t: Trellis, f: np.ndarray) -> BinaryOpTable:
     """Neutral top; elsewhere the carrier's meet of the images f[x], f[y]."""
-    return _neutral_top(t, t.meet[np.ix_(f, f)])
+    f = np.asarray(f, dtype=np.intp)
+    return _neutral_top(t, t.meet[f[:, None], f])
 
 
 def tnorm_via_interior(
@@ -333,10 +343,10 @@ def tnorm_via_interior(
     _require_side(t, image, "right", RangeNotRightTransitive)
     if v is None:
         return _meet_of_images(t, im.map)
-    _gate_v(t, image, v)
-    members = np.array(image)
+    members = np.array(image, dtype=np.intp)
+    _gate_v(t, members, v)
     loc = np.searchsorted(members, im.map)  # local index of each image
-    return _neutral_top(t, members[v.table[np.ix_(loc, loc)]])
+    return _neutral_top(t, members[v.table[loc[:, None], loc]])
 
 
 def tnorm_via_subset(

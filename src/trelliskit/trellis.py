@@ -19,6 +19,7 @@ from .relation import (
     Psoset,
     _escapes,
     _first,
+    _hits,
     _members,
     _nonempty,
     _require_bounds,
@@ -72,14 +73,10 @@ def supremum(p: Psoset, S) -> int | None:
     return None if g < 0 else g
 
 
-def _pair_tables(p: Psoset):
-    """Meet/join tables (-1 where a pair has none); returns (meet, join,
-    first missing meet pair, first missing join pair).  The join is the
-    meet of the dual order.  The tables are symmetric, so the first
-    missing cell in row-major order is the first pair x <= y."""
-    meet = _greatest(_bounds(p.rel), p.rel)
-    join = _greatest(_bounds(p.rel.T), p.rel.T)
-    return meet, join, _first(meet < 0), _first(join < 0)
+def _pair_tables(p: Psoset) -> tuple[np.ndarray, np.ndarray]:
+    """Meet/join tables, -1 where a pair has none.  The join is the meet
+    of the dual order."""
+    return _greatest(_bounds(p.rel), p.rel), _greatest(_bounds(p.rel.T), p.rel.T)
 
 
 def _with_tables(p: Psoset, meet: np.ndarray, join: np.ndarray) -> Trellis:
@@ -88,17 +85,17 @@ def _with_tables(p: Psoset, meet: np.ndarray, join: np.ndarray) -> Trellis:
 
 def build_trellis(p: Psoset) -> tuple[Trellis, StructureKind]:
     """Materialize meet/join tables; raise NotATrellis on the first pair
-    lacking one (lexicographically first in index order)."""
-    meet, join, missing_meet, missing_join = _pair_tables(p)
-    if missing_meet is not None or missing_join is not None:
-        pair, kind = missing_meet, "meet"
-        if missing_meet is None or (
-            missing_join is not None and missing_join < missing_meet
-        ):
-            pair, kind = missing_join, "join"
-        x, y = pair
+    lacking one (lexicographically first in index order; the tables are
+    symmetric, so that pair has x <= y).  A pair lacking both reports its
+    meet."""
+    meet, join = _pair_tables(p)
+    # [x, y, k]: (x, y) has no meet (k = 0) or no join (k = 1)
+    missing = _first(np.stack([meet < 0, join < 0], -1))
+    if missing is not None:
+        x, y, k = missing
+        kind = ("meet", "join")[k]
         raise NotATrellis(
-            f"pair ({p.names[x]}, {p.names[y]}) has no {kind}", pair=pair, kind=kind
+            f"pair ({p.names[x]}, {p.names[y]}) has no {kind}", pair=(x, y), kind=kind
         )
     meet.setflags(write=False)
     join.setflags(write=False)
@@ -112,9 +109,9 @@ def structure_kind(p: Psoset) -> StructureKind:
     if isinstance(p, Trellis):
         t, has_meet, has_join = p, True, True
     else:
-        meet, join, missing_meet, missing_join = _pair_tables(p)
-        has_meet = missing_meet is None
-        has_join = missing_join is None
+        meet, join = _pair_tables(p)
+        has_meet = bool((meet >= 0).all())
+        has_join = bool((join >= 0).all())
         t = _with_tables(p, meet, join) if has_meet and has_join else None
     is_trellis = has_meet and has_join
     is_lattice = is_trellis and p.is_transitive()
@@ -152,7 +149,7 @@ class AxiomReport:
 
 def check_skala_axioms(meet: np.ndarray, join: np.ndarray) -> AxiomReport:
     """Verify commutativity, idempotence, absorption and part-preservation;
-    every violating tuple is reported (row-major order).
+    every violating tuple is reported, in row-major (lexicographic) order.
 
     Raises ValidationError unless both tables are square integer tables of
     one size with every entry in 0..n-1; its violations are the cells
@@ -172,24 +169,19 @@ def check_skala_axioms(meet: np.ndarray, join: np.ndarray) -> AxiomReport:
     n = meet.shape[0]
     outside = (meet < 0) | (meet >= n) | (join < 0) | (join >= n)
     if outside.any():
-        cells = [tuple(cell) for cell in np.argwhere(outside).tolist()]
+        cells = _hits(outside)
         raise ValidationError(f"table entries outside 0..{n - 1} at {cells}", cells)
     idx = np.arange(n)
     col = idx[:, None]
-
-    def tuples(mask, *lead):
-        return [(*lead, *hit) for hit in np.argwhere(mask).tolist()]
-
-    idempotent = tuples((meet.diagonal() != idx) | (join.diagonal() != idx))
-    commutative = tuples((meet != meet.T) | (join != join.T))
+    idempotent = _hits((meet.diagonal() != idx) | (join.diagonal() != idx))
+    commutative = _hits((meet != meet.T) | (join != join.T))
     # [x, y]: x v (y ^ x) = x = x ^ (y v x)
-    absorption = tuples((join[col, meet.T] != col) | (meet[col, join.T] != col))
-    part = []
-    for x in range(n):
-        # [y, z]: x v ((x^y) v (x^z)) = x = x ^ ((xvy) ^ (xvz))
-        lhs = join[x][join[meet[x][:, None], meet[x]]]
-        rhs = meet[x][meet[join[x][:, None], join[x]]]
-        part += tuples((lhs != x) | (rhs != x), x)
+    absorption = _hits((join[col, meet.T] != col) | (meet[col, join.T] != col))
+    # [x, y, z]: x v ((x^y) v (x^z)) = x = x ^ ((xvy) ^ (xvz))
+    x = idx[:, None, None]
+    lhs = join[x, join[meet[:, :, None], meet[:, None, :]]]
+    rhs = meet[x, meet[join[:, :, None], join[:, None, :]]]
+    part = _hits((lhs != x) | (rhs != x))
     return AxiomReport(commutative, idempotent, absorption, part)
 
 
@@ -216,14 +208,12 @@ def trellis_from_tables(names, meet, join) -> Trellis:
 
 
 def modular_violation(t: Trellis) -> tuple[int, int, int] | None:
-    """First (x, y, z) with x <= z but x v (y ^ z) != (x v y) ^ z."""
+    """First (x, y, z) in row-major (lexicographic) order with x <= z but
+    x v (y ^ z) != (x v y) ^ z."""
     rel, meet, join = t.rel, t.meet, t.join
-    for x in range(t.n):
-        # [y, z]: x <= z but x v (y ^ z) != (x v y) ^ z
-        hit = _first(rel[x] & (join[x][meet] != meet[join[x]]))
-        if hit is not None:
-            return (x, *hit)
-    return None
+    x = np.arange(t.n)[:, None, None]
+    # [x, y, z]: x <= z but x v (y ^ z) != (x v y) ^ z
+    return _first(rel[:, None, :] & (join[x, meet] != meet[join]))
 
 
 def is_modular(t: Trellis) -> bool:
@@ -231,9 +221,10 @@ def is_modular(t: Trellis) -> bool:
 
 
 def _closed_under(table: np.ndarray, members: list[int]) -> bool:
+    m = np.asarray(members, dtype=np.intp)
     inside = np.zeros(len(table), dtype=bool)
-    inside[members] = True
-    return bool(inside[table[np.ix_(members, members)]].all())
+    inside[m] = True
+    return bool(inside[table[m[:, None], m]].all())
 
 
 def is_meet_sub_trellis(t: Trellis, A) -> bool:
@@ -254,7 +245,8 @@ def is_sub_lattice(t: Trellis, A) -> bool:
     members = _members(t, A)
     if not is_sub_trellis(t, members):
         return False
-    return not _escapes(t.rel[np.ix_(members, members)]).any()
+    m = np.asarray(members, dtype=np.intp)
+    return not _escapes(t.rel[m[:, None], m]).any()
 
 
 def modular_implication_check(t: Trellis) -> bool:
@@ -265,11 +257,8 @@ def modular_implication_check(t: Trellis) -> bool:
     if witness is not None:
         raise NotModular("not modular", witness)
     rel, meet, join = t.rel, t.meet, t.join
-    for x in range(t.n):
-        # [y, z]: x v y = 1 and x <= z, yet x ^ y is not below z
-        if ((join[x] == top)[:, None] & rel[x] & ~rel[meet[x]]).any():
-            return False
-    return True
+    # [x, y, z]: x v y = 1 and x <= z, yet x ^ y is not below z
+    return not ((join == top)[:, :, None] & rel[:, None, :] & ~rel[meet]).any()
 
 
 __all__ = [

@@ -363,3 +363,76 @@ def test_options_a_subcommand_does_not_use_are_usage_errors(argv, capsys):
         cli.main(argv)
     assert exit_.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _mutants(text, rng):
+    """(label, text) pairs: the shipped document with one relation bit
+    flipped (with and without its meet and join blocks), a relation row
+    dropped, a name duplicated, a meet entry naming no element, a meet
+    entry naming the wrong element, and cut short."""
+    lines = text.split("\n")
+    names = lines[1].split()[1:]
+    n = len(names)
+    rel_at = lines.index("relation:") + 1
+    out = []
+
+    def edited(k, col, token):
+        changed = list(lines)
+        row = changed[k].split()
+        row[col] = token
+        changed[k] = " ".join(row)
+        return "\n".join(changed)
+
+    for _ in range(3):
+        r, c = rng.randrange(n), rng.randrange(n)
+        bit = lines[rel_at + r].split()[c]
+        flipped = edited(rel_at + r, c, "10"[int(bit)])
+        out.append(("flip", flipped))
+        if "meet:" in lines:  # canonical order: the join block follows the meet's
+            tables = slice(lines.index("meet:"), lines.index("meet:") + 2 * (n + 1))
+            bare = flipped.split("\n")
+            del bare[tables]
+            out.append(("flip_bare", "\n".join(bare)))
+    dropped = list(lines)
+    del dropped[rel_at + rng.randrange(n)]
+    out.append(("drop_row", "\n".join(dropped)))
+    out.append(("dup_name", edited(1, 1 + rng.randrange(1, n), names[0])))
+    if "meet:" in lines:
+        k, col = lines.index("meet:") + 1 + rng.randrange(n), rng.randrange(n)
+        out.append(("meet_unknown", edited(k, col, "zz")))
+        wrong = rng.choice([s for s in names if s != lines[k].split()[col]])
+        out.append(("meet_wrong", edited(k, col, wrong)))
+    for _ in range(2):
+        out.append(("truncate", text[: rng.randrange(len(text))]))
+    return out
+
+
+def _argvs(path, text):
+    names = text.split("\n")[1].split()[1:]
+    map_token = "lam" if "\nmap lam:" in text else ",".join(names)
+    methods = ["drastic", "z", f"coatom:{names[-2]}", "lambda:rtr",
+               f"interior:{map_token}", f"lambda:rtr:V={names[0]}"]
+    yield ["validate", path]
+    yield ["classify", path]
+    yield ["structure", path]
+    for method in methods:
+        yield ["construct", path, "--method", method]
+    yield ["enumerate", path, "--limit", "20"]
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.psoset")), ids=lambda p: p.stem)
+def test_mutated_documents_end_in_a_documented_exit_code(path, tmp_path, capsys):
+    """Every subcommand that reads a document, in text and JSON, on mutants
+    of a shipped document exits 0, 2, 3 or 4: never 1, and never with an
+    exception."""
+    text = path.read_text()
+    codes = set()
+    for k, (label, mutant) in enumerate(_mutants(text, random.Random(path.stem))):
+        doc = tmp_path / f"{k}_{label}.psoset"
+        doc.write_text(mutant)
+        for argv in _argvs(str(doc), text):
+            for extra in ([], ["--json"]):
+                code, _, err = run(capsys, *argv, *extra)
+                assert code in (0, 2, 3, 4), (label, argv, err)
+                codes.add(code)
+    assert {2, 3} <= codes

@@ -224,3 +224,55 @@ def test_dot_quotes_awkward_names():
     p = trelliskit.validate_psoset(rel, ('sa"y', "ok"))
     dot = export_dot(hasse(p), p.names)
     assert '"sa\\"y"' in dot
+
+
+SHIPPED_TEXTS = [path.read_text() for path in sorted(DATA.glob("*.psoset"))]
+# words a document is made of, plus a few it should not hold
+VOCABULARY = [
+    "psoset-document v1", "elements:", "relation:", "meet:", "join:", "subset",
+    "map", "op", "0", "1", "a", "b", "zz", "x:", ":", "subset s:", "op T:",
+    "map m: 0", "", " ", "\t", "0 1", "1 1 1",
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A shipped document with a few lines deleted, duplicated, inserted,
+    padded with blanks, cut short or edited token by token."""
+    lines = draw(st.sampled_from(SHIPPED_TEXTS)).split("\n")
+    word = st.one_of(st.sampled_from(VOCABULARY), st.text(max_size=6))
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        ops = ["delete", "duplicate", "insert", "edit", "cut", "pad"]
+        op = draw(st.sampled_from(ops))
+        if op == "delete" and len(lines) > 1:
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, lines[k])
+        elif op == "insert":
+            lines.insert(k, draw(word))
+        elif op == "edit":
+            tokens = lines[k].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(word)
+            lines[k] = " ".join(tokens)
+        elif op == "cut":
+            lines[k] = lines[k][: draw(st.integers(0, len(lines[k])))]
+        else:  # blank lines and extra spaces the parser skips
+            lines[k] = draw(st.sampled_from(["", "  ", "\t"])) + lines[k] + " "
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(mutated_documents(), st.text()))
+def test_parse_round_trips_or_points_inside_the_text(text):
+    """Any text either parses to a document whose canonical text parses
+    back to itself, or raises ParseError at a line and column inside the
+    text (one line past the end for a file that ends early)."""
+    try:
+        doc = parse(text)
+    except ParseError as e:
+        assert 1 <= e.line <= len(text.split("\n")) + 1, (e.line, text)
+        assert e.column >= 1
+        return
+    canonical = serialize(doc)
+    assert serialize(parse(canonical)) == canonical

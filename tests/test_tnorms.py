@@ -66,6 +66,15 @@ def test_make_op_validates_and_freezes(pentagon):
         make_op(pentagon, bad)
     with pytest.raises(ValueError):
         make_op(pentagon, np.zeros((2, 2), dtype=np.int64))
+    # not truncated to 1, and not read as 0/1
+    with pytest.raises(ValueError, match="integers, got float64"):
+        make_op(pentagon, np.full((pentagon.n, pentagon.n), 1.9))
+    with pytest.raises(ValueError, match="integers, got bool"):
+        make_op(pentagon, np.ones((pentagon.n, pentagon.n), dtype=bool))
+    tab = pentagon.meet.copy()
+    tab[1, 3], tab[4, 0] = -1, pentagon.n
+    with pytest.raises(ValueError, match=r"outside 0\.\.4 at \[\(1, 3\), \(4, 0\)\]"):
+        make_op(pentagon, tab)
 
 
 def test_lattice_meet_is_a_tnorm():

@@ -30,7 +30,7 @@ from .errors import (
     TrellisKitError,
     ValidationError,
 )
-from .fileformat import _checked_trellis, document_psoset, export_dot, parse
+from .fileformat import document_psoset, document_trellis, export_dot, parse
 from .interior import UnaryMap, interior_from_subset, interior_range
 from .relation import co_atoms, hasse, maximal_cycles
 from .tnorms import (
@@ -78,16 +78,17 @@ def _element(p, name: str) -> int:
     return p.index(name)
 
 
+def _named(names, indices):
+    """The names at indices, nested like indices.  An object array keeps
+    each name whole; a numpy string array drops trailing NULs."""
+    return np.array(names, dtype=object)[np.asarray(indices, dtype=np.intp)].tolist()
+
+
 def _format_table(names, table) -> str:
     width = max(len(s) for s in names)
     cells = [[""] + list(names)]
-    for x, row in enumerate(np.asarray(table)):
-        cells.append([names[x]] + [names[v] for v in row])
+    cells += ([name] + row for name, row in zip(names, _named(names, table)))
     return "\n".join(" ".join(f"{c:>{width}}" for c in row) for row in cells)
-
-
-def _named(names, tup):
-    return [names[i] for i in tup]
 
 
 def _report_dict(names, rep) -> dict:
@@ -126,12 +127,12 @@ def _carrier(path: str):
     The carrier is the document's trellis, with any declared meet/join
     tables checked against it, or its psoset when it is no trellis; gap
     is then the NotATrellis saying why, and None otherwise.  kind is the
-    carrier's StructureKind.  The relation is validated once."""
+    carrier's StructureKind."""
     doc = _read_document(path)
-    p = document_psoset(doc)  # ValidationError propagates -> exit 2
     try:
-        t, kind = _checked_trellis(doc, p)
+        t, kind = document_trellis(doc)  # ValidationError propagates -> exit 2
     except NotATrellis as gap:
+        p = document_psoset(doc)
         return doc, p, structure_kind(p), gap
     return doc, t, kind, None
 
@@ -180,7 +181,7 @@ def cmd_classify(args) -> int:
         raise gap
     cls = classify(t)
     subsets = {
-        alpha: [t.names[i] for i in np.flatnonzero(getattr(cls, alpha))]
+        alpha: _named(t.names, np.flatnonzero(getattr(cls, alpha)))
         for alpha in ALPHAS
     }
     if args.json:
@@ -223,7 +224,7 @@ def cmd_structure(args) -> int:
         "maximal_cycles": cycles,
         "pseudo_order_transitive": p.is_transitive(),
         "co_atoms": (
-            [p.names[i] for i in sorted(co_atoms(p))] if p.top is not None else None
+            _named(p.names, sorted(co_atoms(p))) if p.top is not None else None
         ),
     }
     if gap is None and kind.is_bounded:
@@ -307,7 +308,7 @@ def cmd_construct(args) -> int:
             args,
             file=args.file,
             method=method,
-            table=[[p.names[v] for v in row] for row in op.table],
+            table=_named(p.names, op.table),
             report=_report_dict(p.names, rep),
         )
         return EXIT_OK
@@ -340,12 +341,10 @@ def cmd_enumerate(args) -> int:
             file=args.file,
             count=res.count,
             complete=res.complete,
-            tnorms=[
-                [[p.names[v] for v in row] for row in op.table] for op in res.tnorms
-            ],
+            tnorms=_named(p.names, [op.table for op in res.tnorms]),
             maximal=res.maximal,
             greatest=res.greatest,
-            cover_edges=sorted(diagram.cover_edges) if diagram else None,
+            cover_edges=diagram.cover_edges if diagram else None,
             search_stats=res.search_stats,
         )
         return EXIT_OK
@@ -360,7 +359,7 @@ def cmd_enumerate(args) -> int:
         print(f"\nT{k + 1}{suffix}")
         print(_format_table(p.names, op.table))
     if diagram is not None:
-        covers = ", ".join(f"T{u + 1} -> T{v + 1}" for u, v in sorted(diagram.cover_edges))
+        covers = ", ".join(f"T{u + 1} -> T{v + 1}" for u, v in diagram.cover_edges)
         print(f"\norder diagram covers: {covers if covers else 'none'}")
     print(f"search stats: {res.search_stats}")
     return EXIT_OK

@@ -224,12 +224,7 @@ def document_psoset(doc: PsosetDocument) -> Psoset:
 def document_trellis(doc: PsosetDocument) -> tuple[Trellis, StructureKind]:
     """Build the trellis from the relation and cross-check any declared
     meet/join tables against the computed ones."""
-    return _checked_trellis(doc, document_psoset(doc))
-
-
-def _checked_trellis(doc: PsosetDocument, p: Psoset) -> tuple[Trellis, StructureKind]:
-    """document_trellis, given p = document_psoset(doc)."""
-    t, kind = build_trellis(p)
+    t, kind = build_trellis(document_psoset(doc))
     for label, declared, computed in (
         ("meet", doc.meet, t.meet),
         ("join", doc.join, t.join),
@@ -297,23 +292,21 @@ def export_dot(diagram: HasseDiagram, names) -> str:
     n = len(names)
     q = ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in names]
 
-    covers = sorted(diagram.cover_edges)
-    back = diagram.back_edges
-    dashed = sorted((u, v) if u < v else (v, u) for u, v in diagram.dashed_pairs)
+    back = set(diagram.back_edges)
     ranks: list[list[str]] = [[] for _ in range(n)]
-    for x, lev in enumerate(_levels(n, covers)):
+    for x, lev in enumerate(_levels(n, diagram.cover_edges)):
         ranks[lev].append(q[x])
 
     out = ["digraph psoset {", "  rankdir=BT;", "  node [shape=plaintext];"]
     for group in ranks:
         if group:
             out.append("  { rank=same; " + " ".join(f"{s};" for s in group) + " }")
-    for u, v in covers:
+    for u, v in diagram.cover_edges:
         if (u, v) not in back:
             out.append(f"  {q[u]} -> {q[v]} [dir=none];")
-    for u, v in dashed:
+    for u, v in diagram.dashed_pairs:
         out.append(f"  {q[u]} -> {q[v]} [dir=none, style=dashed];")
-    for u, v in sorted(back):
+    for u, v in diagram.back_edges:
         out.append(f"  {q[u]} -> {q[v]};")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -94,8 +94,13 @@ def _members(p: Psoset, A) -> list[int]:
         or not 0 <= a < p.n
     ]
     if bad:
-        raise ValidationError(f"subset entries not in 0..{p.n - 1}: {bad}", bad)
+        raise ValidationError(f"element indices not in 0..{p.n - 1}: {bad}", bad)
     return sorted({int(a) for a in A})
+
+
+def _member(p: Psoset, x) -> int:
+    """The element index x as a Python int, checked as subset entries are."""
+    return _members(p, [x])[0]
 
 
 def _nonempty(p: Psoset, A, what: str) -> list[int]:
@@ -237,18 +242,19 @@ class Psoset:
 
 @dataclass(frozen=True)
 class HasseDiagram:
-    """Diagram data for drawing a pseudo-order.
+    """Diagram data for drawing a pseudo-order: each field is a tuple of
+    index pairs in row-major order, the order in which printers emit them.
 
     cover_edges: (x, y) with x < y and nothing strictly between.
-    dashed_pairs: unordered unrelated pairs that are still connected by a
+    dashed_pairs: (x, y) with x < y, unrelated yet still connected by a
         chain of relation steps in at least one direction.
     back_edges: (u, v) with u <= v while v reaches back to u through a
         chain — exactly the edges that sit inside a cycle.
     """
 
-    cover_edges: frozenset[tuple[int, int]]
-    dashed_pairs: frozenset[frozenset[int]]
-    back_edges: frozenset[tuple[int, int]]
+    cover_edges: tuple[tuple[int, int], ...]
+    dashed_pairs: tuple[tuple[int, int], ...]
+    back_edges: tuple[tuple[int, int], ...]
 
 
 def validate_psoset(rel, names) -> Psoset:
@@ -296,7 +302,7 @@ def validate_psoset(rel, names) -> Psoset:
 
 def reachable(p: Psoset, x: int, y: int) -> bool:
     """True iff there is a finite chain x <= ... <= y (x <= y included)."""
-    return bool(p.closure[x, y])
+    return bool(p.closure[_member(p, x), _member(p, y)])
 
 
 def _restricted_closure(p: Psoset, members: list[int]) -> np.ndarray:
@@ -307,8 +313,9 @@ def _restricted_closure(p: Psoset, members: list[int]) -> np.ndarray:
 def restricted_reachable(p: Psoset, C, x: int, y: int) -> bool:
     """Reachability where every chain element must come from C."""
     members = _members(p, C)
-    if x not in members or y not in members:
-        missing = [e for e in (x, y) if e not in members]
+    x, y = _member(p, x), _member(p, y)
+    missing = [e for e in (x, y) if e not in members]
+    if missing:
         raise ElementNotInSubset(
             f"endpoints {[p.names[e] for e in missing]} not in subset"
         )
@@ -339,11 +346,11 @@ def maximal_cycles(p: Psoset) -> list[frozenset[int]]:
 
 
 def down_set(p: Psoset, x: int) -> frozenset[int]:
-    return frozenset(int(i) for i in np.flatnonzero(p.rel[:, x]))
+    return frozenset(np.flatnonzero(p.rel[:, _member(p, x)]).tolist())
 
 
 def up_set(p: Psoset, x: int) -> frozenset[int]:
-    return frozenset(int(i) for i in np.flatnonzero(p.rel[x, :]))
+    return frozenset(np.flatnonzero(p.rel[_member(p, x), :]).tolist())
 
 
 def co_atoms(p: Psoset) -> frozenset[int]:
@@ -356,7 +363,8 @@ def co_atoms(p: Psoset) -> frozenset[int]:
 
 
 def hasse(p: Psoset) -> HasseDiagram:
-    """The diagram of p's relation (see HasseDiagram).
+    """The diagram of p's relation (see HasseDiagram), each field read
+    once from its mask through _hits.
 
     Covers come from the relation itself; dashed pairs and back edges
     need reachability, so they read the transitive closure, which for a
@@ -371,7 +379,7 @@ def hasse(p: Psoset) -> HasseDiagram:
     reach = p.closure
     dashed = ~p.rel & ~p.rel.T & (reach | reach.T) & ~eye
     return HasseDiagram(
-        cover_edges=frozenset(_hits(noid & ~has_mid)),
-        dashed_pairs=frozenset(map(frozenset, _hits(np.triu(dashed)))),
-        back_edges=frozenset(_hits(noid & reach.T)),
+        cover_edges=tuple(_hits(noid & ~has_mid)),
+        dashed_pairs=tuple(_hits(np.triu(dashed))),
+        back_edges=tuple(_hits(noid & reach.T)),
     )

@@ -29,16 +29,16 @@ from .errors import (
     ElementNotInSubset,
     NotACoAtom,
     NotASubLattice,
-    NotAnInteriorOperator,
     RangeNotRightTransitive,
     TargetMismatch,
     VNotATnorm,
 )
-from .interior import UnaryMap, interior_from_subset, validate_interior
+from .interior import UnaryMap, interior_from_subset, interior_range
 from .relation import (
     Psoset,
     _first,
     _hits,
+    _member,
     _members,
     _nonempty,
     _require_bounds,
@@ -223,6 +223,7 @@ def t_drastic(p: Psoset) -> BinaryOpTable:
 def t_coatom(p: Psoset, i: int) -> BinaryOpTable:
     """Drastic everywhere except T(i, i) = i for a chosen co-atom i."""
     _require_bounds(p)
+    i = _member(p, i)
     if i not in co_atoms(p):
         raise NotACoAtom(f"{p.names[i]} is not a co-atom")
     op = t_drastic(p)
@@ -285,7 +286,7 @@ def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
     Conjunctive, commutative, associative and increasing on the
     restriction; for a below the restriction's top it has no neutral
     element, which is fine for the interior-based constructions."""
-    members = _members(t, A)
+    members, a = _members(t, A), _member(t, a)
     if not is_sub_lattice(t, members):
         raise NotASubLattice(f"{t.labels(members)} is not a sub-lattice")
     if a not in members:
@@ -302,8 +303,8 @@ def _gate_v(t: Trellis, image: np.ndarray, v: BinaryOpTable) -> None:
     neutral element is NOT required: the construction never evaluates v
     against the original top, and the useful suppliers — scaled meets —
     generally lack one.)"""
-    sub_rel = t.rel[image[:, None], image]
-    if v.names != t.labels(image) or not np.array_equal(v.target.rel, sub_rel):
+    on_range = Psoset(names=t.labels(image), rel=t.rel[image[:, None], image])
+    if not v.target.same_carrier(on_range):
         raise VNotATnorm("operation is not defined on the operator's range")
     report = check(v)
     if not (
@@ -336,10 +337,7 @@ def tnorm_via_interior(
     the carrier's meet of the images.  Every member of the range must be
     right-transitive — that is what makes the construction monotone."""
     _require_bounds(t)
-    report = validate_interior(t, im)
-    if not report.ok:
-        raise NotAnInteriorOperator("map fails the interior axioms", report)
-    image = sorted(im.image())
+    image = sorted(interior_range(t, im))
     _require_side(t, image, "right", RangeNotRightTransitive)
     if v is None:
         return _meet_of_images(t, im.map)

@@ -159,10 +159,14 @@ def test_hasse_on_a_packed_order_equals_the_unpacked_one():
     noid = rel & ~np.eye(n, dtype=bool)
     unrelated = ~rel & ~rel.T
     dashed = unrelated & (reach | reach.T)
-    assert d.back_edges == {(int(x), int(y)) for x, y in zip(*np.nonzero(noid & reach.T))}
-    assert d.dashed_pairs == {
-        frozenset((int(x), int(y))) for x, y in zip(*np.nonzero(dashed)) if x < y
-    }
+    assert d.back_edges == tuple(
+        sorted((int(x), int(y)) for x, y in zip(*np.nonzero(noid & reach.T)))
+    )
+    assert d.dashed_pairs == tuple(
+        sorted((int(x), int(y)) for x, y in zip(*np.nonzero(dashed)) if x < y)
+    )
     covers = noid & ~((noid.astype(int) @ noid.astype(int)) > 0)
-    assert d.cover_edges == {(int(x), int(y)) for x, y in zip(*np.nonzero(covers))}
+    assert d.cover_edges == tuple(
+        sorted((int(x), int(y)) for x, y in zip(*np.nonzero(covers)))
+    )
     assert d.back_edges and d.dashed_pairs

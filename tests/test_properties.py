@@ -19,23 +19,28 @@ from trelliskit import (
     check,
     check_skala_axioms,
     classify,
+    co_atoms,
     enumerate_tnorms,
     hasse,
     induced_order,
     interior_from_subset,
     iterated_join,
     maximal_cycles,
+    order_diagram,
     pointwise_leq,
     random_bounded_psoset,
     random_pseudo_chain,
     random_trellis,
     right_transitive_set,
     structure_kind,
+    t_coatom,
     t_drastic,
+    t_join_cover,
     tnorm_via_subset,
     validate_interior,
     validate_psoset,
 )
+from trelliskit.errors import TrellisKitError
 from trelliskit.fixtures import CARRIERS
 
 seeds = st.integers(0, 10**6)
@@ -74,7 +79,7 @@ def test_transitive_psosets_draw_plain_diagrams(seed, n):
     p = random_bounded_psoset(random.Random(seed), n)
     d = hasse(p)
     if p.is_transitive():
-        assert d.dashed_pairs == frozenset() and d.back_edges == frozenset()
+        assert d.dashed_pairs == () and d.back_edges == ()
     for x, y in d.cover_edges:
         assert p.leq(x, y)
 
@@ -182,7 +187,7 @@ def test_relabelling_permutes_every_result():
     rng = random.Random(23)
     carriers = [make() for make in CARRIERS.values()]
     carriers += [random_trellis(rng, 2 + k % 5, cycle_prob=0.5) for k in range(30)]
-    cycles_seen = 0
+    cycles_seen = built = dashed_seen = 0
     for p in carriers:
         perm = np.array(rng.sample(range(p.n), p.n))
         inv = np.argsort(perm)
@@ -206,6 +211,41 @@ def test_relabelling_permutes_every_result():
             assert np.array_equal(getattr(cls_t, alpha), getattr(cls_p, alpha)[inv])
         rtr = right_transitive_set(p)
         assert right_transitive_set(t) == {int(perm[x]) for x in rtr}
-        want = {tuple(moved(op.table).flat) for op in enumerate_tnorms(p).tnorms}
-        assert {tuple(op.table.flat) for op in enumerate_tnorms(t).tnorms} == want
-    assert cycles_seen > 0
+        res_p, res_t = enumerate_tnorms(p), enumerate_tnorms(t)
+        want = {tuple(moved(op.table).flat) for op in res_p.tnorms}
+        assert {tuple(op.table.flat) for op in res_t.tnorms} == want
+        for c in co_atoms(p):
+            want = moved(t_coatom(p, c).table)
+            assert np.array_equal(t_coatom(t, int(perm[c])).table, want)
+        assert np.array_equal(t_join_cover(t).table, moved(t_join_cover(p).table))
+        want = via_subset(p, rtr)
+        got = via_subset(t, [int(perm[x]) for x in rtr])
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, moved(want))
+            built += 1
+        else:
+            assert got is want
+        # the order diagram moves with the permutation sigma this induces
+        # on the t-norms: sigma[k] is where p's k-th t-norm sits among q's
+        on_t = {tuple(op.table.flat): k for k, op in enumerate(res_t.tnorms)}
+        sigma = [on_t[tuple(moved(op.table).flat)] for op in res_p.tnorms]
+        d_p, d_t = order_diagram(res_p), order_diagram(res_t)
+
+        def image(pairs):
+            return {(sigma[u], sigma[v]) for u, v in pairs}
+
+        assert set(d_t.cover_edges) == image(d_p.cover_edges)
+        assert set(d_t.dashed_pairs) == {
+            (min(e), max(e)) for e in image(d_p.dashed_pairs)
+        }
+        assert set(d_t.back_edges) == image(d_p.back_edges)
+        dashed_seen += len(d_p.dashed_pairs)
+    assert cycles_seen > 0 and built > 0 and dashed_seen > 0
+
+
+def via_subset(t, A):
+    """tnorm_via_subset's table on A, or the class of the error it raises."""
+    try:
+        return tnorm_via_subset(t, A).table
+    except TrellisKitError as e:
+        return type(e)

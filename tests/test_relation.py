@@ -141,11 +141,11 @@ def test_pentagon_hasse_matches_recorded_shape():
     p = CARRIERS["pentagon"]()
     d = hasse(p)
     assert isinstance(d, HasseDiagram)
-    covers = {(p.names[x], p.names[y]) for x, y in d.cover_edges}
-    assert covers == RECORDED_FACTS["pentagon.covers"]
-    dashed = {frozenset(p.labels(pair)) for pair in d.dashed_pairs}
-    assert dashed == RECORDED_FACTS["pentagon.dashed"]
-    assert d.back_edges == frozenset()
+    covers = RECORDED_FACTS["pentagon.covers"]
+    assert d.cover_edges == tuple(sorted((p.index(x), p.index(y)) for x, y in covers))
+    dashed = RECORDED_FACTS["pentagon.dashed"]
+    assert d.dashed_pairs == tuple(sorted(tuple(sorted(p.indices(s))) for s in dashed))
+    assert d.back_edges == ()
 
 
 def test_loop_hasse_has_directed_back_edge():
@@ -158,8 +158,8 @@ def test_loop_hasse_has_directed_back_edge():
 def test_chain_hasse_is_covers_only():
     t = bounded_chain(4)
     d = hasse(t)
-    assert d.cover_edges == frozenset({(0, 1), (1, 2), (2, 3)})
-    assert d.dashed_pairs == frozenset() and d.back_edges == frozenset()
+    assert d.cover_edges == ((0, 1), (1, 2), (2, 3))
+    assert d.dashed_pairs == () and d.back_edges == ()
 
 
 def test_relation_is_frozen():
@@ -208,9 +208,9 @@ def test_hasse_covers_equal_the_matmul_definition():
         p = validate_psoset(rel, [f"e{k}" for k in range(len(rel))])
         noid = rel & ~np.eye(len(rel), dtype=bool)
         covers = noid & ~((noid.astype(int) @ noid.astype(int)) > 0)
-        assert hasse(p).cover_edges == {
-            (int(x), int(y)) for x, y in zip(*np.nonzero(covers))
-        }
+        assert hasse(p).cover_edges == tuple(
+            sorted((int(x), int(y)) for x, y in zip(*np.nonzero(covers)))
+        )
 
 
 def test_maximal_cycles_equal_mutual_reachability():
@@ -263,6 +263,28 @@ def test_subset_entries_out_of_range_are_a_validation_error(reader, bad):
     t = CARRIERS["pentagon"]()
     with pytest.raises(ValidationError) as err:
         SUBSET_READERS[reader](t, [0, bad])
+    assert err.value.violations == [bad]
+
+
+# Every function that takes an element index reads it the way the subset
+# readers read their entries; the index here is the last argument.
+ELEMENT_READERS = {
+    "reachable": lambda t, x: tk.reachable(t, 0, x),
+    "restricted_reachable": lambda t, x: tk.restricted_reachable(t, [0, 1], 0, x),
+    "down_set": tk.down_set,
+    "up_set": tk.up_set,
+    "t_coatom": tk.t_coatom,
+    "scaled_meet": lambda t, x: tk.scaled_meet(t, [0, 4], x),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 9, 1.0, True])
+@pytest.mark.parametrize("reader", sorted(ELEMENT_READERS))
+def test_element_index_out_of_range_is_a_validation_error(reader, bad):
+    # -1 used to be read as the top, 9 to end in an IndexError
+    t = CARRIERS["pentagon"]()
+    with pytest.raises(ValidationError) as err:
+        ELEMENT_READERS[reader](t, bad)
     assert err.value.violations == [bad]
 
 

@@ -458,10 +458,10 @@ def test_hasse_pairs_match_the_loop():
         noid = p.rel & ~eye
         reach = transitive_closure(p.rel)
         dashed = ~p.rel & ~p.rel.T & (reach | reach.T) & ~eye
-        assert same(diagram.back_edges, hasse_pairs_oracle(noid & reach.T))
-        assert diagram.dashed_pairs == frozenset(
-            map(frozenset, hasse_pairs_oracle(np.triu(dashed)))
-        )
+        want_back = tuple(sorted(hasse_pairs_oracle(noid & reach.T)))
+        want_dashed = tuple(sorted(hasse_pairs_oracle(np.triu(dashed))))
+        assert same(diagram.back_edges, want_back)
+        assert same(diagram.dashed_pairs, want_dashed)
         assert all(type(v) is int for pair in diagram.cover_edges for v in pair)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated
-from .relation import _nonempty, _require_side, _side_masks
+from .relation import _member, _nonempty, _require_side, _side_masks
 from .trellis import Trellis, infimum, supremum
 
 ALPHAS = ("dis", "ass", "meet_ass", "join_ass", "tr", "ltr", "rtr", "mtr")
@@ -40,6 +40,7 @@ class ElementClassification:
     dis: np.ndarray
 
     def flags(self, x: int) -> dict[str, bool]:
+        x = _member(self.trellis, x)
         return {alpha: bool(getattr(self, alpha)[x]) for alpha in ALPHAS}
 
 

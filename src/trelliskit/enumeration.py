@@ -11,13 +11,19 @@ allowed), values are tried from the lowest bit up, and pruning ANDs a
 domain with the precomputed mask of the values above (or below) the one
 just assigned.
 
-Associativity is checked incrementally.  After T(i, j) = T(j, i) = v,
-only the equations T(T(x, y), z) = T(x, T(y, z)) with x in {i, j} are
-tested, 2n² lookups.  That is enough: every equation whose four lookups
-the new cell completes uses it as (x, y), (y, z), (T(x, y), z) or
-(x, T(y, z)), so x or z is in {i, j}; on a symmetric table the equation
-for (x, y, z) holds exactly when the one for (z, y, x) does; and every
-other fully-defined equation was checked when its own last cell was set.
+Associativity is checked incrementally, with the occurrence index of
+the SEM and Mace4 model finders: pairs[a] holds the ordered cells
+(x, y) with T(x, y) = a, and every write to the table goes through one
+put() that keeps it current.  After T(i, j) = T(j, i) = v only the
+equations E(x, y, z): T(T(x, y), z) = T(x, T(y, z)) the new cell can
+complete are tested, in two families: the cell as (x, y), for every z
+and both orientations (2n equations), and the cell as (T(x, y), z),
+that is z = j over pairs[i] and z = i over pairs[j].  That is enough:
+every equation whose four lookups the new cell completes uses it as
+(x, y), (y, z), (T(x, y), z) or (x, T(y, z)); on a symmetric table
+E(x, y, z) holds exactly when E(z, y, x) does, which maps the last two
+positions onto the first two; and every other fully-defined equation
+was checked when its own last cell was set.
 
 The search is one loop over an explicit stack indexed by depth (the
 values still to try, the domains on entry and the cell), so no carrier
@@ -128,20 +134,39 @@ def enumerate_tnorms(
         )
 
     tab = [[-1] * n for _ in range(n)]
-    for x in range(n):
-        tab[x][top] = tab[top][x] = x
+    pairs: list[set[tuple[int, int]]] = [set() for _ in range(n)]
 
-    def assoc_ok(i: int, j: int) -> bool:
-        for x in (i,) if i == j else (i, j):
+    def put(i: int, j: int, v: int) -> None:
+        """T(i, j) = T(j, i) = v, or unassigned for v = -1, with pairs
+        kept current: the cells leave their old value's set first."""
+        old = tab[i][j]
+        if old >= 0:
+            pairs[old].difference_update(((i, j), (j, i)))
+        tab[i][j] = tab[j][i] = v
+        if v >= 0:
+            pairs[v].update(((i, j), (j, i)))
+
+    for x in range(n):
+        put(x, top, x)
+
+    def assoc_ok(i: int, j: int, v: int) -> bool:
+        """Every equation T(i, j) = v completes holds."""
+        row_v = tab[v]
+        for x, y in ((i, j),) if i == j else ((i, j), (j, i)):
+            # the cell as (x, y): T(v, z) = T(x, T(y, z))
             row_x = tab[x]
-            for y, a in enumerate(row_x):
-                if a < 0:
-                    continue
-                for b, left in zip(tab[y], tab[a]):
-                    if b >= 0 and left >= 0:
-                        right = row_x[b]
-                        if right >= 0 and right != left:
-                            return False
+            for left, b in zip(row_v, tab[y]):
+                if left >= 0 and b >= 0:
+                    right = row_x[b]
+                    if right >= 0 and right != left:
+                        return False
+            # the cell as (T(a, b), y) with T(a, b) = x: v = T(a, T(b, y))
+            for a, b in pairs[x]:
+                c = tab[b][y]
+                if c >= 0:
+                    right = tab[a][c]
+                    if right >= 0 and right != v:
+                        return False
         return True
 
     nodes = assoc_prunes = monotone_prunes = rejects = 0
@@ -204,15 +229,15 @@ def enumerate_tnorms(
         i, j = cells[k]
         todo = rest[k]
         if not todo:
-            tab[i][j] = tab[j][i] = -1
+            put(i, j, -1)
             k -= 1
             continue
         low = todo & -todo
         rest[k] = todo ^ low
         v = low.bit_length() - 1
         nodes += 1
-        tab[i][j] = tab[j][i] = v
-        if not assoc_ok(i, j):
+        put(i, j, v)
+        if not assoc_ok(i, j, v):
             assoc_prunes += 1
             continue
         d = level[k][:]

@@ -219,10 +219,10 @@ class Psoset:
         return frozenset(self.index(s) for s in names)
 
     def labels(self, subset) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in sorted(subset))
+        return tuple(self.names[i] for i in _members(self, subset))
 
     def leq(self, x: int, y: int) -> bool:
-        return bool(self.rel[x, y])
+        return bool(self.rel[_member(self, x), _member(self, y)])
 
     @property
     def closure(self) -> np.ndarray:

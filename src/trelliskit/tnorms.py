@@ -63,7 +63,7 @@ class BinaryOpTable:
         return self.target.names
 
     def __call__(self, x: int, y: int) -> int:
-        return int(self.table[x, y])
+        return int(self.table[_member(self.target, x), _member(self.target, y)])
 
     def same_op(self, other: "BinaryOpTable") -> bool:
         return self.target.same_carrier(other.target) and np.array_equal(
@@ -291,9 +291,20 @@ def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
         raise NotASubLattice(f"{t.labels(members)} is not a sub-lattice")
     if a not in members:
         raise ElementNotInSubset(f"{t.names[a]} not in the sub-lattice")
-    sub, mem = restrict(t, members)
-    a_loc = mem.index(a)
-    tab = sub.meet[sub.meet, a_loc]
+    # A is closed under the carrier's meet and join, and a bound of x, y
+    # inside A is one in the carrier, so A's tables are the carrier's read
+    # at A.
+    m = np.array(members, dtype=np.intp)
+    rel = t.rel[m[:, None], m]
+    rel.setflags(write=False)
+    meet, join = (
+        _freeze(np.searchsorted(m, table[m[:, None], m])) for table in (t.meet, t.join)
+    )
+    # a sub-lattice is a finite lattice: it has a bottom and a top
+    bottom, top = int(rel.all(axis=1).argmax()), int(rel.all(axis=0).argmax())
+    names = tuple(t.names[x] for x in members)
+    sub = Trellis(names, rel, bottom, top, meet=meet, join=join)
+    tab = meet[meet, members.index(a)]
     return BinaryOpTable(target=sub, table=_freeze(tab))
 
 
@@ -303,7 +314,8 @@ def _gate_v(t: Trellis, image: np.ndarray, v: BinaryOpTable) -> None:
     neutral element is NOT required: the construction never evaluates v
     against the original top, and the useful suppliers — scaled meets —
     generally lack one.)"""
-    on_range = Psoset(names=t.labels(image), rel=t.rel[image[:, None], image])
+    names = tuple(t.names[x] for x in image)
+    on_range = Psoset(names=names, rel=t.rel[image[:, None], image])
     if not v.target.same_carrier(on_range):
         raise VNotATnorm("operation is not defined on the operator's range")
     report = check(v)

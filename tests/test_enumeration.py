@@ -468,6 +468,23 @@ def test_shipped_search_counters_are_pinned(key):
     ) == SHIPPED_SEARCH[key]
 
 
+def test_stress_carrier_search_counters_are_pinned():
+    # the 3rd random_trellis(random.Random(7), 8), whose CLI output
+    # tests/test_cli.py pins by SHA-256; here a drift shows as numbers
+    rng = random.Random(7)
+    for _ in range(3):
+        t = random_trellis(rng, 8)
+    res = enumerate_tnorms(t)
+    stats = res.search_stats
+    assert (
+        res.count,
+        stats["nodes"],
+        stats["monotone_prunes"],
+        stats["associativity_prunes"],
+        stats["final_check_rejects"],
+    ) == (2522, 19486, 0, 9440, 0)
+
+
 def test_deep_search_ends_in_a_partial_result():
     # 1225 searched cells: one recursion level per cell overflowed the stack
     with pytest.raises(LimitReached) as info:

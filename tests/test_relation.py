@@ -275,6 +275,10 @@ ELEMENT_READERS = {
     "up_set": tk.up_set,
     "t_coatom": tk.t_coatom,
     "scaled_meet": lambda t, x: tk.scaled_meet(t, [0, 4], x),
+    "leq": lambda t, x: t.leq(0, x),
+    "labels": lambda t, x: t.labels([0, x]),
+    "flags": lambda t, x: tk.classify(t).flags(x),
+    "op_call": lambda t, x: tk.t_drastic(t)(x, x),
 }
 
 

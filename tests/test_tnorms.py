@@ -14,6 +14,7 @@ from trelliskit import (
     check_skala_axioms,
     enumerate_tnorms,
     interior_from_subset,
+    is_sub_lattice,
     join_cover_condition,
     join_cover_witness,
     join_op,
@@ -227,6 +228,34 @@ def test_restrict_recomputes_tables(hourglass):
     x, y = sub.index("x"), sub.index("y")
     assert sub.join[x, y] == sub.top == sub.index("1")
     assert sub.meet[x, y] == sub.bottom == sub.index("0")
+
+
+def test_scaled_meet_equals_scaling_the_restriction():
+    # scaled_meet reads A's tables off the carrier's; restrict rebuilds
+    # them from the restricted relation, and the two must agree
+    rng = random.Random(61)
+    carriers = [make() for key, make in CARRIERS.items() if key != "six_cycle"]
+    carriers += [random_trellis(rng, 2 + k % 7) for k in range(150)]
+    cases = 0
+    for t in carriers:
+        for size in range(1, t.n + 1):
+            for A in itertools.combinations(range(t.n), size):
+                if not is_sub_lattice(t, A):
+                    continue
+                sub, members = restrict(t, A)
+                for a in A:
+                    v = scaled_meet(t, A, a)
+                    got = v.target
+                    assert got.same_carrier(sub)
+                    assert (got.bottom, got.top) == (sub.bottom, sub.top)
+                    for mine, theirs in ((got.meet, sub.meet), (got.join, sub.join)):
+                        assert mine.dtype == theirs.dtype and not mine.flags.writeable
+                        assert np.array_equal(mine, theirs)
+                    assert not got.rel.flags.writeable
+                    want = sub.meet[sub.meet, members.index(a)]
+                    assert np.array_equal(v.table, want)
+                    cases += 1
+    assert cases > 10_000
 
 
 def test_scaled_meet_properties(hourglass):

@@ -14,6 +14,8 @@ import io
 import json
 import sys
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
+from operator import countOf
 from pathlib import Path
 
 import numpy as np
@@ -115,10 +117,82 @@ def _emit_dot(args, diagram, names) -> None:
         Path(args.dot).write_text(export_dot(diagram, names))
 
 
+# How each exact scalar type renders; encode_basestring_ascii is the
+# stdlib's own (C) string encoder under ensure_ascii.
+_JSON_SCALAR = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_key(key) -> str:
+    """A dict key as the stdlib converts it before encoding it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+def _json(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    On Python 3.10 and 3.11 any indent sends the stdlib to its
+    pure-Python encoder; this writes each container as one join.
+    Renderings of all-str lists are reused within the call: a key over
+    mixed scalars would be wrong, since 1, 1.0 and True are equal keys.
+    Floats, scalar subclasses and unknown types go to json.dumps, so
+    they render, or raise TypeError, as they do there.  Reports are
+    trees, so no check for circular references is made."""
+    memo: dict = {}
+
+    def render(obj, nl: str) -> str:
+        scalar = _JSON_SCALAR.get(type(obj))
+        if scalar is not None:
+            return scalar(obj)
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            inner = nl + "  "
+            first = type(obj[0])
+            scalar = _JSON_SCALAR.get(first)
+            if scalar is not None and countOf(map(type, obj), first) < len(obj):
+                scalar = None  # mixed types render item by item
+            if scalar is encode_basestring_ascii:
+                key = (inner, *obj)
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = (
+                        "[" + inner + ("," + inner).join(map(scalar, obj)) + nl + "]"
+                    )
+                return text
+            if scalar is not None:
+                items = map(scalar, obj)
+            else:
+                items = [render(x, inner) for x in obj]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = nl + "  "
+            items = [
+                f"{encode_basestring_ascii(_json_key(k))}: {render(v, inner)}"
+                for k, v in sorted(obj.items())
+            ]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        return json.dumps(obj)
+
+    return render(obj, "\n")
+
+
 def _print_json(args, **fields) -> None:
     """Print a report: fields plus the schema and the command name."""
     report = {"schema": SCHEMA, "command": args.command, **fields}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json(report))
 
 
 def _carrier(path: str):

@@ -183,7 +183,7 @@ def enumerate_tnorms(
         pending.clear()
 
     def finish(complete: bool) -> EnumerationResult:
-        found.sort(key=lambda op: tuple(op.table.flat))
+        found.sort(key=lambda op: op.table.ravel().tolist())
         w = len(found)
         order = pointwise_order([op.table for op in found], p.rel)
         order.setflags(write=False)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trelliskit import cli, random_trellis
 from trelliskit.fileformat import make_document, serialize
@@ -311,9 +312,86 @@ def test_every_subcommand_on_every_shipped_document(command, name, capsys):
         return
     assert code == 0 and err == ""
     payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert payload["schema"] == "trelliskit-report/1"
     assert payload["command"] == command
     assert payload["file"] == path
+
+
+def test_verify_paper_json_is_the_stdlib_rendering(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--seed", "1405", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["all_passed"]
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# Scalar subclasses, which the writer hands to json.dumps.
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+# Scalars that are equal as dict keys but render differently, so that a
+# rendering reused across them shows.
+_CLASHING = st.sampled_from([0, 1, 0.0, 1.0, True, False, "1", -0.0])
+_SCALARS = st.one_of(
+    st.text(), st.integers(), st.booleans(), st.none(), st.floats(), _CLASHING
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(obj=st.one_of(_PAYLOADS, st.lists(st.lists(_CLASHING, max_size=3), max_size=4)))
+def test_json_writer_is_the_stdlib_rendering(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[1], [True]],
+        [[1, 1], [1, 1.0]],
+        {"a": [0], "b": [False]},
+        [["1"], [1], [True], [1.0], ["1"]],
+        [["a", "b"], [["a", "b"]], {"c": ["a", "b"]}],
+        [], {}, (), [[], {}, ()], {"a": [], "b": {}},
+        {1: "x", 2: [3]},
+        {True: 1, False: [0]},
+        {None: None},
+        {2.5: 0, 1: 1, float("nan"): 2, float("inf"): 3},
+        [float("nan"), float("-inf"), 1e300, -0.0],
+        [Label("a\"\\"), Count(7), "\x00é\U0001f600"],
+        {Label("k"): Count(1), "j": Label("v")},
+        {Count(3): 0, 1: [Count(2)]},
+    ],
+    ids=repr,
+)
+def test_json_writer_on_lookalike_scalars_and_empty_containers(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[np.int64(1)], {"a": {(1, 2): 0}}, {1: 0, "a": 1}, object()],
+    ids=["numpy_int", "tuple_key", "unsortable_keys", "object"],
+)
+def test_json_writer_raises_where_the_stdlib_does(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        cli._json(obj)
+    assert str(got.value) == str(expected.value)
 
 
 # A bounded psoset that is not a trellis: a and b have two minimal upper

@@ -36,6 +36,7 @@ authority on what counts as a t-norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,19 +62,38 @@ class EnumerationResult:
     equal carriers always enumerate in the same order.  order is the
     read-only (count, count) pointwise order among them: order[a, b] iff
     tnorms[a] <= tnorms[b] in every cell.  maximal and greatest are
-    indices into tnorms, read off order.  If complete is False the search
-    stopped at a limit and order/maximal/greatest only describe what was
-    found up to that point.
+    indices into tnorms, read off order.  All three are computed the
+    first time they are read and then cached, so a caller that only needs
+    the t-norms never builds the order; the constructor takes none of
+    them, nor count, which is len(tnorms).  If complete is False the
+    search stopped at a limit and order/maximal/greatest only describe
+    what was found up to that point.
     """
 
     target: Psoset
     tnorms: list[BinaryOpTable]
-    order: np.ndarray
-    maximal: list[int]
-    greatest: int | None
-    count: int
     search_stats: dict[str, int]
     complete: bool
+
+    @property
+    def count(self) -> int:
+        return len(self.tnorms)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        order = pointwise_order([op.table for op in self.tnorms], self.target.rel)
+        order.setflags(write=False)
+        return order
+
+    @cached_property
+    def maximal(self) -> list[int]:
+        # order is reflexive, so a maximal row holds only its diagonal cell
+        return np.flatnonzero(self.order.sum(axis=1) == 1).tolist()
+
+    @cached_property
+    def greatest(self) -> int | None:
+        greatest = np.flatnonzero(self.order.all(axis=0))
+        return int(greatest[0]) if len(greatest) else None
 
 
 def enumerate_tnorms(
@@ -184,18 +204,9 @@ def enumerate_tnorms(
 
     def finish(complete: bool) -> EnumerationResult:
         found.sort(key=lambda op: op.table.ravel().tolist())
-        w = len(found)
-        order = pointwise_order([op.table for op in found], p.rel)
-        order.setflags(write=False)
-        strictly_below = order & ~np.eye(w, dtype=bool)
-        greatest = np.flatnonzero(order.all(axis=0))
         return EnumerationResult(
             target=p,
             tnorms=found,
-            order=order,
-            maximal=np.flatnonzero(~strictly_below.any(axis=1)).tolist(),
-            greatest=int(greatest[0]) if len(greatest) else None,
-            count=w,
             search_stats={
                 "nodes": nodes,
                 "monotone_prunes": monotone_prunes,

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -408,6 +411,85 @@ def test_no_tnorms_means_no_maximal_and_no_greatest(pentagon, monkeypatch):
     assert res.count == 0 and res.order.shape == (0, 0)
     assert res.maximal == [] and res.greatest is None
     assert res.search_stats["final_check_rejects"] > 0
+
+
+@pytest.fixture
+def order_calls(monkeypatch):
+    """Counts the calls that build an enumeration's pointwise order."""
+    calls = []
+    build = enumeration.pointwise_order
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "pointwise_order", counted)
+    return calls
+
+
+def test_enumerating_builds_no_order(order_calls):
+    assert enumerate_tnorms(CARRIERS["fork8"]()).count == 764
+    rng = random.Random(3014)
+    for k in range(300):  # the search-sweep mix: n = 3..5, both kinds
+        make = random_trellis if k % 2 else random_bounded_psoset
+        enumerate_tnorms(make(rng, 3 + (k // 2) % 3))
+    assert order_calls == []
+
+
+ORDER_READERS = {
+    "order": lambda res: res.order,
+    "maximal": lambda res: res.maximal,
+    "greatest": lambda res: res.greatest,
+    "order_diagram": order_diagram,
+}
+
+
+@pytest.mark.parametrize(
+    "readers", itertools.permutations(sorted(ORDER_READERS)), ids="-".join
+)
+def test_the_order_is_built_once_when_first_read(order_calls, readers):
+    res = enumerate_tnorms(CARRIERS["diamond7"]())
+    for name in readers:
+        ORDER_READERS[name](res)
+        assert len(order_calls) == 1
+    for name in readers:
+        ORDER_READERS[name](res)
+    assert len(order_calls) == 1
+    assert_order_matches(res, order_by_pairs(res.tnorms))
+
+
+def test_a_partial_result_builds_its_order_when_read(pentagon, order_calls):
+    with pytest.raises(LimitReached) as info:
+        enumerate_tnorms(pentagon, limit=4)
+    partial = info.value.result
+    assert order_calls == []
+    assert_order_matches(partial, order_by_pairs(partial.tnorms))
+    assert len(order_calls) == 1
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads the child's VmHWM"
+)
+def test_enumerating_the_9_chain_stays_small():
+    # w = 13,775: the bool order alone would be 190 MB.  Never run the
+    # 10-chain here; its order would not fit in memory.  The child reports
+    # VmHWM, the peak RSS of its own address space: ru_maxrss would also
+    # count the address space it was started from, the test process's.
+    code = (
+        "from trelliskit import enumerate_tnorms\n"
+        "from trelliskit.fixtures import bounded_chain\n"
+        "res = enumerate_tnorms(bounded_chain(9), cap=12)\n"
+        "status = open('/proc/self/status').read().split()\n"
+        "print(res.count, status[status.index('VmHWM:') + 1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    count, peak_kb = map(int, out.stdout.split())
+    assert count == 13_775
+    assert peak_kb < 150 * 1024
 
 
 def test_pointwise_order_between_two_lists(pentagon):

@@ -399,12 +399,10 @@ def cmd_enumerate(args) -> int:
     kwargs = {}
     if args.cap is not None:
         kwargs["cap"] = args.cap
-    hit_limit = False
     try:
         res = enumerate_tnorms(p, limit=args.limit, **kwargs)
     except LimitReached as e:
         res = e.result
-        hit_limit = True
 
     diagram = order_diagram(res) if res.complete else None
     if diagram is not None:
@@ -422,7 +420,7 @@ def cmd_enumerate(args) -> int:
             search_stats=res.search_stats,
         )
         return EXIT_OK
-    print(f"t-norms found: {res.count}" + ("  (stopped at limit)" if hit_limit else ""))
+    print(f"t-norms found: {res.count}" + ("" if res.complete else "  (stopped at limit)"))
     for k, op in enumerate(res.tnorms):
         tags = []
         if k in res.maximal:

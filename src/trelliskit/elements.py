@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated
-from .relation import _member, _nonempty, _require_side, _side_masks
+from .relation import _member, _nonempty, _require_side
 from .trellis import Trellis, infimum, supremum
 
 ALPHAS = ("dis", "ass", "meet_ass", "join_ass", "tr", "ltr", "rtr", "mtr")
@@ -54,7 +54,7 @@ def classify(t: Trellis) -> ElementClassification:
     rel = t.rel
     meet, join = t.meet, t.join
 
-    rtr, ltr = _side_masks(rel)
+    rtr, ltr = t._side_masks
     # through[x, a, y] = x <= a and a <= y
     through = rel[:, :, None] & rel[None, :, :]
     mtr = ~(through & ~rel[:, None, :]).any(axis=(0, 2))
@@ -97,7 +97,7 @@ def subset(classification: ElementClassification, alpha: str) -> frozenset[int]:
 
 
 def right_transitive_set(t: Trellis) -> frozenset[int]:
-    return frozenset(int(i) for i in np.flatnonzero(_side_masks(t.rel)[0]))
+    return frozenset(int(i) for i in np.flatnonzero(t._side_masks[0]))
 
 
 def iterated_join(t: Trellis, S) -> int:

@@ -47,7 +47,6 @@ from .relation import (
     _require_bounds,
     _require_cap,
     hasse,
-    validate_psoset,
 )
 from .tnorms import BinaryOpTable, _tnorm_mask, pointwise_order
 
@@ -295,4 +294,5 @@ def order_diagram(result: EnumerationResult) -> HasseDiagram:
     if not result.complete:
         raise PreconditionViolated("order diagram needs a complete enumeration")
     names = tuple(f"T{k + 1}" for k in range(result.count))
-    return hasse(validate_psoset(result.order, names))
+    # reflexive as rel is; antisymmetric as rel is and the t-norms are distinct
+    return hasse(Psoset(names, result.order))

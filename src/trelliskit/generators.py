@@ -18,6 +18,8 @@ from .errors import NotATrellis
 from .relation import Psoset, is_pseudo_chain, transitive_closure, validate_psoset
 from .trellis import Trellis, build_trellis
 
+_MAX_TRIES = 500  # rejection-sampling draws before a generator gives up
+
 
 def _names(n: int) -> tuple[str, ...]:
     if n == 1:
@@ -108,25 +110,23 @@ def random_trellis(
     n: int,
     deletions: int | None = None,
     cycle_prob: float = 0.15,
-    max_tries: int = 500,
 ) -> Trellis:
     """A random bounded trellis: rejection-sample random bounded psosets
     until meets and joins all exist."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         p = random_bounded_psoset(rng, n, deletions=deletions, cycle_prob=cycle_prob)
         try:
             t, _ = build_trellis(p)
         except NotATrellis:
             continue
         return t
-    raise RuntimeError(f"no trellis with {n} elements after {max_tries} tries")
+    raise RuntimeError(f"no trellis with {n} elements after {_MAX_TRIES} tries")
 
 
 def random_pseudo_chain(
     rng: random.Random,
     n: int,
     cycle_prob: float = 0.5,
-    max_tries: int = 500,
 ) -> Trellis:
     """A random pseudo-chain trellis: a bounded chain with random
     non-cover pairs removed and, sometimes, a spliced three-cycle.  The
@@ -134,7 +134,7 @@ def random_pseudo_chain(
     direction."""
     if n < 1:
         raise ValueError("need at least one element")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         rel = np.fromfunction(lambda i, j: i <= j, (n, n), dtype=int)
         if rng.random() < cycle_prob:
             _splice_cycle(rng, rel, n)
@@ -152,4 +152,4 @@ def random_pseudo_chain(
         except NotATrellis:
             continue
         return t
-    raise RuntimeError(f"no pseudo-chain with {n} elements after {max_tries} tries")
+    raise RuntimeError(f"no pseudo-chain with {n} elements after {_MAX_TRIES} tries")

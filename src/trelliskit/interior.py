@@ -19,7 +19,7 @@ from .errors import (
     NotRightTransitiveSubset,
     ValidationError,
 )
-from .relation import _hits, _members, _require_bounds, _require_side
+from .relation import _hits, _member, _members, _require_bounds, _require_side
 from .trellis import Trellis, _greatest
 
 
@@ -33,7 +33,7 @@ class UnaryMap:
         return self.target.n
 
     def __call__(self, x: int) -> int:
-        return int(self.map[x])
+        return int(self.map[_member(self.target, x)])
 
     def image(self) -> frozenset[int]:
         return frozenset(int(v) for v in self.map)

@@ -9,7 +9,8 @@ itself and gets its own operations here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,12 +48,6 @@ def _escapes(rel: np.ndarray) -> np.ndarray:
     return (rel @ rel) & ~rel
 
 
-def _side_masks(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rtr and ltr masks, from the two-step relation alone."""
-    escapes = _escapes(rel)
-    return ~escapes.any(axis=1), ~escapes.any(axis=0)
-
-
 # --- preconditions ----------------------------------------------------------
 # Each guard below is the one check of its precondition; the callers
 # choose the exception class where the guard takes one.
@@ -75,7 +70,7 @@ def _require_cap(p: Psoset, cap: int) -> None:
 def _require_side(p: Psoset, members: list[int], side: str, error) -> None:
     """Raise error, listing the offenders, unless every member is
     right-transitive (side "right") or left-transitive (side "left")."""
-    ok = _side_masks(p.rel)[side == "left"]
+    ok = p._side_masks[side == "left"]
     bad = [x for x in members if not ok[x]]
     if bad:
         raise error(f"not {side}-transitive: {[p.names[x] for x in bad]}", bad)
@@ -197,16 +192,17 @@ def strong_components(succ: list[list[int]]) -> list[list[int]]:
     return components
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Psoset:
     """A finite pseudo-ordered set: named elements plus a reflexive,
-    antisymmetric (not necessarily transitive) relation."""
+    antisymmetric (not necessarily transitive) relation.
+
+    The two fields are the whole definition.  Bounds, reachability and
+    the side masks are read off rel the first time they are asked for
+    and then cached; the carrier is frozen, so they stay valid."""
 
     names: tuple[str, ...]
     rel: np.ndarray
-    bottom: int | None = None
-    top: int | None = None
-    _closure: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -224,15 +220,32 @@ class Psoset:
     def leq(self, x: int, y: int) -> bool:
         return bool(self.rel[_member(self, x), _member(self, y)])
 
-    @property
+    @cached_property
+    def bottom(self) -> int | None:
+        """The element below every element, or None (unique by antisymmetry)."""
+        below_all = np.flatnonzero(self.rel.all(axis=1))
+        return int(below_all[0]) if len(below_all) else None
+
+    @cached_property
+    def top(self) -> int | None:
+        above_all = np.flatnonzero(self.rel.all(axis=0))
+        return int(above_all[0]) if len(above_all) else None
+
+    @cached_property
     def closure(self) -> np.ndarray:
-        if self._closure is None:
-            self._closure = transitive_closure(self.rel)
-            self._closure.setflags(write=False)
-        return self._closure
+        closure = transitive_closure(self.rel)
+        closure.setflags(write=False)
+        return closure
+
+    @cached_property
+    def _side_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rtr and ltr masks, from the two-step relation alone."""
+        escapes = _escapes(self.rel)
+        return ~escapes.any(axis=1), ~escapes.any(axis=0)
 
     def is_transitive(self) -> bool:
-        return not _escapes(self.rel).any()
+        # every escape [a, y] leaves a not right-transitive
+        return bool(self._side_masks[0].all())
 
     def same_carrier(self, other: "Psoset") -> bool:
         """Same names and same relation: the one test of whether two
@@ -258,7 +271,7 @@ class HasseDiagram:
 
 
 def validate_psoset(rel, names) -> Psoset:
-    """Check reflexivity/antisymmetry and detect bottom/top.
+    """Check reflexivity and antisymmetry.
 
     Raises DuplicateName, NotReflexive or NotAntisymmetric; each error
     carries every violating element, or every violating pair x < y, in
@@ -292,12 +305,7 @@ def validate_psoset(rel, names) -> Psoset:
         )
     rel = rel.copy()
     rel.setflags(write=False)
-    bottoms = np.flatnonzero(rel.all(axis=1))
-    tops = np.flatnonzero(rel.all(axis=0))
-    # antisymmetry makes each unique when present
-    bottom = int(bottoms[0]) if len(bottoms) else None
-    top = int(tops[0]) if len(tops) else None
-    return Psoset(names=names, rel=rel, bottom=bottom, top=top)
+    return Psoset(names=names, rel=rel)
 
 
 def reachable(p: Psoset, x: int, y: int) -> bool:

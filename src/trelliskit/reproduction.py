@@ -45,6 +45,8 @@ from .trellis import (
 )
 
 DEFAULT_SEED = 1405
+_SEARCH_INSTANCES = 200  # random carriers criterion 6 enumerates both ways
+_LAW_INSTANCES = 500  # random trellises criterion 10 checks the laws on
 FACTS = fx.RECORDED_FACTS
 
 
@@ -229,12 +231,12 @@ def criterion_5(seed=None) -> CriterionResult:
     return ch.result(5, "seven-element carrier: two maximal t-norms, no greatest")
 
 
-def criterion_6(seed=DEFAULT_SEED, instances=200) -> CriterionResult:
+def criterion_6(seed=DEFAULT_SEED) -> CriterionResult:
     ch = _Checks()
     rng = random.Random(seed)
     mismatches = 0
     nontrivial = 0
-    for _ in range(instances):
+    for _ in range(_SEARCH_INSTANCES):
         p = random_bounded_psoset(rng, rng.randint(1, 5))
         searched = _table_set(enumerate_tnorms(p).tnorms)
         brute = _table_set(bruteforce_tnorms(p))
@@ -244,7 +246,7 @@ def criterion_6(seed=DEFAULT_SEED, instances=200) -> CriterionResult:
             nontrivial += 1
     ch.expect(
         mismatches == 0,
-        f"pruned search equals brute force on {instances} random carriers "
+        f"pruned search equals brute force on {_SEARCH_INSTANCES} random carriers "
         f"(n <= 5, {nontrivial} with more than one t-norm)",
     )
     return ch.result(6, "search engine equals brute force on random carriers")
@@ -452,7 +454,7 @@ def _laws_for_trellis(t, rng, ch_counts):
     return bad
 
 
-def criterion_10(seed=DEFAULT_SEED, instances=500) -> CriterionResult:
+def criterion_10(seed=DEFAULT_SEED) -> CriterionResult:
     ch = _Checks()
     rng = random.Random(seed + 1)
     counts: dict[str, int] = {
@@ -461,8 +463,8 @@ def criterion_10(seed=DEFAULT_SEED, instances=500) -> CriterionResult:
         "dominance instances": 0,
     }
     violations: list[str] = []
-    pseudo_chains = instances // 3
-    for k in range(instances):
+    pseudo_chains = _LAW_INSTANCES // 3
+    for k in range(_LAW_INSTANCES):
         n = rng.randint(2, 7)
         if k < pseudo_chains:
             t = random_pseudo_chain(rng, n)
@@ -472,7 +474,7 @@ def criterion_10(seed=DEFAULT_SEED, instances=500) -> CriterionResult:
             violations.append(f"instance {k} (n={t.n}): {label}")
     ch.expect(
         not violations,
-        f"{instances} random trellises (n <= 7), zero law violations"
+        f"{_LAW_INSTANCES} random trellises (n <= 7), zero law violations"
         + (f"; first: {violations[0]}" if violations else ""),
     )
     for label, count in counts.items():

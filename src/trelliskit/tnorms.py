@@ -300,10 +300,8 @@ def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
     meet, join = (
         _freeze(np.searchsorted(m, table[m[:, None], m])) for table in (t.meet, t.join)
     )
-    # a sub-lattice is a finite lattice: it has a bottom and a top
-    bottom, top = int(rel.all(axis=1).argmax()), int(rel.all(axis=0).argmax())
     names = tuple(t.names[x] for x in members)
-    sub = Trellis(names, rel, bottom, top, meet=meet, join=join)
+    sub = Trellis(names, rel, meet=meet, join=join)
     tab = meet[meet, members.index(a)]
     return BinaryOpTable(target=sub, table=_freeze(tab))
 

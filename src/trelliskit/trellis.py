@@ -10,7 +10,7 @@ off order-theoretic shortcuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,12 @@ from .relation import (
 )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Trellis(Psoset):
     """A psoset in which every pair has a meet and a join, with both tables."""
 
-    meet: np.ndarray = field(kw_only=True)  # meet[x, y] = greatest lower bound
-    join: np.ndarray = field(kw_only=True)
+    meet: np.ndarray  # meet[x, y] = greatest lower bound
+    join: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,6 @@ def _pair_tables(p: Psoset) -> tuple[np.ndarray, np.ndarray]:
     return _greatest(_bounds(p.rel), p.rel), _greatest(_bounds(p.rel.T), p.rel.T)
 
 
-def _with_tables(p: Psoset, meet: np.ndarray, join: np.ndarray) -> Trellis:
-    return Trellis(p.names, p.rel, p.bottom, p.top, meet=meet, join=join)
-
-
 def build_trellis(p: Psoset) -> tuple[Trellis, StructureKind]:
     """Materialize meet/join tables; raise NotATrellis on the first pair
     lacking one (lexicographically first in index order; the tables are
@@ -99,7 +95,7 @@ def build_trellis(p: Psoset) -> tuple[Trellis, StructureKind]:
         )
     meet.setflags(write=False)
     join.setflags(write=False)
-    t = _with_tables(p, meet, join)
+    t = Trellis(p.names, p.rel, meet=meet, join=join)
     return t, structure_kind(t)
 
 
@@ -112,7 +108,7 @@ def structure_kind(p: Psoset) -> StructureKind:
         meet, join = _pair_tables(p)
         has_meet = bool((meet >= 0).all())
         has_join = bool((join >= 0).all())
-        t = _with_tables(p, meet, join) if has_meet and has_join else None
+        t = Trellis(p.names, p.rel, meet, join) if has_meet and has_join else None
     is_trellis = has_meet and has_join
     is_lattice = is_trellis and p.is_transitive()
     modular = None
@@ -204,7 +200,7 @@ def trellis_from_tables(names, meet, join) -> Trellis:
     join = np.array(join, dtype=np.int64)
     meet.setflags(write=False)
     join.setflags(write=False)
-    return _with_tables(p, meet, join)
+    return Trellis(p.names, p.rel, meet=meet, join=join)
 
 
 def modular_violation(t: Trellis) -> tuple[int, int, int] | None:
@@ -260,23 +256,3 @@ def modular_implication_check(t: Trellis) -> bool:
     # [x, y, z]: x v y = 1 and x <= z, yet x ^ y is not below z
     return not ((join == top)[:, :, None] & rel[:, None, :] & ~rel[meet]).any()
 
-
-__all__ = [
-    "Trellis",
-    "StructureKind",
-    "AxiomReport",
-    "infimum",
-    "supremum",
-    "build_trellis",
-    "structure_kind",
-    "check_skala_axioms",
-    "induced_order",
-    "trellis_from_tables",
-    "modular_violation",
-    "is_modular",
-    "is_meet_sub_trellis",
-    "is_join_sub_trellis",
-    "is_sub_trellis",
-    "is_sub_lattice",
-    "modular_implication_check",
-]

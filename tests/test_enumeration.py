@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from trelliskit import (
+    Psoset,
     bruteforce_candidate_count,
     bruteforce_tnorms,
     check,
@@ -31,6 +32,7 @@ from trelliskit import (
     t_join_cover,
     tnorm_via_interior,
     tnorm_via_subset,
+    validate_psoset,
 )
 from trelliskit.errors import (
     CarrierTooLarge,
@@ -215,6 +217,37 @@ def test_pentagon_order_diagram(pentagon):
     )
     assert diagram.dashed_pairs == ()
     assert diagram.back_edges == ()
+
+
+def test_the_bounds_are_read_off_the_relation(pentagon):
+    # the bare relation is a bounded carrier: it has the same six t-norms
+    res = enumerate_tnorms(Psoset(pentagon.names, pentagon.rel))
+    assert res.count == 6
+    assert grids(res) == grids(enumerate_tnorms(pentagon))
+
+
+def test_order_diagram_reads_the_order_without_revalidating(monkeypatch):
+    rng = random.Random(1515)
+    carriers = [make() for key, make in CARRIERS.items() if key != "six_cycle"]
+    for k in range(60):
+        make = random_trellis if k % 2 else random_bounded_psoset
+        carriers.append(make(rng, 3 + k % 3))
+    # every module that binds validate_psoset counts its calls
+    validations, seen = [], []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trelliskit") and hasattr(module, "validate_psoset"):
+            monkeypatch.setattr(
+                module, "validate_psoset", lambda *args: validations.append(args)
+            )
+    draw = enumeration.hasse
+    monkeypatch.setattr(enumeration, "hasse", lambda p: (seen.append(p), draw(p))[1])
+    for p in carriers:
+        order_diagram(enumerate_tnorms(p))
+    assert validations == []
+    monkeypatch.undo()
+    assert len(seen) == len(carriers)
+    for p in seen:
+        assert validate_psoset(p.rel, p.names).same_carrier(p)
 
 
 def test_twin_peaks_has_two_maximal_and_no_greatest():

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import itertools
 import os
 import random
 import subprocess
@@ -33,7 +36,7 @@ from trelliskit.errors import (
     ValidationError,
 )
 from trelliskit.fixtures import CARRIERS, RECORDED_FACTS, bounded_chain
-from trelliskit.relation import transitive_closure
+from trelliskit.relation import _escapes, transitive_closure
 
 
 def chain_rel(n):
@@ -168,6 +171,88 @@ def test_relation_is_frozen():
         p.rel[0, 0] = False
 
 
+def test_a_carrier_holds_only_its_definition():
+    assert [f.name for f in dataclasses.fields(Psoset)] == ["names", "rel"]
+    assert [f.name for f in dataclasses.fields(tk.Trellis)] == [
+        "names", "rel", "meet", "join",
+    ]
+    p = CARRIERS["pentagon"]()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.top = 0
+    with pytest.raises(TypeError):
+        Psoset(p.names, p.rel, bottom=4, top=0)
+
+
+def random_carriers(count):
+    """count seeded random carriers: bounded psosets, trellises,
+    pseudo-chains and unbounded psosets in turn."""
+    rng = random.Random(1515)
+    for k in range(count):
+        n = 1 + k % 7
+        if k % 4 == 3:
+            # a random strict upper triangle under a random relabelling
+            # is antisymmetric, and mostly lacks a bottom or a top
+            rel = np.eye(n, dtype=bool) | np.triu(
+                np.array([[rng.random() < 0.4 for _ in range(n)] for _ in range(n)])
+            )
+            perm = rng.sample(range(n), n)
+            yield validate_psoset(rel[np.ix_(perm, perm)], [str(i) for i in range(n)])
+        else:
+            make = (random_bounded_psoset, tk.random_trellis, tk.random_pseudo_chain)
+            yield make[k % 4](rng, n)
+
+
+def fresh_carriers():
+    """The shipped carriers and 300 random ones, each rebuilt from its
+    fields, so that nothing derived is cached yet."""
+    shipped = (make() for make in CARRIERS.values())
+    for p in itertools.chain(shipped, random_carriers(300)):
+        yield dataclasses.replace(p)
+
+
+def test_derived_facts_equal_the_eager_expressions():
+    bounded = set()
+    for p in fresh_carriers():
+        rel = p.rel
+        for axis, derived in ((1, p.bottom), (0, p.top)):
+            hits = np.flatnonzero(rel.all(axis=axis))
+            assert derived == (int(hits[0]) if len(hits) else None)
+            assert derived is None or type(derived) is int
+        bounded.add(p.bottom is not None and p.top is not None)
+        assert np.array_equal(p.closure, transitive_closure(rel))
+        assert p.closure is p.closure and not p.closure.flags.writeable
+        escapes = _escapes(rel)
+        rtr, ltr = p._side_masks
+        assert np.array_equal(rtr, ~escapes.any(axis=1))
+        assert np.array_equal(ltr, ~escapes.any(axis=0))
+        assert p.is_transitive() == (not escapes.any())
+    assert bounded == {True, False}
+
+
+def test_the_two_step_relation_is_computed_once_per_carrier(monkeypatch):
+    calls = []
+
+    def counted(rel):
+        calls.append(1)
+        return _escapes(rel)
+
+    monkeypatch.setattr(tk.relation, "_escapes", counted)
+    trellises = 0
+    for p in fresh_carriers():
+        if not isinstance(p, tk.Trellis):
+            continue
+        trellises += 1
+        calls.clear()
+        tk.classify(p)
+        for side in (tk.iterated_join, tk.iterated_meet):
+            with contextlib.suppress(PreconditionError):
+                side(p, range(p.n))
+        tk.right_transitive_set(p)
+        p.is_transitive()
+        assert len(calls) == 1
+    assert trellises > 100
+
+
 def closure_by_squaring(rel):
     """Closure oracle: square the boolean matrix until nothing changes."""
     closure = rel.copy()
@@ -279,6 +364,7 @@ ELEMENT_READERS = {
     "labels": lambda t, x: t.labels([0, x]),
     "flags": lambda t, x: tk.classify(t).flags(x),
     "op_call": lambda t, x: tk.t_drastic(t)(x, x),
+    "map_call": lambda t, x: tk.interior_from_subset(t, [0, 4])(x),
 }
 
 

@@ -522,7 +522,7 @@ def test_witnesses_are_the_lexicographically_first_violations():
         if k % 2:
             join[:] = meet[-1] = n - 1
         c = bounded_chain(n)
-        carriers.append(Trellis(c.names, c.rel, c.bottom, c.top, meet=meet, join=join))
+        carriers.append(Trellis(c.names, c.rel, meet=meet, join=join))
     seen = set()
     for t in carriers:
         for name, (got, want) in trellis_witnesses(t).items():

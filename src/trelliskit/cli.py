@@ -439,6 +439,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     results = reproduction.run_all(seed=args.seed)
+    if args.stats:
+        for r in results:
+            print(f"criterion {r.number}: {r.seconds:.3f} s", file=sys.stderr)
     if args.json:
         _print_json(
             args,
@@ -509,6 +512,10 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--seed", type=int, default=reproduction.DEFAULT_SEED,
         help="seed for the random suites",
+    )
+    sp.add_argument(
+        "--stats", action="store_true",
+        help="print each criterion's wall time to stderr",
     )
     sp.set_defaults(func=cmd_verify_paper)
     return ap

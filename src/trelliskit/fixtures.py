@@ -29,7 +29,7 @@ import numpy as np
 from .fileformat import PsosetDocument, document_psoset, document_trellis, parse
 from .relation import Psoset, validate_psoset
 from .tnorms import BinaryOpTable, make_op
-from .trellis import Trellis, build_trellis
+from .trellis import Trellis, _as_trellis
 
 
 def _grid(target, text: str) -> BinaryOpTable:
@@ -82,8 +82,7 @@ CARRIERS = {key: partial(_load, key) for key in _FILES}
 def bounded_chain(k: int) -> Trellis:
     rel = np.triu(np.ones((k, k), dtype=bool))
     names = tuple(str(i) for i in range(k))
-    t, _ = build_trellis(validate_psoset(rel, names))
-    return t
+    return _as_trellis(validate_psoset(rel, names))
 
 
 @lru_cache(maxsize=None)
@@ -91,8 +90,7 @@ def diamond_lattice() -> Trellis:
     """0 < x, y < 1 with x, y incomparable — a handy honest lattice."""
     rel = np.eye(4, dtype=bool)
     rel[0] = rel[:, 3] = True
-    t, _ = build_trellis(validate_psoset(rel, ("0", "x", "y", "1")))
-    return t
+    return _as_trellis(validate_psoset(rel, ("0", "x", "y", "1")))
 
 
 # --- recorded tables ---------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotATrellis
 from .relation import Psoset, is_pseudo_chain, transitive_closure, validate_psoset
-from .trellis import Trellis, build_trellis
+from .trellis import Trellis, _as_trellis
 
 _MAX_TRIES = 500  # rejection-sampling draws before a generator gives up
 
@@ -116,10 +116,9 @@ def random_trellis(
     for _ in range(_MAX_TRIES):
         p = random_bounded_psoset(rng, n, deletions=deletions, cycle_prob=cycle_prob)
         try:
-            t, _ = build_trellis(p)
+            return _as_trellis(p)
         except NotATrellis:
             continue
-        return t
     raise RuntimeError(f"no trellis with {n} elements after {_MAX_TRIES} tries")
 
 
@@ -148,8 +147,7 @@ def random_pseudo_chain(
         if not is_pseudo_chain(p, range(n)):
             continue
         try:
-            t, _ = build_trellis(p)
+            return _as_trellis(p)
         except NotATrellis:
             continue
-        return t
     raise RuntimeError(f"no pseudo-chain with {n} elements after {_MAX_TRIES} tries")

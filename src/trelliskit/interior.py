@@ -10,6 +10,7 @@ subsets and the t-norm constructions in tnorms.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,14 +24,23 @@ from .relation import _hits, _member, _members, _require_bounds, _require_side
 from .trellis import Trellis, _greatest
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class UnaryMap:
+    """A map on the carrier.  Frozen like the carrier, so its interior
+    report is computed on first read and then cached."""
+
     target: Trellis
     map: np.ndarray  # map[x] = image of x
 
     @property
     def n(self) -> int:
         return self.target.n
+
+    @cached_property
+    def report(self) -> InteriorReport:
+        """validate_interior(target, self); a malformed map raises
+        ValidationError on every read, since a raise is not cached."""
+        return validate_interior(self.target, self)
 
     def __call__(self, x: int) -> int:
         return int(self.map[_member(self.target, x)])
@@ -83,7 +93,9 @@ def validate_interior(t: Trellis, m: UnaryMap) -> InteriorReport:
 
 
 def interior_range(t: Trellis, m: UnaryMap) -> frozenset[int]:
-    report = validate_interior(t, m)
+    """The image of m, once it passes the interior axioms on t (the map's
+    cached report when t is its own carrier)."""
+    report = m.report if m.target is t else validate_interior(t, m)
     if not report.ok:
         raise NotAnInteriorOperator("map fails the interior axioms", report)
     return m.image()

@@ -46,7 +46,7 @@ from .relation import (
     co_atoms,
     validate_psoset,
 )
-from .trellis import Trellis, build_trellis, is_sub_lattice
+from .trellis import Trellis, _as_trellis, is_sub_lattice
 
 
 @dataclass(eq=False)
@@ -150,17 +150,30 @@ def _axiom_bad(axiom: str, tabs: np.ndarray, rel: np.ndarray, top: int) -> np.nd
 _AXIOMS = ("neutral_top", "commutative", "increasing", "associative")  # cheapest first
 
 
-def _tnorm_mask(tabs: np.ndarray, rel: np.ndarray, top: int) -> np.ndarray:
-    """(b,) bool: which tables of the (b, n, n) stack are t-norms.  Each
-    axiom only runs on the tables that passed the ones before it."""
+def _tnorm_mask(
+    tabs: np.ndarray, rel: np.ndarray, top: int | None, axioms=_AXIOMS
+) -> np.ndarray:
+    """(b,) bool: which tables of the (b, n, n) stack satisfy every one of
+    the axioms, by default the four that make a t-norm.  Each axiom only
+    runs on the tables that passed the ones before it."""
     keep = np.ones(len(tabs), dtype=bool)
-    for axiom in _AXIOMS:
+    for axiom in axioms:
         live = np.flatnonzero(keep)
         if not len(live):
             break
         bad = _axiom_bad(axiom, tabs[live], rel, top)
         keep[live] = ~bad.reshape(len(live), -1).any(axis=1)
     return keep
+
+
+def _conjunctive_bad(tab: np.ndarray, t: Trellis) -> np.ndarray:
+    """[x, y]: not T(x, y) <= x ^ y."""
+    return ~t.rel[tab, t.meet]
+
+
+def _meet_preserving_bad(tab: np.ndarray, t: Trellis) -> np.ndarray:
+    """[x, y, z]: T(x, y ^ z) != T(x, y) ^ T(x, z)."""
+    return tab[:, t.meet] != t.meet[tab[:, :, None], tab[:, None, :]]
 
 
 # Witnesses whose leading coordinates number related pairs, and how many.
@@ -188,11 +201,9 @@ def check(op: BinaryOpTable) -> TnormReport:
     bad["right_increasing"] = ~rel[tab[:, lo], tab[:, hi]].T
     bad["idempotent"] = tab.diagonal() != np.arange(op.n)
     if isinstance(target, Trellis):
-        meet, join = target.meet, target.join
-        bad["conjunctive"] = ~rel[tab, meet]
-        bad["disjunctive"] = ~rel[join, tab]
-        # [x, y, z]: T(x, y ^ z) != T(x, y) ^ T(x, z)
-        bad["meet_preserving"] = tab[:, meet] != meet[tab[:, :, None], tab[:, None, :]]
+        bad["conjunctive"] = _conjunctive_bad(tab, target)
+        bad["disjunctive"] = ~rel[target.join, tab]
+        bad["meet_preserving"] = _meet_preserving_bad(tab, target)
 
     report = TnormReport()
     for name, mask in bad.items():
@@ -276,8 +287,7 @@ def restrict(t: Trellis, A) -> tuple[Trellis, list[int]]:
     members = _nonempty(t, A, "restriction")
     m = np.asarray(members, dtype=np.intp)
     sub_p = validate_psoset(t.rel[m[:, None], m], [t.names[x] for x in members])
-    sub_t, _ = build_trellis(sub_p)
-    return sub_t, members
+    return _as_trellis(sub_p), members
 
 
 def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
@@ -306,27 +316,30 @@ def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
     return BinaryOpTable(target=sub, table=_freeze(tab))
 
 
+_GATE_AXIOMS = ("commutative", "increasing", "associative")  # cheapest first
+
+
 def _gate_v(t: Trellis, image: np.ndarray, v: BinaryOpTable) -> None:
     """The range operation must live on the range and be commutative,
     associative, increasing and bounded above by the range's meet.  (A
     neutral element is NOT required: the construction never evaluates v
     against the original top, and the useful suppliers — scaled meets —
-    generally lack one.)"""
+    generally lack one.)  The flags are read from the masks check() reads
+    them from; its full report is built only for the error."""
     names = tuple(t.names[x] for x in image)
     on_range = Psoset(names=names, rel=t.rel[image[:, None], image])
-    if not v.target.same_carrier(on_range):
-        raise VNotATnorm("operation is not defined on the operator's range")
-    report = check(v)
+    tab, target = v.table, v.target
+    if not target.same_carrier(on_range):
+        raise VNotATnorm("operation is not defined on the operator's range", check(v))
     if not (
-        report.commutative
-        and report.associative
-        and report.increasing
-        and report.conjunctive
+        isinstance(target, Trellis)
+        and not _conjunctive_bad(tab, target).any()
+        and _tnorm_mask(tab[None], target.rel, target.top, _GATE_AXIOMS)[0]
     ):
         raise VNotATnorm(
             "range operation must be commutative, associative, increasing "
             "and conjunctive on the range",
-            report,
+            check(v),
         )
 
 

@@ -80,6 +80,12 @@ def _pair_tables(p: Psoset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_trellis(p: Psoset) -> tuple[Trellis, StructureKind]:
+    """The trellis on p, as _as_trellis builds it, and its structure."""
+    t = _as_trellis(p)
+    return t, structure_kind(t)
+
+
+def _as_trellis(p: Psoset) -> Trellis:
     """Materialize meet/join tables; raise NotATrellis on the first pair
     lacking one (lexicographically first in index order; the tables are
     symmetric, so that pair has x <= y).  A pair lacking both reports its
@@ -95,8 +101,7 @@ def build_trellis(p: Psoset) -> tuple[Trellis, StructureKind]:
         )
     meet.setflags(write=False)
     join.setflags(write=False)
-    t = Trellis(p.names, p.rel, meet=meet, join=join)
-    return t, structure_kind(t)
+    return Trellis(p.names, p.rel, meet=meet, join=join)
 
 
 def structure_kind(p: Psoset) -> StructureKind:

@@ -325,6 +325,30 @@ def test_verify_paper_json_is_the_stdlib_rendering(capsys):
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# SHA-256 of `verify-paper --json --seed S` stdout.  The criterion-10
+# instance counts in `details` move with any change to the stream of the
+# random generators.
+VERIFY_PAPER_SHA256 = {
+    "1405": "f9171afaacfd543e8c803e1bedb2d80ca5210b8dfcf03173567574da933f3f96",
+    "7": "911788aa883816d81fbd05e0985b866789238f0fde447830165091e1229b757a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_PAPER_SHA256))
+def test_verify_paper_json_is_pinned(seed, capsys):
+    code, out, err = run(capsys, "verify-paper", "--json", "--seed", seed)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SHA256[seed]
+
+
+def test_verify_paper_stats_time_each_criterion_on_stderr(capsys):
+    code, out, err = run(capsys, "verify-paper", "--json", "--seed", "7", "--stats")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SHA256["7"]
+    lines = [re.fullmatch(r"criterion (\d+): \d+\.\d{3} s", l) for l in err.splitlines()]
+    assert [m and int(m.group(1)) for m in lines] == list(range(1, 11))
+
+
 # Scalar subclasses, which the writer hands to json.dumps.
 class Label(str):
     pass

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from trelliskit import (
+    Trellis,
     UnaryMap,
     classify,
     down_set,
@@ -15,11 +17,13 @@ from trelliskit import (
     random_pseudo_chain,
     random_trellis,
     restrict,
+    right_transitive_set,
     scaled_meet,
     tnorm_via_interior,
     tnorm_via_subset,
     validate_interior,
 )
+from trelliskit import interior
 from trelliskit.errors import (
     BottomMissing,
     NotAnInteriorOperator,
@@ -132,6 +136,31 @@ def test_maps_out_of_range_are_a_validation_error(images, positions):
         with pytest.raises(ValidationError) as info:
             entry(t, im)
         assert info.value.violations == positions, entry.__name__
+
+
+def test_one_interior_report_per_map(monkeypatch):
+    calls = []
+    real = interior.validate_interior
+    monkeypatch.setattr(
+        interior, "validate_interior", lambda t, m: calls.append(m) or real(t, m)
+    )
+    t = CARRIERS["hourglass7"]()
+    rtr = sorted(right_transitive_set(t))
+    im = interior_from_subset(t, rtr)
+    assert im.report.ok and im.report is im.report
+    assert interior_range(t, im) == im.image()
+    tnorm_via_interior(t, im)
+    tnorm_via_interior(t, im, scaled_meet(t, rtr, rtr[1]))
+    assert calls == [im]
+    # another carrier object, however equal, is validated on its own
+    twin = Trellis(t.names, t.rel, t.meet, t.join)
+    assert interior_range(twin, im) == im.image()
+    assert calls == [im, im]
+    # each new map gets its one report
+    tnorm_via_subset(t, rtr)
+    assert len(calls) == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        im.map = np.arange(t.n)
 
 
 # Oracles: the constructions as they were written before they read the

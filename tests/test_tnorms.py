@@ -320,8 +320,15 @@ def test_gate_rejects_foreign_or_lawless_tables(hourglass):
     members = sorted(hourglass.indices(("0", "b", "c", "d", "e", "1")))
     other = sorted(hourglass.indices(("0", "b", "1")))
     v_other = scaled_meet(hourglass, other, hourglass.index("b"))
-    with pytest.raises(VNotATnorm):
+    with pytest.raises(VNotATnorm) as info:
         tnorm_via_subset(hourglass, members, v_other)
+    assert info.value.report == check(v_other)
+    # on the range itself, the range's join is not conjunctive
+    lawless = join_op(scaled_meet(hourglass, members, hourglass.index("b")).target)
+    with pytest.raises(VNotATnorm) as info:
+        tnorm_via_subset(hourglass, members, lawless)
+    assert info.value.report == check(lawless)
+    assert not info.value.report.conjunctive
 
 
 def test_gate_rejects_a_table_on_another_order_of_the_range(hourglass):
@@ -331,8 +338,9 @@ def test_gate_rejects_a_table_on_another_order_of_the_range(hourglass):
     assert not np.array_equal(chain_rel, hourglass.rel[np.ix_(members, members)])
     chain, _ = build_trellis(validate_psoset(chain_rel, hourglass.labels(members)))
     assert check(meet_op(chain)).conjunctive
-    with pytest.raises(VNotATnorm):
+    with pytest.raises(VNotATnorm) as info:
         tnorm_via_subset(hourglass, members, meet_op(chain))
+    assert info.value.report == check(meet_op(chain))
 
 
 def test_unchecked_subset_route_reproduces_the_counterexample():

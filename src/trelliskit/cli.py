@@ -10,6 +10,7 @@ given carrier or name an unknown element, and the like).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -17,6 +18,7 @@ from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from operator import countOf
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -115,6 +117,12 @@ def _print_report(names, rep) -> None:
 def _emit_dot(args, diagram, names) -> None:
     if args.dot:
         Path(args.dot).write_text(export_dot(diagram, names))
+
+
+def _print_times(times) -> None:
+    """One "<name>: X.XXX s" line on stderr per (name, seconds) pair."""
+    for name, seconds in times:
+        print(f"{name}: {seconds:.3f} s", file=sys.stderr)
 
 
 # How each exact scalar type renders; encode_basestring_ascii is the
@@ -404,7 +412,11 @@ def cmd_enumerate(args) -> int:
     except LimitReached as e:
         res = e.result
 
+    started = perf_counter()
+    maximal, greatest = res.maximal, res.greatest  # these build the order
+    ordered = perf_counter()
     diagram = order_diagram(res) if res.complete else None
+    drawn = perf_counter()
     if diagram is not None:
         _emit_dot(args, diagram, [f"T{k + 1}" for k in range(res.count)])
     if args.json:
@@ -414,18 +426,32 @@ def cmd_enumerate(args) -> int:
             count=res.count,
             complete=res.complete,
             tnorms=_named(p.names, [op.table for op in res.tnorms]),
-            maximal=res.maximal,
-            greatest=res.greatest,
+            maximal=maximal,
+            greatest=greatest,
             cover_edges=diagram.cover_edges if diagram else None,
             search_stats=res.search_stats,
         )
-        return EXIT_OK
+    else:
+        _print_enumeration(p, res, maximal, greatest, diagram)
+    if args.stats:
+        _print_times(
+            [
+                *res.timings.items(),
+                ("order", ordered - started),
+                ("diagram", drawn - ordered),
+                ("output", perf_counter() - drawn),
+            ]
+        )
+    return EXIT_OK
+
+
+def _print_enumeration(p, res, maximal, greatest, diagram) -> None:
     print(f"t-norms found: {res.count}" + ("" if res.complete else "  (stopped at limit)"))
     for k, op in enumerate(res.tnorms):
         tags = []
-        if k in res.maximal:
+        if k in maximal:
             tags.append("maximal")
-        if k == res.greatest:
+        if k == greatest:
             tags.append("greatest")
         suffix = f"  ({', '.join(tags)})" if tags else ""
         print(f"\nT{k + 1}{suffix}")
@@ -434,14 +460,12 @@ def cmd_enumerate(args) -> int:
         covers = ", ".join(f"T{u + 1} -> T{v + 1}" for u, v in diagram.cover_edges)
         print(f"\norder diagram covers: {covers if covers else 'none'}")
     print(f"search stats: {res.search_stats}")
-    return EXIT_OK
 
 
 def cmd_verify_paper(args) -> int:
     results = reproduction.run_all(seed=args.seed)
     if args.stats:
-        for r in results:
-            print(f"criterion {r.number}: {r.seconds:.3f} s", file=sys.stderr)
+        _print_times((f"criterion {r.number}", r.seconds) for r in results)
     if args.json:
         _print_json(
             args,
@@ -466,7 +490,11 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_UNEXPECTED
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand
+    names its handler rather than holding it, so main() calls whatever
+    this module binds under that name at the time of the call."""
     json_opt = argparse.ArgumentParser(add_help=False)
     json_opt.add_argument("--json", action="store_true", help="machine-readable output")
     dot_opt = argparse.ArgumentParser(add_help=False)
@@ -481,17 +509,17 @@ def _parser() -> argparse.ArgumentParser:
 
     # the subcommands that read a document, and whether they draw one
     commands = {}
-    for name, func, dot, help_ in (
-        ("validate", cmd_validate, True, "check a carrier file"),
-        ("classify", cmd_classify, False, "element classes"),
-        ("structure", cmd_structure, True, "structure report"),
-        ("construct", cmd_construct, False, "build a t-norm"),
-        ("enumerate", cmd_enumerate, True, "all t-norms"),
+    for name, handler, dot, help_ in (
+        ("validate", "cmd_validate", True, "check a carrier file"),
+        ("classify", "cmd_classify", False, "element classes"),
+        ("structure", "cmd_structure", True, "structure report"),
+        ("construct", "cmd_construct", False, "build a t-norm"),
+        ("enumerate", "cmd_enumerate", True, "all t-norms"),
     ):
         parents = [json_opt, dot_opt] if dot else [json_opt]
         sp = commands[name] = sub.add_parser(name, parents=parents, help=help_)
         sp.add_argument("file")
-        sp.set_defaults(func=func)
+        sp.set_defaults(handler=handler)
 
     commands["construct"].add_argument(
         "--method",
@@ -503,6 +531,11 @@ def _parser() -> argparse.ArgumentParser:
     sp = commands["enumerate"]
     sp.add_argument("--limit", type=int, default=None, help="stop after N t-norms")
     sp.add_argument("--cap", type=int, default=None, help="carrier size guard")
+    sp.add_argument(
+        "--stats", action="store_true",
+        help="print the wall time of each phase (search, final check, order, "
+        "diagram, output) to stderr",
+    )
 
     sp = sub.add_parser(
         "verify-paper",
@@ -517,14 +550,14 @@ def _parser() -> argparse.ArgumentParser:
         "--stats", action="store_true",
         help="print each criterion's wall time to stderr",
     )
-    sp.set_defaults(func=cmd_verify_paper)
+    sp.set_defaults(handler="cmd_verify_paper")
     return ap
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -35,8 +35,9 @@ authority on what counts as a t-norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from time import perf_counter
 
 import numpy as np
 
@@ -44,9 +45,9 @@ from .errors import LimitReached, PreconditionViolated, TargetMismatch
 from .relation import (
     HasseDiagram,
     Psoset,
+    _diagram,
     _require_bounds,
     _require_cap,
-    hasse,
 )
 from .tnorms import BinaryOpTable, _tnorm_mask, pointwise_order
 
@@ -61,37 +62,55 @@ class EnumerationResult:
     equal carriers always enumerate in the same order.  order is the
     read-only (count, count) pointwise order among them: order[a, b] iff
     tnorms[a] <= tnorms[b] in every cell.  maximal and greatest are
-    indices into tnorms, read off order.  All three are computed the
-    first time they are read and then cached, so a caller that only needs
-    the t-norms never builds the order; the constructor takes none of
-    them, nor count, which is len(tnorms).  If complete is False the
-    search stopped at a limit and order/maximal/greatest only describe
-    what was found up to that point.
+    indices into tnorms.  The order is built the first time order,
+    maximal, greatest or order_diagram needs it and is then cached as
+    packed bit rows, which maximal, greatest and order_diagram read as
+    they are; order unpacks them once, when first read.  So a caller that
+    only needs the t-norms never builds the order; the constructor takes
+    none of them, nor count, which is len(tnorms).  If complete is False
+    the search stopped at a limit and order/maximal/greatest only
+    describe what was found up to that point.  timings holds wall times
+    in seconds: "search" and "final check" (the axiom kernel run on the
+    completed tables, not included in "search").
     """
 
     target: Psoset
     tnorms: list[BinaryOpTable]
     search_stats: dict[str, int]
     complete: bool
+    timings: dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def count(self) -> int:
         return len(self.tnorms)
 
     @cached_property
+    def _rows(self) -> np.ndarray:
+        """The order's rows packed as pointwise_order(..., packed=True)
+        returns them, eight t-norms a byte."""
+        rows = pointwise_order(
+            [op.table for op in self.tnorms], self.target.rel, packed=True
+        )
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
     def order(self) -> np.ndarray:
-        order = pointwise_order([op.table for op in self.tnorms], self.target.rel)
-        order.setflags(write=False)
-        return order
+        bits = np.unpackbits(self._rows, axis=1, count=self.count, bitorder="little")
+        bits.setflags(write=False)  # the bool view's base, read-only too
+        return bits.view(bool)
 
     @cached_property
     def maximal(self) -> list[int]:
-        # order is reflexive, so a maximal row holds only its diagonal cell
-        return np.flatnonzero(self.order.sum(axis=1) == 1).tolist()
+        # the order is reflexive, so a maximal row holds only its diagonal bit
+        return np.flatnonzero(np.bitwise_count(self._rows).sum(axis=1) == 1).tolist()
 
     @cached_property
     def greatest(self) -> int | None:
-        greatest = np.flatnonzero(self.order.all(axis=0))
+        above_all = np.bitwise_and.reduce(self._rows, axis=0)
+        greatest = np.flatnonzero(
+            np.unpackbits(above_all, count=self.count, bitorder="little")
+        )
         return int(greatest[0]) if len(greatest) else None
 
 
@@ -189,17 +208,20 @@ def enumerate_tnorms(
         return True
 
     nodes = assoc_prunes = monotone_prunes = rejects = 0
+    started, checking = perf_counter(), 0.0
     found: list[BinaryOpTable] = []
     pending: list[list[list[int]]] = []  # completed tables not yet checked
 
     def flush() -> None:
-        nonlocal rejects
+        nonlocal rejects, checking
+        start = perf_counter()
         tabs = np.array(pending, dtype=np.int64)
         kept = tabs[_tnorm_mask(tabs, p.rel, top)]
         kept.setflags(write=False)
         found.extend(BinaryOpTable(target=p, table=t) for t in kept)
         rejects += len(tabs) - len(kept)
         pending.clear()
+        checking += perf_counter() - start
 
     def finish(complete: bool) -> EnumerationResult:
         found.sort(key=lambda op: op.table.ravel().tolist())
@@ -213,6 +235,10 @@ def enumerate_tnorms(
                 "final_check_rejects": rejects,
             },
             complete=complete,
+            timings={
+                "search": perf_counter() - started - checking,
+                "final check": checking,
+            },
         )
 
     # Depth k has its cell cells[k], the domains on entry level[k] and the
@@ -288,11 +314,13 @@ def order_diagram(result: EnumerationResult) -> HasseDiagram:
 
     The pointwise comparison of t-norm tables is reflexive and
     antisymmetric but need not be transitive when the carrier is not, so
-    the result goes through the same diagram extraction as any psoset.
-    Node k stands for result.tnorms[k] (named "T<k+1>").
+    the result goes through the same diagram extraction as any psoset,
+    read straight off the packed order (relation._diagram), which is
+    unpacked only when the order is not transitive.  Node k stands for
+    result.tnorms[k] (named "T<k+1>").
     """
     if not result.complete:
         raise PreconditionViolated("order diagram needs a complete enumeration")
     names = tuple(f"T{k + 1}" for k in range(result.count))
     # reflexive as rel is; antisymmetric as rel is and the t-norms are distinct
-    return hasse(Psoset(names, result.order))
+    return _diagram(result._rows, lambda: Psoset(names, result.order))

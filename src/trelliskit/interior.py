@@ -20,17 +20,28 @@ from .errors import (
     NotRightTransitiveSubset,
     ValidationError,
 )
-from .relation import _hits, _member, _members, _require_bounds, _require_side
+from .relation import (
+    _frozen,
+    _hits,
+    _member,
+    _members,
+    _require_bounds,
+    _require_side,
+)
 from .trellis import Trellis, _greatest
 
 
 @dataclass(frozen=True, eq=False)
 class UnaryMap:
-    """A map on the carrier.  Frozen like the carrier, so its interior
-    report is computed on first read and then cached."""
+    """A map on the carrier.  Frozen like the carrier, with a read-only
+    copy of a writeable map array, so its interior report is computed on
+    first read and then cached."""
 
     target: Trellis
     map: np.ndarray  # map[x] = image of x
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "map", _frozen(self.map))
 
     @property
     def n(self) -> int:

@@ -42,6 +42,22 @@ def _hits(mask: np.ndarray) -> list[tuple[int, ...]]:
     return list(zip(*(ix.tolist() for ix in np.nonzero(mask))))
 
 
+def _frozen(a) -> np.ndarray:
+    """a itself when it is a read-only array over no writeable array (a
+    read-only view of a writeable one still changes when that one is
+    written), else a read-only copy of it.  Frozen objects keep their
+    arrays this way, so that nobody can write into them and leave a
+    cached property stale."""
+    under = a
+    while isinstance(under, np.ndarray) and not under.flags.writeable:
+        under = under.base
+    if under is None and isinstance(a, np.ndarray):
+        return a
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
 def _escapes(rel: np.ndarray) -> np.ndarray:
     """[a, y]: some x with a <= x <= y, yet not a <= y.  rel is transitive
     exactly when this is empty."""
@@ -199,10 +215,17 @@ class Psoset:
 
     The two fields are the whole definition.  Bounds, reachability and
     the side masks are read off rel the first time they are asked for
-    and then cached; the carrier is frozen, so they stay valid."""
+    and then cached.  The carrier is frozen and keeps a read-only copy of
+    a writeable rel, so they stay valid."""
 
     names: tuple[str, ...]
     rel: np.ndarray
+
+    _arrays = ("rel",)  # the array fields, kept read-only
+
+    def __post_init__(self) -> None:
+        for name in self._arrays:
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -370,24 +393,97 @@ def co_atoms(p: Psoset) -> frozenset[int]:
     return frozenset(np.flatnonzero(strict.sum(axis=1) == 1).tolist())
 
 
-def hasse(p: Psoset) -> HasseDiagram:
-    """The diagram of p's relation (see HasseDiagram), each field read
-    once from its mask through _hits.
+def _sweep(rows: list[int]) -> tuple[list[list[int]], list[int]] | None:
+    """Covers and reachability in one reverse sweep: the reduct-and-closure
+    algorithm of Goralcikova and Koubek (1979).  rows[x] is row x of the
+    relation as a bitset, bit y set iff x <= y.
 
-    Covers come from the relation itself; dashed pairs and back edges
-    need reachability, so they read the transitive closure, which for a
-    pseudo-order can relate more than the relation does."""
-    eye = np.eye(p.n, dtype=bool)
-    noid = p.rel & ~eye
+    It needs index order to be a topological order, so it returns None
+    when some related pair x <= y has y < x.  Otherwise, going from the
+    last x down, the successors of x are taken in index order, and each
+    one x does not yet reach is a cover: then nothing lies on a longer
+    chain between them.  Its reach is ORed into x's, one OR per cover.
+    Returns (covers, reach): covers[x] lists those y ascending, and
+    reach[x] is the reflexive, transitive reach of x as a bitset."""
+    covers: list[list[int]] = []
+    reach = [0] * len(rows)
+    for x in range(len(rows) - 1, -1, -1):
+        row = rows[x]
+        if row & ((1 << x) - 1):
+            return None
+        seen, picked = 1 << x, []
+        todo = row & ~seen
+        while todo:
+            y = (todo & -todo).bit_length() - 1
+            picked.append(y)
+            seen |= reach[y]
+            todo &= ~reach[y]
+        reach[x] = seen
+        covers.append(picked)
+    covers.reverse()
+    return covers, reach
+
+
+def _two_step_covers(noid: np.ndarray) -> np.ndarray:
+    """[x, y]: x < y with no z such that x < z < y, where noid is the
+    relation with its diagonal cleared."""
     rows = np.packbits(noid, axis=1)
     mid = np.zeros_like(rows)  # [x, y] bit: some z with x < z < y
-    for x in range(p.n):
+    for x in range(len(noid)):
         mid[x] = np.bitwise_or.reduce(rows[noid[x]], axis=0)
-    has_mid = np.unpackbits(mid, axis=1, count=p.n).view(bool)
-    reach = p.closure
-    dashed = ~p.rel & ~p.rel.T & (reach | reach.T) & ~eye
+    return noid & ~np.unpackbits(mid, axis=1, count=len(noid)).view(bool)
+
+
+def _diagram(packed: np.ndarray, carrier) -> HasseDiagram:
+    """The diagram of the relation whose rows are packed eight columns a
+    byte in little-endian bit order (np.packbits(..., bitorder="little")),
+    so that a row read as a little-endian integer has bit y set iff x <= y.
+    carrier() returns the Psoset of that relation; it is called only when
+    the boolean relation is needed.
+
+    When index order is a topological order, _sweep gives the reach.  If
+    the reach is the relation (the transitive case), the swept covers are
+    the covers, since a longer chain then implies a middle element, and
+    nothing is dashed or a back edge.  Otherwise covers are read off the
+    relation's two-step mask, and reachability off the swept reach or,
+    when _sweep does not apply, off the carrier's Warshall closure."""
+    w, step = packed.shape
+    data = packed.tobytes()
+    rows = [int.from_bytes(data[x * step:(x + 1) * step], "little") for x in range(w)]
+    swept = _sweep(rows)
+    if swept is None:
+        p = carrier()
+        rel, reach = p.rel, p.closure
+    else:
+        covers, reach_rows = swept
+        if all(r == row | 1 << x for x, (r, row) in enumerate(zip(reach_rows, rows))):
+            return HasseDiagram(
+                cover_edges=tuple((x, y) for x, ys in enumerate(covers) for y in ys),
+                dashed_pairs=(),
+                back_edges=(),
+            )
+        rel = carrier().rel
+        reach = np.frombuffer(
+            b"".join(r.to_bytes(step, "little") for r in reach_rows), dtype=np.uint8
+        )
+        reach = np.unpackbits(
+            reach.reshape(w, step), axis=1, count=w, bitorder="little"
+        ).view(bool)
+    noid = rel & ~np.eye(w, dtype=bool)
+    dashed = ~rel & ~rel.T & (reach | reach.T)
     return HasseDiagram(
-        cover_edges=tuple(_hits(noid & ~has_mid)),
-        dashed_pairs=tuple(_hits(np.triu(dashed))),
+        cover_edges=tuple(_hits(_two_step_covers(noid))),
+        dashed_pairs=tuple(_hits(np.triu(dashed, 1))),
         back_edges=tuple(_hits(noid & reach.T)),
     )
+
+
+def hasse(p: Psoset) -> HasseDiagram:
+    """The diagram of p's relation (see HasseDiagram).
+
+    Covers come from the relation itself; dashed pairs and back edges
+    need reachability, which for a pseudo-order can relate more than the
+    relation does.  When index order is a topological order of p, one
+    reverse sweep over bitset rows gives both (see _diagram); otherwise
+    the transitive closure does."""
+    return _diagram(np.packbits(p.rel, axis=1, bitorder="little"), lambda: p)

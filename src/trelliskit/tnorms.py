@@ -129,8 +129,12 @@ class TnormReport:
 
 def _axiom_bad(axiom: str, tabs: np.ndarray, rel: np.ndarray, top: int) -> np.ndarray:
     """Violation mask of one of the four t-norm axioms over a (b, n, n)
-    stack of tables, with the table axis first."""
-    idx = np.arange(tabs.shape[-1])
+    stack of tables, with the table axis first.  Increasing and
+    associative gather with np.take from the flattened stack: increasing
+    at cell x * n + y of each table, associative whole rows, row x of
+    table i being row i * n + x of the stack."""
+    n = tabs.shape[-1]
+    idx = np.arange(n)
     if axiom == "neutral_top":  # [b, x]: T(x, top) != x or T(top, x) != x
         return (tabs[:, :, top] != idx) | (tabs[:, top, :] != idx)
     if axiom == "commutative":  # [b, x, y]: T(x, y) != T(y, x)
@@ -139,12 +143,18 @@ def _axiom_bad(axiom: str, tabs: np.ndarray, rel: np.ndarray, top: int) -> np.nd
         # [b, p, q]: not T(x, z) <= T(y, t), for the related pairs p = (x, y)
         # and q = (z, t) numbered in the row-major order of np.nonzero(rel)
         lo, hi = np.nonzero(rel)
-        low, high = tabs[:, lo[:, None], lo[None, :]], tabs[:, hi[:, None], hi[None, :]]
-        return ~rel[low, high]
-    b = np.arange(len(tabs))[:, None, None, None]  # associative
-    left = tabs[b, tabs[:, :, :, None], idx]  # [b, x, y, z] = T(T(x, y), z)
-    right = tabs[b, idx[:, None, None], tabs[:, None, :, :]]  # T(x, T(y, z))
-    return left != right
+        flat = tabs.reshape(len(tabs), n * n)
+        # [b, p, q]: the cell T(x, z) * n + T(y, t) of rel
+        cell = np.take(flat * n, lo[:, None] * n + lo, axis=1)
+        cell += np.take(flat, hi[:, None] * n + hi, axis=1)
+        return ~np.take(rel, cell)
+    # associative, [b, x, y, z]: T(T(x, y), z) != T(x, T(y, z)); the
+    # second is row T(y, z) of the transposed table at x.  row[i, x, y]
+    # is where row T(x, y) of table i sits in the stack.
+    row = tabs + np.arange(0, len(tabs) * n, n)[:, None, None]
+    left = np.take(tabs.reshape(-1, n), row, axis=0)
+    right = np.take(tabs.transpose(0, 2, 1).reshape(-1, n), row, axis=0)
+    return left != right.transpose(0, 3, 1, 2)
 
 
 _AXIOMS = ("neutral_top", "commutative", "increasing", "associative")  # cheapest first
@@ -155,14 +165,17 @@ def _tnorm_mask(
 ) -> np.ndarray:
     """(b,) bool: which tables of the (b, n, n) stack satisfy every one of
     the axioms, by default the four that make a t-norm.  Each axiom only
-    runs on the tables that passed the ones before it."""
+    runs on the tables that passed the ones before it; the stack is cut
+    down to those only once some table has failed."""
     keep = np.ones(len(tabs), dtype=bool)
+    live = tabs
     for axiom in axioms:
-        live = np.flatnonzero(keep)
         if not len(live):
             break
-        bad = _axiom_bad(axiom, tabs[live], rel, top)
-        keep[live] = ~bad.reshape(len(live), -1).any(axis=1)
+        ok = ~_axiom_bad(axiom, live, rel, top).reshape(len(live), -1).any(axis=1)
+        if not ok.all():
+            keep[keep] = ok
+            live = tabs[keep]
     return keep
 
 
@@ -398,7 +411,9 @@ def pointwise_leq(a: BinaryOpTable, b: BinaryOpTable) -> bool:
 _ORDER_CHUNK = 128  # rows of the order per bitset pass
 
 
-def pointwise_order(lower, rel: np.ndarray, upper=None) -> np.ndarray:
+def pointwise_order(
+    lower, rel: np.ndarray, upper=None, *, packed: bool = False
+) -> np.ndarray:
     """order[a, b] iff lower[a] <= upper[b] cellwise under rel.
 
     lower and upper are sequences of (n, n) tables on the carrier whose
@@ -406,6 +421,11 @@ def pointwise_order(lower, rel: np.ndarray, upper=None) -> np.ndarray:
     set {b : rel[v, upper[b][k]]} is packed into a bitset, so row a is
     the AND of the n*n bitsets picked by lower[a]'s entries.  Rows go in
     chunks to keep the temporaries at a few MB.
+
+    With packed=True the rows are returned as built, eight columns a
+    byte: column b is bit b % 8 of byte b // 8 (np.packbits with
+    bitorder="little"), so a row read as a little-endian integer has bit
+    b set iff order[a, b].
     """
     n = rel.shape[0]
     low = np.asarray(lower, dtype=np.intp).reshape(-1, n * n)
@@ -413,10 +433,11 @@ def pointwise_order(lower, rel: np.ndarray, upper=None) -> np.ndarray:
     w = len(up)
     cells = np.arange(n * n)
     # bits[k, v] packs {b : rel[v, up[b, k]]}
-    bits = np.packbits(rel[:, up].transpose(2, 0, 1), axis=-1)
-    order = np.empty((len(low), w), dtype=bool)
+    bits = np.packbits(rel[:, up].transpose(2, 0, 1), axis=-1, bitorder="little")
+    rows = np.empty((len(low), bits.shape[-1]), dtype=np.uint8)
     for start in range(0, len(low), _ORDER_CHUNK):
         chunk = slice(start, start + _ORDER_CHUNK)
-        rows = np.bitwise_and.reduce(bits[cells, low[chunk]], axis=1)
-        order[chunk] = np.unpackbits(rows, axis=-1, count=w).view(bool)
-    return order
+        rows[chunk] = np.bitwise_and.reduce(bits[cells, low[chunk]], axis=1)
+    if packed:
+        return rows
+    return np.unpackbits(rows, axis=-1, count=w, bitorder="little").view(bool)

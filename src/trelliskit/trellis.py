@@ -34,6 +34,8 @@ class Trellis(Psoset):
     meet: np.ndarray  # meet[x, y] = greatest lower bound
     join: np.ndarray
 
+    _arrays = ("rel", "meet", "join")
+
 
 @dataclass(frozen=True)
 class StructureKind:

@@ -349,6 +349,42 @@ def test_verify_paper_stats_time_each_criterion_on_stderr(capsys):
     assert [m and int(m.group(1)) for m in lines] == list(range(1, 11))
 
 
+ENUMERATE_PHASES = ("search", "final check", "order", "diagram", "output")
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--limit", "2"]])
+def test_enumerate_stats_time_each_phase_on_stderr(extra, tmp_path, capsys):
+    plain = run(capsys, "enumerate", PENTAGON, *extra, "--dot", str(tmp_path / "a.dot"))
+    code, out, err = run(
+        capsys, "enumerate", PENTAGON, *extra, "--dot", str(tmp_path / "b.dot"), "--stats"
+    )
+    assert (code, out) == plain[:2] and plain[2] == ""
+    assert (tmp_path / "a.dot").exists() == (extra != ["--limit", "2"])
+    if (tmp_path / "a.dot").exists():
+        assert (tmp_path / "a.dot").read_text() == (tmp_path / "b.dot").read_text()
+    lines = [re.fullmatch(r"(.+): \d+\.\d{3} s", l) for l in err.splitlines()]
+    assert tuple(m and m.group(1) for m in lines) == ENUMERATE_PHASES
+
+
+def test_the_parser_is_built_once_and_keeps_no_flags(capsys):
+    assert cli._parser() is cli._parser()
+    code, out, _ = run(capsys, "enumerate", PENTAGON, "--json", "--stats")
+    assert code == 0 and json.loads(out)["count"] == 6
+    code, out, err = run(capsys, "enumerate", PENTAGON, "--limit", "2")
+    assert code == 0 and err == ""
+    assert out.startswith("t-norms found: 2  (stopped at limit)\n")
+    args = cli._parser().parse_args(["enumerate", PENTAGON])
+    assert not (args.json or args.stats or args.dot or args.limit or args.cap)
+
+
+def test_the_cached_parser_calls_the_handler_bound_at_call_time(capsys, monkeypatch):
+    cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.file) or 0)
+    assert run(capsys, "validate", PENTAGON)[0] == 0
+    assert seen == [PENTAGON]
+
+
 # Scalar subclasses, which the writer hands to json.dumps.
 class Label(str):
     pass

@@ -1,8 +1,10 @@
 """The diagram layer against the unpacked, closure-based code it replaced.
 
 The oracles below are that code as it stood: Warshall on the unpacked
-boolean matrix, strongly connected components read off the closure, and
-DOT levels from the closure of the cover graph plus a relaxation loop.
+boolean matrix, strongly connected components read off the closure, DOT
+levels from the closure of the cover graph plus a relaxation loop, and
+the diagram with covers from the two-step mask and reachability from the
+closure for every relation.
 """
 
 import random
@@ -10,10 +12,25 @@ import random
 import numpy as np
 import pytest
 
-from trelliskit import hasse, maximal_cycles, random_bounded_psoset, validate_psoset
+from trelliskit import (
+    enumerate_tnorms,
+    hasse,
+    maximal_cycles,
+    order_diagram,
+    random_bounded_psoset,
+    random_trellis,
+    validate_psoset,
+)
 from trelliskit.fileformat import _levels
-from trelliskit.fixtures import CARRIERS
-from trelliskit.relation import _PACK_FROM, strong_components, transitive_closure
+from trelliskit.fixtures import CARRIERS, bounded_chain
+from trelliskit.relation import (
+    _PACK_FROM,
+    HasseDiagram,
+    _hits,
+    _sweep,
+    strong_components,
+    transitive_closure,
+)
 
 
 def warshall_oracle(rel):
@@ -170,3 +187,127 @@ def test_hasse_on_a_packed_order_equals_the_unpacked_one():
         sorted((int(x), int(y)) for x, y in zip(*np.nonzero(covers)))
     )
     assert d.back_edges and d.dashed_pairs
+
+
+def hasse_oracle(p):
+    """hasse as it stood before the sweep, for every relation."""
+    eye = np.eye(p.n, dtype=bool)
+    noid = p.rel & ~eye
+    rows = np.packbits(noid, axis=1)
+    mid = np.zeros_like(rows)  # [x, y] bit: some z with x < z < y
+    for x in range(p.n):
+        mid[x] = np.bitwise_or.reduce(rows[noid[x]], axis=0)
+    has_mid = np.unpackbits(mid, axis=1, count=p.n).view(bool)
+    reach = warshall_oracle(p.rel)
+    dashed = ~p.rel & ~p.rel.T & (reach | reach.T) & ~eye
+    return HasseDiagram(
+        cover_edges=tuple(_hits(noid & ~has_mid)),
+        dashed_pairs=tuple(_hits(np.triu(dashed))),
+        back_edges=tuple(_hits(noid & reach.T)),
+    )
+
+
+def upper_relation(rng, n, closed):
+    """A random reflexive relation with every related pair x <= y in index
+    order; transitively closed when closed is True."""
+    rel = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.6))
+    rel |= np.eye(n, dtype=bool)
+    return warshall_oracle(rel) if closed else rel
+
+
+def cyclic_relation(rng, n):
+    """upper_relation with a chain a < b < c turned into a cycle."""
+    rel = upper_relation(rng, n, closed=False)
+    a, b, c = sorted(rng.choice(n, 3, replace=False))
+    rel[a, b] = rel[b, c] = rel[c, a] = True
+    rel[a, c] = False
+    return rel
+
+
+def relabelled(p, rng):
+    """p with its elements numbered by a random permutation, and that map."""
+    perm = rng.permutation(p.n)  # element perm[k] of p becomes element k
+    q = validate_psoset(p.rel[np.ix_(perm, perm)], [p.names[k] for k in perm])
+    return q, np.argsort(perm)
+
+
+def edge_sets(d, new):
+    """The diagram's edges under the numbering new; dashed pairs unordered."""
+    def renumber(edges):
+        return {(int(new[u]), int(new[v])) for u, v in edges}
+
+    return (
+        renumber(d.cover_edges),
+        {frozenset(e) for e in renumber(d.dashed_pairs)},
+        renumber(d.back_edges),
+    )
+
+
+def diagram_relations():
+    """(family, psoset): the four kinds of relation the diagram sees."""
+    rng = np.random.default_rng(1701)
+    out = []
+    for k in range(260):
+        n = 1 + k % 40
+        for family, rel in (
+            ("transitive", upper_relation(rng, n, closed=True)),
+            ("acyclic", upper_relation(rng, n, closed=False)),
+        ):
+            out.append((family, validate_psoset(rel, [f"e{i}" for i in range(n)])))
+        if n >= 3:
+            rel = cyclic_relation(rng, n)
+            out.append(("cyclic", validate_psoset(rel, [f"e{i}" for i in range(n)])))
+    carriers = random.Random(1702)
+    for k in range(250):
+        make = random_trellis if k % 2 else random_bounded_psoset
+        res = enumerate_tnorms(make(carriers, 3 + k % 3))
+        names = [f"T{i + 1}" for i in range(res.count)]
+        out.append(("pointwise", validate_psoset(res.order, names)))
+    return out
+
+
+def test_hasse_equals_the_closure_based_oracle_as_given_and_relabelled():
+    rng = np.random.default_rng(1703)
+    relations = diagram_relations()
+    assert len(relations) >= 1000
+    swept = {"transitive": 0, "acyclic": 0}
+    for family, p in relations:
+        d = hasse(p)
+        assert d == hasse_oracle(p), family
+        rows = [int.from_bytes(r.tobytes(), "little")
+                for r in np.packbits(p.rel, axis=1, bitorder="little")]
+        if _sweep(rows) is not None:
+            swept["acyclic" if d.dashed_pairs else "transitive"] += 1
+        q, new = relabelled(p, rng)
+        e = hasse(q)
+        assert e == hasse_oracle(q), family
+        assert edge_sets(e, range(q.n)) == edge_sets(d, new), family
+    families = [family for family, _ in relations]
+    assert {f: families.count(f) for f in set(families)}.keys() == {
+        "transitive", "acyclic", "cyclic", "pointwise"
+    }
+    # both sweep outcomes are exercised, and cycles take the closure path
+    assert swept["transitive"] > 200 and swept["acyclic"] > 100
+    assert sum(bool(hasse(p).back_edges) for f, p in relations if f == "cyclic") > 100
+
+
+def test_order_diagram_equals_the_oracle_on_the_packed_order():
+    carriers = [make() for key, make in CARRIERS.items() if key != "six_cycle"]
+    rng = random.Random(1704)
+    carriers += [random_bounded_psoset(rng, 3 + k % 3, cycle_prob=0.7) for k in range(60)]
+    dashed = 0
+    for p in carriers:
+        res = enumerate_tnorms(p)
+        d = order_diagram(res)
+        names = [f"T{i + 1}" for i in range(res.count)]
+        assert d == hasse_oracle(validate_psoset(res.order, names))
+        dashed += bool(d.dashed_pairs)
+    assert dashed >= 2  # fork8 and twin_peaks7 at least
+
+
+def test_a_chain_order_is_drawn_without_unpacking_it():
+    res = enumerate_tnorms(bounded_chain(6))
+    d = order_diagram(res)
+    assert (len(d.cover_edges), d.dashed_pairs, d.back_edges) == (211, (), ())
+    assert "order" not in vars(res)  # the cached_property was never read
+    assert d == hasse_oracle(validate_psoset(res.order, [str(k) for k in range(res.count)]))

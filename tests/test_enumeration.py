@@ -16,6 +16,7 @@ from trelliskit import (
     enumerate_tnorms,
     enumeration,
     greatest_tnorm,
+    hasse,
     interior_from_subset,
     is_maximal_tnorm,
     join_cover_witness,
@@ -233,21 +234,21 @@ def test_order_diagram_reads_the_order_without_revalidating(monkeypatch):
         make = random_trellis if k % 2 else random_bounded_psoset
         carriers.append(make(rng, 3 + k % 3))
     # every module that binds validate_psoset counts its calls
-    validations, seen = [], []
+    validations, drawn = [], []
     for name, module in list(sys.modules.items()):
         if name.startswith("trelliskit") and hasattr(module, "validate_psoset"):
             monkeypatch.setattr(
                 module, "validate_psoset", lambda *args: validations.append(args)
             )
-    draw = enumeration.hasse
-    monkeypatch.setattr(enumeration, "hasse", lambda p: (seen.append(p), draw(p))[1])
     for p in carriers:
-        order_diagram(enumerate_tnorms(p))
+        res = enumerate_tnorms(p)
+        drawn.append((res, order_diagram(res)))
     assert validations == []
     monkeypatch.undo()
-    assert len(seen) == len(carriers)
-    for p in seen:
-        assert validate_psoset(p.rel, p.names).same_carrier(p)
+    assert len(drawn) == len(carriers)
+    for res, diagram in drawn:
+        names = [f"T{k + 1}" for k in range(res.count)]
+        assert diagram == hasse(validate_psoset(res.order, names))
 
 
 def test_twin_peaks_has_two_maximal_and_no_greatest():
@@ -646,3 +647,29 @@ def test_limit_across_check_chunks():
         got = set(grids(partial))
         assert len(got) == limit and smaller <= got <= full
         smaller = got
+
+
+@pytest.mark.parametrize("key", ["pentagon", "twin_peaks7", "fork8", "loop8"])
+def test_maximal_and_greatest_read_the_packed_order(key):
+    res = enumerate_tnorms(CARRIERS[key]())
+    maximal, greatest = res.maximal, res.greatest
+    assert "order" not in vars(res)  # neither unpacked the order
+    order = res.order
+    assert maximal == np.flatnonzero(order.sum(axis=1) == 1).tolist()
+    above_all = np.flatnonzero(order.all(axis=0)).tolist()
+    assert greatest == (above_all[0] if above_all else None)
+    assert np.array_equal(
+        np.packbits(order, axis=1, bitorder="little"), res._rows
+    )
+
+
+def test_search_timings_are_kept_apart_from_the_search_stats(pentagon):
+    res = enumerate_tnorms(pentagon)
+    assert list(res.timings) == ["search", "final check"]
+    assert all(seconds >= 0 for seconds in res.timings.values())
+    assert list(res.search_stats) == [
+        "nodes", "monotone_prunes", "associativity_prunes", "final_check_rejects"
+    ]
+    with pytest.raises(LimitReached) as info:
+        enumerate_tnorms(pentagon, limit=2)
+    assert list(info.value.result.timings) == ["search", "final check"]

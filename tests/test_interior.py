@@ -138,6 +138,32 @@ def test_maps_out_of_range_are_a_validation_error(images, positions):
         assert info.value.violations == positions, entry.__name__
 
 
+def test_writing_into_the_callers_array_leaves_the_report_valid():
+    # a map built from a writeable array keeps a read-only copy, so the
+    # cached report cannot go stale when the caller writes into theirs
+    pentagon = CARRIERS["pentagon"]()
+    f = np.arange(5)
+    im = UnaryMap(pentagon, f)
+    assert im.report.ok
+    f[:] = 0
+    f[4] = 3
+    assert im.map.tolist() == [0, 1, 2, 3, 4] and not im.map.flags.writeable
+    assert im.report.ok and validate_interior(pentagon, im).ok
+    assert interior_range(pentagon, im) == frozenset(range(5))
+    assert not validate_interior(pentagon, UnaryMap(pentagon, f)).ok
+    # so is a read-only view of a writeable array
+    g = np.arange(5)
+    view = g.view()
+    view.setflags(write=False)
+    im = UnaryMap(pentagon, view)
+    assert im.report.ok
+    g[:] = 0
+    assert im.map.tolist() == [0, 1, 2, 3, 4] and im.report.ok
+    # a read-only map, as interior_from_subset returns, is kept as it is
+    made = interior_from_subset(pentagon, [pentagon.bottom, pentagon.top])
+    assert UnaryMap(pentagon, made.map).map is made.map
+
+
 def test_one_interior_report_per_map(monkeypatch):
     calls = []
     real = interior.validate_interior

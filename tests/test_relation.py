@@ -428,3 +428,22 @@ def test_import_does_not_load_scipy():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_carriers_keep_read_only_copies_of_writeable_arrays():
+    pentagon = CARRIERS["pentagon"]()
+    rel = pentagon.rel.copy()
+    p = tk.Psoset(pentagon.names, rel)
+    assert p.top == pentagon.top and p.is_transitive() is False
+    rel[:] = True  # the caller's array, not the carrier's
+    assert p.same_carrier(pentagon) and not p.rel.flags.writeable
+    assert (p.top, p.is_transitive()) == (pentagon.top, False)
+    meet, join = pentagon.meet.copy(), pentagon.join.copy()
+    t = tk.Trellis(pentagon.names, pentagon.rel, meet, join)
+    meet[:] = join[:] = 0
+    assert np.array_equal(t.meet, pentagon.meet) and np.array_equal(t.join, pentagon.join)
+    assert not (t.meet.flags.writeable or t.join.flags.writeable)
+    # read-only arrays, as validate_psoset and build_trellis leave them, are shared
+    again = tk.Trellis(pentagon.names, pentagon.rel, pentagon.meet, pentagon.join)
+    assert again.rel is pentagon.rel and again.meet is pentagon.meet
+    assert again.join is pentagon.join

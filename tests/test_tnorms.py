@@ -51,7 +51,7 @@ from trelliskit.fixtures import (
     diamond_lattice,
     recorded_table,
 )
-from trelliskit.tnorms import _tnorm_mask
+from trelliskit.tnorms import _AXIOMS, _axiom_bad, _tnorm_mask
 
 
 def test_make_op_validates_and_freezes(pentagon):
@@ -613,3 +613,85 @@ def test_same_op_compares_the_carriers_relations():
     assert a.same_op(t_drastic(pentagon))
     with pytest.raises(TargetMismatch):
         pointwise_leq(a, b)
+
+
+def axiom_bad_oracle(axiom, tabs, rel, top):
+    """_axiom_bad as it stood before the flat gathers: 3-D and 4-D
+    broadcast fancy indexing."""
+    idx = np.arange(tabs.shape[-1])
+    if axiom == "neutral_top":
+        return (tabs[:, :, top] != idx) | (tabs[:, top, :] != idx)
+    if axiom == "commutative":
+        return tabs != tabs.transpose(0, 2, 1)
+    if axiom == "increasing":
+        lo, hi = np.nonzero(rel)
+        low, high = tabs[:, lo[:, None], lo[None, :]], tabs[:, hi[:, None], hi[None, :]]
+        return ~rel[low, high]
+    b = np.arange(len(tabs))[:, None, None, None]
+    left = tabs[b, tabs[:, :, :, None], idx]
+    right = tabs[b, idx[:, None, None], tabs[:, None, :, :]]
+    return left != right
+
+
+def tnorm_mask_oracle(tabs, rel, top, axioms):
+    """_tnorm_mask as it stood: every axiom cuts the stack down first."""
+    keep = np.ones(len(tabs), dtype=bool)
+    for axiom in axioms:
+        live = np.flatnonzero(keep)
+        if not len(live):
+            break
+        bad = axiom_bad_oracle(axiom, tabs[live], rel, top)
+        keep[live] = ~bad.reshape(len(live), -1).any(axis=1)
+    return keep
+
+
+def kernel_stacks():
+    """(rel, top, stack) with n = 1..8 and 1..200 tables.  Random
+    relations and tops carry random tables and ones made neutral-topped
+    and commutative; random carriers carry their t-norms, copies with one
+    cell changed and random tables."""
+    rng = np.random.default_rng(1801)
+    carriers = random.Random(1802)
+    for k in range(160):
+        n, b = 1 + k % 8, int(rng.integers(1, 201))
+        if k % 2 and 3 <= n <= 6:
+            make = random_trellis if k % 4 == 1 else random_bounded_psoset
+            t = make(carriers, n)
+            rel, top = t.rel, t.top
+            tables = [op.table for op in enumerate_tnorms(t).tnorms]
+            for tab in tables[:b // 2]:
+                tab = tab.copy()
+                tab[tuple(rng.integers(n, size=2))] = rng.integers(n)
+                tables.append(tab)
+        else:
+            rel = (rng.random((n, n)) < rng.uniform(0.1, 0.7)) | np.eye(n, dtype=bool)
+            top, tables = int(rng.integers(n)), []
+            for _ in range(b // 2):
+                tab = np.triu(rng.integers(0, n, (n, n)))
+                tab = tab + np.triu(tab, 1).T
+                tab[top, :] = tab[:, top] = np.arange(n)
+                tables.append(tab)
+        tables += list(rng.integers(0, n, (b, n, n)))
+        order = rng.permutation(len(tables))[:b]
+        yield rel, top, np.array([tables[i] for i in order], dtype=np.int64)
+
+
+def test_axiom_kernel_equals_the_fancy_indexing_oracle():
+    subsets = [
+        axioms
+        for r in range(1, len(_AXIOMS) + 1)
+        for combo in itertools.combinations(_AXIOMS, r)
+        for axioms in (combo, combo[::-1])
+    ]
+    passed = failed = 0
+    for rel, top, tabs in kernel_stacks():
+        for axiom in _AXIOMS:
+            got, want = _axiom_bad(axiom, tabs, rel, top), axiom_bad_oracle(axiom, tabs, rel, top)
+            assert got.shape == want.shape and np.array_equal(got, want), axiom
+        for axioms in subsets:
+            got = _tnorm_mask(tabs, rel, top, axioms)
+            assert np.array_equal(got, tnorm_mask_oracle(tabs, rel, top, axioms)), axioms
+        mask = _tnorm_mask(tabs, rel, top)
+        passed += int(mask.sum())
+        failed += int((~mask).sum())
+    assert passed > 1000 and failed > 1000

@@ -414,8 +414,12 @@ def cmd_enumerate(args) -> int:
 
     started = perf_counter()
     maximal, greatest = res.maximal, res.greatest  # these build the order
-    ordered = perf_counter()
-    diagram = order_diagram(res) if res.complete else None
+    timings = {**res.timings, "order": perf_counter() - started}
+    diagram = None
+    if res.complete:  # a partial run draws no diagram
+        started = perf_counter()
+        diagram = order_diagram(res)
+        timings["diagram"] = perf_counter() - started
     drawn = perf_counter()
     if diagram is not None:
         _emit_dot(args, diagram, [f"T{k + 1}" for k in range(res.count)])
@@ -430,18 +434,12 @@ def cmd_enumerate(args) -> int:
             greatest=greatest,
             cover_edges=diagram.cover_edges if diagram else None,
             search_stats=res.search_stats,
+            **({"timings": timings} if args.stats else {}),
         )
     else:
         _print_enumeration(p, res, maximal, greatest, diagram)
     if args.stats:
-        _print_times(
-            [
-                *res.timings.items(),
-                ("order", ordered - started),
-                ("diagram", drawn - ordered),
-                ("output", perf_counter() - drawn),
-            ]
-        )
+        _print_times([*timings.items(), ("output", perf_counter() - drawn)])
     return EXIT_OK
 
 
@@ -533,8 +531,9 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--cap", type=int, default=None, help="carrier size guard")
     sp.add_argument(
         "--stats", action="store_true",
-        help="print the wall time of each phase (search, final check, order, "
-        "diagram, output) to stderr",
+        help="print the wall time of each phase that ran (search, final check, "
+        "order, diagram, output) to stderr; with --json, all but output also "
+        "go into the report's timings",
     )
 
     sp = sub.add_parser(

@@ -321,6 +321,5 @@ def order_diagram(result: EnumerationResult) -> HasseDiagram:
     """
     if not result.complete:
         raise PreconditionViolated("order diagram needs a complete enumeration")
-    names = tuple(f"T{k + 1}" for k in range(result.count))
     # reflexive as rel is; antisymmetric as rel is and the t-norms are distinct
-    return _diagram(result._rows, lambda: Psoset(names, result.order))
+    return _diagram(result._rows)

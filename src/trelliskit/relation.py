@@ -4,7 +4,7 @@ transitivity requirement.
 The relation is an n x n boolean matrix, rel[x, y] meaning x <= y.  Because
 transitivity is not assumed, "x can be reached from y through a chain of
 related elements" (reachability) is genuinely weaker than the relation
-itself and gets its own operations here.
+itself and gets its own operations here, which all read it off _reach.
 """
 
 from __future__ import annotations
@@ -123,38 +123,18 @@ def _nonempty(p: Psoset, A, what: str) -> list[int]:
     return members
 
 
-# Where packing starts to pay.  Best-of-20 closure times in ms, unpacked /
-# packed, on a 2-vCPU Intel Xeon (Python 3.11, numpy 2.4):
-#   t-norm orders of diamond7, hourglass7, twin_peaks7 (n = 103-151):
-#       0.65-1.5 / 1.1-2.5
-#   random relations, about 4 successors per node:
-#       n = 8: 0.029 / 0.083    n = 300: 5.1 / 5.9    n = 350: 8.0 / 7.9
-#       n = 512: 16 / 14
-#   samples of fork8's t-norm order:
-#       n = 256: 3.1-3.5 / 2.9-3.9    n = 320: 5.4-5.7 / 4.2-5.0
-#       n = 384: 8.5-10 / 5.2-7.7
-#   fork8's t-norm order (n = 764): 61 / 15
-_PACK_FROM = 320
-
-
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
-    """Transitive closure (reflexive when rel is), by Warshall's algorithm:
-    after step k every chain through intermediates among 0..k is closed.
+    """Transitive closure (reflexive when rel is), read off _reach."""
+    packed = np.packbits(np.asarray(rel, dtype=bool), axis=1, bitorder="little")
+    return _unpack(_reach(_bit_rows(packed))[1])
 
-    Below _PACK_FROM nodes each step ORs column k's outer product into the
-    boolean matrix.  From _PACK_FROM on the rows are packed eight nodes a
-    byte, and step k ORs row k into just the rows that reach k."""
-    n = len(rel)
-    if n < _PACK_FROM:
-        closure = np.array(rel, dtype=bool)
-        for k in range(n):
-            closure |= closure[:, k, None] & closure[k]
-        return closure
-    rows = np.packbits(np.asarray(rel, dtype=bool), axis=1)
-    for k in range(n):
-        hit = np.flatnonzero(rows[:, k >> 3] & (0x80 >> (k & 7)))
-        rows[hit] |= rows[k]
-    return np.unpackbits(rows, axis=1, count=n).view(bool)
+
+def _successors(rel: np.ndarray) -> list[list[int]]:
+    """succ[x]: the y with rel[x, y], ascending, all read by one np.nonzero."""
+    xs, ys = np.nonzero(rel)
+    ends = np.searchsorted(xs, np.arange(1, len(rel) + 1)).tolist()
+    ys = ys.tolist()
+    return [ys[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def strong_components(succ: list[list[int]]) -> list[list[int]]:
@@ -371,8 +351,7 @@ def maximal_cycles(p: Psoset) -> list[frozenset[int]]:
     """Maximal cycles = strongly connected components of the relation,
     singletons dropped (antisymmetry already rules out 2-cycles), sorted
     by their smallest member."""
-    succ = [np.flatnonzero(row).tolist() for row in p.rel]
-    cycles = [c for c in strong_components(succ) if len(c) >= 2]
+    cycles = [c for c in strong_components(_successors(p.rel)) if len(c) >= 2]
     return sorted(map(frozenset, cycles), key=min)
 
 
@@ -424,6 +403,51 @@ def _sweep(rows: list[int]) -> tuple[list[list[int]], list[int]] | None:
     return covers, reach
 
 
+def _bit_rows(packed: np.ndarray) -> list[int]:
+    """np.packbits(..., bitorder="little") rows as ints, column y as bit y."""
+    w, step = packed.shape
+    data = packed.tobytes()
+    return [int.from_bytes(data[x * step:(x + 1) * step], "little") for x in range(w)]
+
+
+def _unpack(rows: list[int]) -> np.ndarray:
+    """The boolean matrix of bitset rows; _bit_rows undone."""
+    w, step = len(rows), (len(rows) + 7) // 8
+    data = np.frombuffer(b"".join([r.to_bytes(step, "little") for r in rows]), np.uint8)
+    bits = np.unpackbits(data.reshape(w, step), axis=1, count=w, bitorder="little")
+    return bits.view(bool)
+
+
+def _reach(rows: list[int]) -> tuple[list[list[int]] | None, list[int]]:
+    """(covers, reach) of bitset rows: reach[x] has bit y iff a chain
+    x <= ... <= y of one or more steps exists.  When index order is
+    topological, _sweep gives both, and x reaches itself only if x <= x.
+    Otherwise covers is None, and one pass over the strong components
+    (Purdom, 1970), sinks first, ORs each one's rows and then the reach of
+    each node it leads out to that is not yet reached."""
+    swept = _sweep(rows)
+    if swept is not None:
+        covers, reach = swept
+        for x, row in enumerate(rows):
+            if not row & 1 << x:
+                reach[x] ^= 1 << x
+        return covers, reach
+    reach = [0] * len(rows)
+    for component in strong_components(_successors(_unpack(rows))):
+        # a cycle's members are its members' successors, with reach still 0
+        seen = 0
+        for x in component:
+            seen |= rows[x]
+        todo = seen
+        while todo:
+            y = (todo & -todo).bit_length() - 1
+            seen |= reach[y]
+            todo &= ~(reach[y] | 1 << y)
+        for x in component:
+            reach[x] = seen
+    return None, reach
+
+
 def _two_step_covers(noid: np.ndarray) -> np.ndarray:
     """[x, y]: x < y with no z such that x < z < y, where noid is the
     relation with its diagonal cleared."""
@@ -434,42 +458,20 @@ def _two_step_covers(noid: np.ndarray) -> np.ndarray:
     return noid & ~np.unpackbits(mid, axis=1, count=len(noid)).view(bool)
 
 
-def _diagram(packed: np.ndarray, carrier) -> HasseDiagram:
-    """The diagram of the relation whose rows are packed eight columns a
-    byte in little-endian bit order (np.packbits(..., bitorder="little")),
-    so that a row read as a little-endian integer has bit y set iff x <= y.
-    carrier() returns the Psoset of that relation; it is called only when
-    the boolean relation is needed.
-
-    When index order is a topological order, _sweep gives the reach.  If
-    the reach is the relation (the transitive case), the swept covers are
-    the covers, since a longer chain then implies a middle element, and
-    nothing is dashed or a back edge.  Otherwise covers are read off the
-    relation's two-step mask, and reachability off the swept reach or,
-    when _sweep does not apply, off the carrier's Warshall closure."""
-    w, step = packed.shape
-    data = packed.tobytes()
-    rows = [int.from_bytes(data[x * step:(x + 1) * step], "little") for x in range(w)]
-    swept = _sweep(rows)
-    if swept is None:
-        p = carrier()
-        rel, reach = p.rel, p.closure
-    else:
-        covers, reach_rows = swept
-        if all(r == row | 1 << x for x, (r, row) in enumerate(zip(reach_rows, rows))):
-            return HasseDiagram(
-                cover_edges=tuple((x, y) for x, ys in enumerate(covers) for y in ys),
-                dashed_pairs=(),
-                back_edges=(),
-            )
-        rel = carrier().rel
-        reach = np.frombuffer(
-            b"".join(r.to_bytes(step, "little") for r in reach_rows), dtype=np.uint8
-        )
-        reach = np.unpackbits(
-            reach.reshape(w, step), axis=1, count=w, bitorder="little"
-        ).view(bool)
-    noid = rel & ~np.eye(w, dtype=bool)
+def _diagram(packed: np.ndarray) -> HasseDiagram:
+    """The diagram of the reflexive relation with rows packed as _bit_rows
+    reads them.  When _reach gives swept covers and a reach equal to the
+    relation (the transitive case), those are the covers, since a longer
+    chain then has a middle element, and nothing is dashed or a back edge.
+    Otherwise the covers come off the unpacked relation's two-step mask,
+    and the dashed pairs and back edges off the reach."""
+    rows = _bit_rows(packed)
+    covers, reach = _reach(rows)
+    if covers is not None and reach == rows:
+        edges = tuple((x, y) for x, ys in enumerate(covers) for y in ys)
+        return HasseDiagram(edges, dashed_pairs=(), back_edges=())
+    rel, reach = _unpack(rows), _unpack(reach)
+    noid = rel & ~np.eye(len(rows), dtype=bool)
     dashed = ~rel & ~rel.T & (reach | reach.T)
     return HasseDiagram(
         cover_edges=tuple(_hits(_two_step_covers(noid))),
@@ -483,7 +485,5 @@ def hasse(p: Psoset) -> HasseDiagram:
 
     Covers come from the relation itself; dashed pairs and back edges
     need reachability, which for a pseudo-order can relate more than the
-    relation does.  When index order is a topological order of p, one
-    reverse sweep over bitset rows gives both (see _diagram); otherwise
-    the transitive closure does."""
-    return _diagram(np.packbits(p.rel, axis=1, bitorder="little"), lambda: p)
+    relation does; both come from the one reach routine (see _diagram)."""
+    return _diagram(np.packbits(p.rel, axis=1, bitorder="little"))

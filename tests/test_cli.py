@@ -358,12 +358,40 @@ def test_enumerate_stats_time_each_phase_on_stderr(extra, tmp_path, capsys):
     code, out, err = run(
         capsys, "enumerate", PENTAGON, *extra, "--dot", str(tmp_path / "b.dot"), "--stats"
     )
+    if "--json" in extra:  # the report gains its timings key, and nothing else
+        report = json.loads(out)
+        del report["timings"]
+        out = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert (code, out) == plain[:2] and plain[2] == ""
-    assert (tmp_path / "a.dot").exists() == (extra != ["--limit", "2"])
-    if (tmp_path / "a.dot").exists():
+    drawn = extra != ["--limit", "2"]
+    assert (tmp_path / "a.dot").exists() == drawn
+    if drawn:
         assert (tmp_path / "a.dot").read_text() == (tmp_path / "b.dot").read_text()
     lines = [re.fullmatch(r"(.+): \d+\.\d{3} s", l) for l in err.splitlines()]
-    assert tuple(m and m.group(1) for m in lines) == ENUMERATE_PHASES
+    phases = tuple(p for p in ENUMERATE_PHASES if drawn or p != "diagram")
+    assert tuple(m and m.group(1) for m in lines) == phases
+
+
+@pytest.mark.parametrize("limit", [[], ["--limit", "5"]])
+def test_enumerate_json_stats_report_the_phases_that_ran(limit, capsys, monkeypatch):
+    # the report is the pinned one plus a timings key, which holds every
+    # phase but output, the diagram only when the run was complete
+    monkeypatch.chdir(ROOT)
+    path = "src/trelliskit/data/fork8.psoset"
+    _, plain, _ = run(capsys, "enumerate", path, "--json", *limit)
+    code, out, err = run(capsys, "enumerate", path, "--json", *limit, "--stats")
+    assert code == 0
+    report = json.loads(out)
+    timings = report.pop("timings")
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == plain
+    if not limit:
+        assert sha256(plain.encode()) == PINNED["fork8.psoset"]["stdout_sha256"]
+    phases = ["search", "final check", "order"] + ([] if limit else ["diagram"])
+    assert sorted(timings) == sorted(phases)
+    assert all(type(t) is float and t >= 0 for t in timings.values())
+    # stderr prints the same times, in phase order, then the output's
+    assert err.splitlines()[:-1] == [f"{p}: {timings[p]:.3f} s" for p in phases]
+    assert err.splitlines()[-1].startswith("output: ")
 
 
 def test_the_parser_is_built_once_and_keeps_no_flags(capsys):

@@ -24,7 +24,6 @@ from trelliskit import (
 from trelliskit.fileformat import _levels
 from trelliskit.fixtures import CARRIERS, bounded_chain
 from trelliskit.relation import (
-    _PACK_FROM,
     HasseDiagram,
     _hits,
     _sweep,
@@ -79,9 +78,7 @@ def random_digraph(rng, n):
             if u != v and rng.random() < density]
 
 
-@pytest.mark.parametrize(
-    "n", [1, 2, 9, _PACK_FROM - 1, _PACK_FROM, _PACK_FROM + 1, _PACK_FROM + 45]
-)
+@pytest.mark.parametrize("n", [1, 2, 9, 319, 320, 321, 365])
 def test_closure_equals_the_unpacked_oracle_on_both_sides_of_packing(n):
     rng = np.random.default_rng(n)
     for successors in (0.5, 3.0, n / 4):
@@ -95,12 +92,42 @@ def test_closure_equals_the_unpacked_oracle_on_both_sides_of_packing(n):
 def test_closure_of_a_long_chain_needs_every_step():
     # one path through all nodes in a shuffled order: the closure is a
     # total order, reached only after every Warshall step
-    n = _PACK_FROM + 9
+    n = 329
     order = np.random.default_rng(3).permutation(n)
     rel = np.eye(n, dtype=bool)
     rel[order[:-1], order[1:]] = True
     rank = np.argsort(order)
     assert np.array_equal(transitive_closure(rel), rank[:, None] <= rank[None, :])
+
+
+def test_closure_of_a_topological_relation_keeps_its_own_diagonal():
+    # every related pair in index order, so the sweep applies; x then
+    # reaches itself only when x <= x, whatever the rest of its row holds
+    rng = np.random.default_rng(1705)
+    for k in range(240):
+        n = 1 + k % 40
+        rel = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.6))
+        rel[np.diag_indices(n)] = rng.random(n) < (k % 3) / 2
+        rows = [int.from_bytes(r.tobytes(), "little")
+                for r in np.packbits(rel, axis=1, bitorder="little")]
+        assert _sweep(rows) is not None
+        closed = transitive_closure(rel)
+        assert np.array_equal(closed, warshall_oracle(rel))
+        assert np.array_equal(closed.diagonal(), rel.diagonal())
+
+
+def test_closure_of_cyclic_relations_as_given_and_relabelled():
+    rng = np.random.default_rng(1706)
+    for k in range(240):
+        n = 3 + k % 38
+        if k % 2:
+            rel = cyclic_relation(rng, n)
+            rel[np.diag_indices(n)] = rng.random(n) < (k % 3) / 2
+        else:
+            rel = rng.random((n, n)) < rng.uniform(0.5, 3.0) / n
+        perm = rng.permutation(n)
+        for given in (rel, rel[np.ix_(perm, perm)]):
+            assert np.array_equal(transitive_closure(given), warshall_oracle(given))
 
 
 def test_components_come_out_in_reverse_topological_order():
@@ -165,7 +192,7 @@ def test_maximal_cycles_equal_the_oracle():
 def test_hasse_on_a_packed_order_equals_the_unpacked_one():
     # a relation large enough for the packed closure, with cycles and
     # unrelated-but-connected pairs, against its diagram built on the oracle
-    n = _PACK_FROM + 20
+    n = 340
     rng = np.random.default_rng(9)
     rel = rng.random((n, n)) < 2.5 / n
     rel &= ~(rel.T & np.triu(rel, 1))

@@ -429,7 +429,7 @@ def cmd_enumerate(args) -> int:
             file=args.file,
             count=res.count,
             complete=res.complete,
-            tnorms=_named(p.names, [op.table for op in res.tnorms]),
+            tnorms=_named(p.names, res._tables),
             maximal=maximal,
             greatest=greatest,
             cover_edges=diagram.cover_edges if diagram else None,
@@ -445,7 +445,7 @@ def cmd_enumerate(args) -> int:
 
 def _print_enumeration(p, res, maximal, greatest, diagram) -> None:
     print(f"t-norms found: {res.count}" + ("" if res.complete else "  (stopped at limit)"))
-    for k, op in enumerate(res.tnorms):
+    for k, table in enumerate(res._tables):
         tags = []
         if k in maximal:
             tags.append("maximal")
@@ -453,7 +453,7 @@ def _print_enumeration(p, res, maximal, greatest, diagram) -> None:
             tags.append("greatest")
         suffix = f"  ({', '.join(tags)})" if tags else ""
         print(f"\nT{k + 1}{suffix}")
-        print(_format_table(p.names, op.table))
+        print(_format_table(p.names, table))
     if diagram is not None:
         covers = ", ".join(f"T{u + 1} -> T{v + 1}" for u, v in diagram.cover_edges)
         print(f"\norder diagram covers: {covers if covers else 'none'}")

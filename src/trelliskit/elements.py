@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import PreconditionViolated
 from .relation import _member, _nonempty, _require_side
-from .trellis import Trellis, infimum, supremum
+from .trellis import Trellis, _infimum, _supremum
 
 ALPHAS = ("dis", "ass", "meet_ass", "join_ass", "tr", "ltr", "rtr", "mtr")
 
@@ -105,11 +105,11 @@ def iterated_join(t: Trellis, S) -> int:
     fold of the join over S gives the same element, the supremum of S."""
     members = _nonempty(t, S, "iterated join")
     _require_side(t, members, "right", PreconditionViolated)
-    return supremum(t, members)
+    return _supremum(t, members)
 
 
 def iterated_meet(t: Trellis, S) -> int:
     """Dual of iterated_join: the infimum of left-transitive members."""
     members = _nonempty(t, S, "iterated meet")
     _require_side(t, members, "left", PreconditionViolated)
-    return infimum(t, members)
+    return _infimum(t, members)

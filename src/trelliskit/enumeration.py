@@ -49,20 +49,21 @@ from .relation import (
     _require_bounds,
     _require_cap,
 )
-from .tnorms import BinaryOpTable, _tnorm_mask, pointwise_order
+from .tnorms import BinaryOpTable, _freeze, _tnorm_mask, pointwise_order
 
 _CHECK_CHUNK = 64  # completed tables per axiom-kernel call
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnumerationResult:
-    """Everything the search found.
+    """Everything the search found; frozen, so every cache below stays true.
 
-    tnorms is sorted canonically (row-major tuple of table entries), so
-    equal carriers always enumerate in the same order.  order is the
-    read-only (count, count) pointwise order among them: order[a, b] iff
-    tnorms[a] <= tnorms[b] in every cell.  maximal and greatest are
-    indices into tnorms.  The order is built the first time order,
+    tnorms is a tuple sorted canonically (row-major tuple of table
+    entries), so equal carriers always enumerate in the same order.
+    order[a, b] holds, read-only, iff tnorms[a] <= tnorms[b] in every
+    cell; maximal and greatest are indices into tnorms.  Every reader of
+    the tables reads _tables, their read-only (count, n, n) stack, built
+    when first read; the order is built from it the first time order,
     maximal, greatest or order_diagram needs it and is then cached as
     packed bit rows, which maximal, greatest and order_diagram read as
     they are; order unpacks them once, when first read.  So a caller that
@@ -75,7 +76,7 @@ class EnumerationResult:
     """
 
     target: Psoset
-    tnorms: list[BinaryOpTable]
+    tnorms: tuple[BinaryOpTable, ...]
     search_stats: dict[str, int]
     complete: bool
     timings: dict[str, float] = field(default_factory=dict, compare=False)
@@ -85,12 +86,15 @@ class EnumerationResult:
         return len(self.tnorms)
 
     @cached_property
+    def _tables(self) -> np.ndarray:
+        tables = _freeze([op.table for op in self.tnorms])  # read-only, as are its views
+        return tables.reshape(self.count, self.target.n, self.target.n)
+
+    @cached_property
     def _rows(self) -> np.ndarray:
         """The order's rows packed as pointwise_order(..., packed=True)
         returns them, eight t-norms a byte."""
-        rows = pointwise_order(
-            [op.table for op in self.tnorms], self.target.rel, packed=True
-        )
+        rows = pointwise_order(self._tables, self.target.rel, packed=True)
         rows.setflags(write=False)
         return rows
 
@@ -227,7 +231,7 @@ def enumerate_tnorms(
         found.sort(key=lambda op: op.table.ravel().tolist())
         return EnumerationResult(
             target=p,
-            tnorms=found,
+            tnorms=tuple(found),
             search_stats={
                 "nodes": nodes,
                 "monotone_prunes": monotone_prunes,
@@ -296,11 +300,9 @@ def is_maximal_tnorm(p: Psoset, op: BinaryOpTable, cap: int = 10) -> bool:
     """No enumerated t-norm sits strictly pointwise above op."""
     if not op.target.same_carrier(p):
         raise TargetMismatch("operations live on different carriers")
-    res = enumerate_tnorms(p, cap=cap)
-    tables = np.array([other.table for other in res.tnorms])
+    tables = enumerate_tnorms(p, cap=cap)._tables
     above = pointwise_order([op.table], p.rel, tables)[0]
-    same = (tables == op.table).all(axis=(1, 2))
-    return not (above & ~same).any()
+    return not (above & (tables != op.table).any(axis=(1, 2))).any()
 
 
 def greatest_tnorm(p: Psoset, cap: int = 10) -> BinaryOpTable | None:

@@ -92,6 +92,13 @@ def _table_set(ops):
     return [tuple(op.table.flat) for op in ops]
 
 
+def _found_once(ch, res, rec, label: str) -> int | None:
+    """Index of rec's table among res's t-norms, expected exactly once."""
+    hits = np.flatnonzero((res._tables == rec.table).all(axis=(1, 2))).tolist()
+    ch.expect(len(hits) == 1, label)
+    return hits[0] if hits else None
+
+
 def criterion_1(seed=None) -> CriterionResult:
     ch = _Checks()
     six = fx.CARRIERS["six_cycle"]()
@@ -178,11 +185,7 @@ def criterion_4(seed=None) -> CriterionResult:
     canon = {}
     for label in ("T1", "T2", "T3", "T4", "T5", "T6"):
         rec = fx.recorded_table(f"pentagon.{label}")
-        hits = [
-            i for i, op in enumerate(res.tnorms) if np.array_equal(op.table, rec.table)
-        ]
-        ch.expect(len(hits) == 1, f"recorded {label} appears exactly once")
-        canon[label] = hits[0] if hits else None
+        canon[label] = _found_once(ch, res, rec, f"recorded {label} appears exactly once")
     ch.expect(
         res.greatest is not None and res.greatest == canon["T6"],
         "greatest is the recorded T6",
@@ -206,15 +209,10 @@ def criterion_5(seed=None) -> CriterionResult:
     res = enumerate_tnorms(tp)
     rec1 = fx.recorded_table("twin_peaks7.T1")
     rec2 = fx.recorded_table("twin_peaks7.T2")
-    idx = {}
-    for label, rec in (("T1", rec1), ("T2", rec2)):
-        hits = [
-            i for i, op in enumerate(res.tnorms) if np.array_equal(op.table, rec.table)
-        ]
-        ch.expect(len(hits) == 1, f"recorded {label} enumerated")
-        idx[label] = hits[0] if hits else None
+    t1 = _found_once(ch, res, rec1, "recorded T1 enumerated")
+    t2 = _found_once(ch, res, rec2, "recorded T2 enumerated")
     ch.expect(
-        idx["T1"] in res.maximal and idx["T2"] in res.maximal,
+        t1 in res.maximal and t2 in res.maximal,
         "both recorded tables are maximal",
     )
     ch.expect(res.greatest is None, "no greatest t-norm exists")
@@ -288,7 +286,7 @@ def criterion_7(seed=None) -> CriterionResult:
     res = enumerate_tnorms(hg)
     ch.expect(
         res.greatest is not None
-        and np.array_equal(res.tnorms[res.greatest].table, great.table),
+        and np.array_equal(res._tables[res.greatest], great.table),
         "enumeration confirms it is the greatest",
     )
     return ch.result(7, "interior-based constructions on the hourglass carrier")

@@ -46,7 +46,7 @@ from .relation import (
     co_atoms,
     validate_psoset,
 )
-from .trellis import Trellis, _as_trellis, is_sub_lattice
+from .trellis import Trellis, _as_trellis, _sub_lattice
 
 
 @dataclass(eq=False)
@@ -119,12 +119,7 @@ class TnormReport:
 
     @property
     def is_tnorm(self) -> bool:
-        return bool(
-            self.commutative
-            and self.associative
-            and self.increasing
-            and self.neutral_top
-        )
+        return all(getattr(self, axiom) for axiom in _AXIOMS)
 
 
 def _axiom_bad(axiom: str, tabs: np.ndarray, rel: np.ndarray, top: int) -> np.ndarray:
@@ -310,7 +305,7 @@ def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
     restriction; for a below the restriction's top it has no neutral
     element, which is fine for the interior-based constructions."""
     members, a = _members(t, A), _member(t, a)
-    if not is_sub_lattice(t, members):
+    if not _sub_lattice(t, members):
         raise NotASubLattice(f"{t.labels(members)} is not a sub-lattice")
     if a not in members:
         raise ElementNotInSubset(f"{t.names[a]} not in the sub-lattice")

@@ -64,13 +64,21 @@ def _bounds(rel: np.ndarray) -> np.ndarray:
 
 def infimum(p: Psoset, S) -> int | None:
     """Greatest lower bound of S, or None when it does not exist."""
-    members = _nonempty(p, S, "infimum")
+    return _infimum(p, _nonempty(p, S, "infimum"))
+
+
+def supremum(p: Psoset, S) -> int | None:
+    return _supremum(p, _nonempty(p, S, "supremum"))
+
+
+def _infimum(p: Psoset, members: list[int]) -> int | None:
+    """infimum over members already checked by _nonempty."""
     g = int(_greatest(p.rel[:, members].all(axis=1), p.rel))
     return None if g < 0 else g
 
 
-def supremum(p: Psoset, S) -> int | None:
-    members = _nonempty(p, S, "supremum")
+def _supremum(p: Psoset, members: list[int]) -> int | None:
+    """supremum over members already checked by _nonempty."""
     g = int(_greatest(p.rel[members, :].all(axis=0), p.rel.T))
     return None if g < 0 else g
 
@@ -245,11 +253,17 @@ def is_sub_trellis(t: Trellis, A) -> bool:
 
 def is_sub_lattice(t: Trellis, A) -> bool:
     """Sub-trellis on which the order is transitive."""
-    members = _members(t, A)
-    if not is_sub_trellis(t, members):
-        return False
+    return _sub_lattice(t, _members(t, A))
+
+
+def _sub_lattice(t: Trellis, members: list[int]) -> bool:
+    """is_sub_lattice over members already checked by _members."""
     m = np.asarray(members, dtype=np.intp)
-    return not _escapes(t.rel[m[:, None], m]).any()
+    return (
+        _closed_under(t.meet, members)
+        and _closed_under(t.join, members)
+        and not _escapes(t.rel[m[:, None], m]).any()
+    )
 
 
 def modular_implication_check(t: Trellis) -> bool:

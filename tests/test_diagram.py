@@ -90,8 +90,10 @@ def test_closure_equals_the_unpacked_oracle_on_both_sides_of_packing(n):
 
 
 def test_closure_of_a_long_chain_needs_every_step():
-    # one path through all nodes in a shuffled order: the closure is a
-    # total order, reached only after every Warshall step
+    # one path through all nodes in a shuffled order: the index order is
+    # not topological, so the reach comes from the pass over the strong
+    # components, each node's from the one after it on the path; the
+    # closure is a total order
     n = 329
     order = np.random.default_rng(3).permutation(n)
     rel = np.eye(n, dtype=bool)
@@ -190,8 +192,9 @@ def test_maximal_cycles_equal_the_oracle():
 
 
 def test_hasse_on_a_packed_order_equals_the_unpacked_one():
-    # a relation large enough for the packed closure, with cycles and
-    # unrelated-but-connected pairs, against its diagram built on the oracle
+    # a 340-node relation with cycles and unrelated-but-connected pairs, so
+    # the reach routine takes the pass over the strong components and the
+    # diagram unpacks it; against the diagram built on the oracle
     n = 340
     rng = np.random.default_rng(9)
     rel = rng.random((n, n)) < 2.5 / n

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -673,3 +674,112 @@ def test_search_timings_are_kept_apart_from_the_search_stats(pentagon):
     with pytest.raises(LimitReached) as info:
         enumerate_tnorms(pentagon, limit=2)
     assert list(info.value.result.timings) == ["search", "final check"]
+
+
+# --- the result is one frozen value ------------------------------------------
+
+
+CACHED = ("_tables", "_rows", "order", "maximal", "greatest")
+
+
+def test_the_result_cannot_be_reordered_or_reassigned(pentagon):
+    res = enumerate_tnorms(pentagon)
+    greatest, maximal, order = res.greatest, res.maximal, res.order.copy()
+    assert greatest == 5 and maximal == [5]
+    assert isinstance(res.tnorms, tuple)
+    before = res.tnorms
+    with pytest.raises(AttributeError):
+        res.tnorms.reverse()
+    with pytest.raises(TypeError):
+        res.tnorms[5] = res.tnorms[0]
+    for name in [f.name for f in dataclasses.fields(res)] + list(CACHED):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(res, name, getattr(res, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(res, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.tnorms = before[::-1]
+    assert res.tnorms is before
+    assert (res.greatest, res.maximal) == (greatest, maximal)
+    assert np.array_equal(res.order, order)
+    assert res.tnorms[res.greatest].same_op(recorded_table("pentagon.T6"))
+
+
+def test_a_partial_result_is_frozen_too(pentagon):
+    with pytest.raises(LimitReached) as info:
+        enumerate_tnorms(pentagon, limit=3)
+    partial = info.value.result
+    assert isinstance(partial.tnorms, tuple) and len(partial.tnorms) == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        partial.complete = True
+
+
+@pytest.fixture
+def stack_builds(monkeypatch):
+    """Counts the stacks of t-norm tables an enumeration result builds."""
+    calls = []
+    freeze = enumeration._freeze
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return freeze(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_freeze", counted)
+    return calls
+
+
+def assert_tables(res, stack_builds):
+    """_tables is the read-only stack of res.tnorms, built once however
+    often, and through however many readers, it is read."""
+    tables = res._tables
+    n = res.target.n
+    assert tables.dtype == np.int64 and tables.shape == (res.count, n, n)
+    if res.count:
+        assert np.array_equal(tables, np.array([op.table for op in res.tnorms]))
+    assert not tables.flags.writeable
+    assert tables.base is not None and not tables.base.flags.writeable
+    with pytest.raises(ValueError):
+        tables.setflags(write=True)
+    with pytest.raises(ValueError):
+        tables[...] = 0
+    res.maximal, res.greatest, res.order
+    if res.complete:
+        order_diagram(res)
+    assert res._tables is tables
+    assert len(stack_builds) == 1
+    stack_builds.clear()
+
+
+@pytest.mark.parametrize("key", sorted(SHIPPED_SEARCH))
+def test_the_table_stack_on_shipped_carriers(key, stack_builds):
+    res = enumerate_tnorms(CARRIERS[key]())
+    assert stack_builds == []  # enumerating builds no stack
+    assert_tables(res, stack_builds)
+
+
+def test_the_table_stack_on_random_carriers(stack_builds):
+    rng = random.Random(4120)
+    for k in range(50):
+        make = random_trellis if k % 2 else random_bounded_psoset
+        assert_tables(enumerate_tnorms(make(rng, 3 + k % 4)), stack_builds)
+
+
+def test_the_table_stack_of_no_tnorms(pentagon, monkeypatch, stack_builds):
+    monkeypatch.setattr(
+        enumeration, "_tnorm_mask", lambda tabs, rel, top: np.zeros(len(tabs), bool)
+    )
+    res = enumerate_tnorms(pentagon)
+    assert res.count == 0
+    assert_tables(res, stack_builds)
+
+
+def test_the_table_stack_of_a_partial_result(stack_builds):
+    with pytest.raises(LimitReached) as info:
+        enumerate_tnorms(CARRIERS["fork8"](), limit=100)
+    assert_tables(info.value.result, stack_builds)
+
+
+def test_is_maximal_tnorm_reads_the_table_stack(pentagon, stack_builds):
+    ops = enumerate_tnorms(pentagon).tnorms
+    assert [is_maximal_tnorm(pentagon, op) for op in ops] == [False] * 5 + [True]
+    assert len(stack_builds) == len(ops)  # one per enumeration it runs

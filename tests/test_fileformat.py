@@ -9,10 +9,12 @@ from trelliskit import (
     document_psoset,
     document_trellis,
     export_dot,
+    fixtures,
     hasse,
     make_document,
     random_bounded_psoset,
     random_trellis,
+    reproduction,
     trellis_from_tables,
 )
 from trelliskit.errors import ParseError, ValidationError
@@ -276,3 +278,50 @@ def test_parse_round_trips_or_points_inside_the_text(text):
         return
     canonical = serialize(doc)
     assert serialize(parse(canonical)) == canonical
+
+
+# --- the shared cached documents ---------------------------------------------
+
+
+@pytest.mark.parametrize("key", sorted(CARRIERS))
+def test_every_cached_document_is_read_only(key):
+    doc = fixtures.carrier_document(key)
+    arrays = [doc.rel, doc.meet, doc.join, *doc.maps.values(), *doc.ops.values()]
+    for array in (a for a in arrays if a is not None):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = array
+    for mapping in (doc.subsets, doc.maps, doc.ops):
+        with pytest.raises(TypeError):
+            mapping["rtr"] = (0,)
+        with pytest.raises(TypeError):
+            del mapping["lam"]
+    assert fixtures.carrier_document(key) is doc
+    # the loader still builds the carrier from the untouched document
+    assert fixtures._load.__wrapped__(key).same_carrier(CARRIERS[key]())
+
+
+def test_the_cached_op_tables_are_read_only(monkeypatch):
+    # no shipped document has an op line, so give the pentagon one
+    real = fixtures.parse
+
+    def with_op(text):
+        doc = real(text)
+        doc.ops["T"] = np.array(doc.meet)
+        return doc
+
+    monkeypatch.setattr(fixtures, "parse", with_op)
+    doc = fixtures.carrier_document.__wrapped__("pentagon")
+    with pytest.raises(ValueError):
+        doc.ops["T"][0, 0] = 1
+    with pytest.raises(TypeError):
+        doc.ops["T"] = doc.meet
+
+
+def test_writes_to_the_cached_documents_cannot_reach_the_criteria():
+    with pytest.raises(TypeError):
+        fixtures.carrier_document("hourglass7").subsets["rtr"] = (0,)
+    with pytest.raises(ValueError):
+        fixtures.carrier_document("pentagon").rel[1, 3] = True
+    assert reproduction.criterion_7().passed
+    assert reproduction.criterion_4().passed

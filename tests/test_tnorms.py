@@ -51,7 +51,7 @@ from trelliskit.fixtures import (
     diamond_lattice,
     recorded_table,
 )
-from trelliskit.tnorms import _AXIOMS, _axiom_bad, _tnorm_mask
+from trelliskit.tnorms import _AXIOMS, TnormReport, _axiom_bad, _tnorm_mask
 
 
 def test_make_op_validates_and_freezes(pentagon):
@@ -695,3 +695,15 @@ def test_axiom_kernel_equals_the_fancy_indexing_oracle():
         passed += int(mask.sum())
         failed += int((~mask).sum())
     assert passed > 1000 and failed > 1000
+
+
+def test_is_tnorm_reads_the_four_axioms():
+    assert TnormReport(**dict.fromkeys(_AXIOMS, True)).is_tnorm is True
+    for axiom in _AXIOMS:
+        for value in (False, None):  # None: the flag does not apply
+            flags = {**dict.fromkeys(_AXIOMS, True), axiom: value}
+            assert TnormReport(**flags).is_tnorm is False, (axiom, value)
+    # the other flags play no part
+    others = {"idempotent": False, "conjunctive": False, "meet_preserving": None}
+    assert TnormReport(**dict.fromkeys(_AXIOMS, True), **others).is_tnorm is True
+    assert TnormReport().is_tnorm is False

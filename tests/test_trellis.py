@@ -1,20 +1,27 @@
+import functools
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from trelliskit import (
     build_trellis,
+    classify,
     check_skala_axioms,
     induced_order,
     infimum,
     is_modular,
     is_sub_lattice,
     is_sub_trellis,
+    iterated_join,
+    iterated_meet,
     modular_implication_check,
     modular_violation,
     random_bounded_psoset,
     random_trellis,
+    relation,
+    scaled_meet,
     structure_kind,
     supremum,
     trellis_from_tables,
@@ -268,3 +275,73 @@ def test_sub_trellis_and_sub_lattice(hourglass):
     d7_rtr = d7.indices(("0", "a", "c", "d", "e", "1"))
     assert not is_sub_trellis(d7, d7_rtr)
     assert not is_sub_lattice(d7, d7_rtr)
+
+
+# --- each subset is validated once per entry point ---------------------------
+
+
+@pytest.fixture
+def members_calls(monkeypatch):
+    """Counts relation._members calls, through every module that binds it."""
+    calls = []
+    real = relation._members
+
+    def counted(p, A):
+        calls.append(1)
+        return real(p, A)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trelliskit") and hasattr(module, "_members"):
+            monkeypatch.setattr(module, "_members", counted)
+    return calls
+
+
+def sub_lattice_oracle(t, members):
+    inside = np.zeros(t.n, dtype=bool)
+    inside[members] = True
+    block = np.ix_(members, members)
+    closed = inside[t.meet[block]].all() and inside[t.join[block]].all()
+    rel = t.rel[block]
+    k = len(members)
+    transitive = all(
+        rel[x, z] or not (rel[x, y] and rel[y, z])
+        for x in range(k) for y in range(k) for z in range(k)
+    )
+    return bool(closed and transitive)
+
+
+def test_one_subset_validation_per_entry_point(members_calls):
+    rng = random.Random(1405)
+    carriers = [make() for key, make in CARRIERS.items() if key != "six_cycle"]
+    carriers += [random_trellis(rng, 2 + k % 7) for k in range(60)]
+    lattices = 0
+    for t in carriers:
+        for _ in range(6):
+            A = rng.sample(range(t.n), rng.randint(1, t.n))
+            members = sorted(A)
+            members_calls.clear()
+            got = is_sub_lattice(t, A)
+            assert len(members_calls) == 1
+            assert got is sub_lattice_oracle(t, members)
+            members_calls.clear()
+            is_sub_trellis(t, A)
+            assert len(members_calls) == 1
+            if not got:
+                continue
+            lattices += 1
+            a = rng.choice(members)
+            members_calls.clear()
+            v = scaled_meet(t, A, a)
+            assert len(members_calls) == 2  # A, then a through _member
+            m = np.array(members)
+            want = np.searchsorted(m, t.meet[t.meet[np.ix_(m, m)], a])
+            assert np.array_equal(v.table, want)
+        cls = classify(t)
+        folds = ((iterated_join, cls.rtr, t.join), (iterated_meet, cls.ltr, t.meet))
+        for fn, side, table in folds:
+            S = np.flatnonzero(side).tolist()
+            members_calls.clear()
+            got = fn(t, S)
+            assert len(members_calls) == 1
+            assert got == functools.reduce(lambda x, y: int(table[x, y]), S)
+    assert lattices > 100

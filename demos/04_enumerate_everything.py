@@ -21,7 +21,7 @@ from trelliskit.fixtures import CARRIERS
 
 pentagon = CARRIERS["pentagon"]()
 res = enumerate_tnorms(pentagon)
-print(f"pentagon: {res.count} t-norms, stats={res.search_stats}")
+print(f"pentagon: {res.count} t-norms, stats={dict(res.search_stats)}")
 print(f"  (naive table space: {bruteforce_candidate_count(pentagon)} candidates)")
 print("greatest:", None if res.greatest is None else f"T{res.greatest + 1}")
 

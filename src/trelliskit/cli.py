@@ -429,11 +429,11 @@ def cmd_enumerate(args) -> int:
             file=args.file,
             count=res.count,
             complete=res.complete,
-            tnorms=_named(p.names, res._tables),
+            tnorms=_named(p.names, res.tables),
             maximal=maximal,
             greatest=greatest,
             cover_edges=diagram.cover_edges if diagram else None,
-            search_stats=res.search_stats,
+            search_stats=dict(res.search_stats),
             **({"timings": timings} if args.stats else {}),
         )
     else:
@@ -445,7 +445,7 @@ def cmd_enumerate(args) -> int:
 
 def _print_enumeration(p, res, maximal, greatest, diagram) -> None:
     print(f"t-norms found: {res.count}" + ("" if res.complete else "  (stopped at limit)"))
-    for k, table in enumerate(res._tables):
+    for k, table in enumerate(res.tables):
         tags = []
         if k in maximal:
             tags.append("maximal")
@@ -457,7 +457,7 @@ def _print_enumeration(p, res, maximal, greatest, diagram) -> None:
     if diagram is not None:
         covers = ", ".join(f"T{u + 1} -> T{v + 1}" for u, v in diagram.cover_edges)
         print(f"\norder diagram covers: {covers if covers else 'none'}")
-    print(f"search stats: {res.search_stats}")
+    print(f"search stats: {dict(res.search_stats)}")
 
 
 def cmd_verify_paper(args) -> int:

@@ -35,9 +35,11 @@ authority on what counts as a t-norm.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,52 +51,53 @@ from .relation import (
     _require_bounds,
     _require_cap,
 )
-from .tnorms import BinaryOpTable, _freeze, _tnorm_mask, pointwise_order
+from .tnorms import BinaryOpTable, _tnorm_mask, pointwise_order
 
 _CHECK_CHUNK = 64  # completed tables per axiom-kernel call
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnumerationResult:
     """Everything the search found; frozen, so every cache below stays true.
 
-    tnorms is a tuple sorted canonically (row-major tuple of table
-    entries), so equal carriers always enumerate in the same order.
-    order[a, b] holds, read-only, iff tnorms[a] <= tnorms[b] in every
-    cell; maximal and greatest are indices into tnorms.  Every reader of
-    the tables reads _tables, their read-only (count, n, n) stack, built
-    when first read; the order is built from it the first time order,
-    maximal, greatest or order_diagram needs it and is then cached as
-    packed bit rows, which maximal, greatest and order_diagram read as
-    they are; order unpacks them once, when first read.  So a caller that
-    only needs the t-norms never builds the order; the constructor takes
-    none of them, nor count, which is len(tnorms).  If complete is False
-    the search stopped at a limit and order/maximal/greatest only
-    describe what was found up to that point.  timings holds wall times
-    in seconds: "search" and "final check" (the axiom kernel run on the
-    completed tables, not included in "search").
+    tables is the read-only (count, n, n) stack of the t-norms' tables,
+    sorted canonically (row-major tuple of table entries), so equal
+    carriers always enumerate in the same order; each table is stored
+    there once.  tnorms is the tuple of BinaryOpTable views of its rows,
+    built the first time it is read.  order[a, b] holds, read-only, iff
+    tables[a] <= tables[b] in every cell; maximal and greatest are
+    indices into tables.  The order is built from the stack the first
+    time order, maximal, greatest or order_diagram needs it and is then
+    cached as packed bit rows, which maximal, greatest and order_diagram
+    read as they are; order unpacks them once, when first read.  So a
+    caller that only needs the tables never builds the order or an op.
+    If complete is False the search stopped at a limit and
+    order/maximal/greatest only describe what was found up to that
+    point.  Results compare by identity.  search_stats and timings are
+    read-only mappings; timings holds wall times in seconds: "search"
+    and "final check" (the axiom kernel run on the completed tables, not
+    included in "search").
     """
 
     target: Psoset
-    tnorms: tuple[BinaryOpTable, ...]
-    search_stats: dict[str, int]
+    tables: np.ndarray
+    search_stats: Mapping[str, int]
     complete: bool
-    timings: dict[str, float] = field(default_factory=dict, compare=False)
+    timings: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
-        return len(self.tnorms)
+        return len(self.tables)
 
     @cached_property
-    def _tables(self) -> np.ndarray:
-        tables = _freeze([op.table for op in self.tnorms])  # read-only, as are its views
-        return tables.reshape(self.count, self.target.n, self.target.n)
+    def tnorms(self) -> tuple[BinaryOpTable, ...]:
+        return tuple(BinaryOpTable(self.target, t) for t in self.tables)
 
     @cached_property
     def _rows(self) -> np.ndarray:
         """The order's rows packed as pointwise_order(..., packed=True)
         returns them, eight t-norms a byte."""
-        rows = pointwise_order(self._tables, self.target.rel, packed=True)
+        rows = pointwise_order(self.tables, self.target.rel, packed=True)
         rows.setflags(write=False)
         return rows
 
@@ -213,36 +216,39 @@ def enumerate_tnorms(
 
     nodes = assoc_prunes = monotone_prunes = rejects = 0
     started, checking = perf_counter(), 0.0
-    found: list[BinaryOpTable] = []
+    chunks: list[np.ndarray] = []  # the checked tables, chunk by chunk
+    kept = 0  # tables in chunks
     pending: list[list[list[int]]] = []  # completed tables not yet checked
 
     def flush() -> None:
-        nonlocal rejects, checking
+        nonlocal kept, rejects, checking
         start = perf_counter()
         tabs = np.array(pending, dtype=np.int64)
-        kept = tabs[_tnorm_mask(tabs, p.rel, top)]
-        kept.setflags(write=False)
-        found.extend(BinaryOpTable(target=p, table=t) for t in kept)
-        rejects += len(tabs) - len(kept)
+        chunks.append(tabs[_tnorm_mask(tabs, p.rel, top)])
+        kept += len(chunks[-1])
+        rejects += len(tabs) - len(chunks[-1])
         pending.clear()
         checking += perf_counter() - start
 
     def finish(complete: bool) -> EnumerationResult:
-        found.sort(key=lambda op: op.table.ravel().tolist())
+        tables = np.concatenate(chunks) if chunks else np.empty((0, n, n), np.int64)
+        keys = tables.reshape(kept, n * n).tolist()
+        tables = tables[sorted(range(kept), key=keys.__getitem__)]
+        tables.setflags(write=False)  # then no view of it can be made writeable
         return EnumerationResult(
             target=p,
-            tnorms=tuple(found),
-            search_stats={
+            tables=tables[...],
+            search_stats=MappingProxyType({
                 "nodes": nodes,
                 "monotone_prunes": monotone_prunes,
                 "associativity_prunes": assoc_prunes,
                 "final_check_rejects": rejects,
-            },
+            }),
             complete=complete,
-            timings={
+            timings=MappingProxyType({
                 "search": perf_counter() - started - checking,
                 "final check": checking,
-            },
+            }),
         )
 
     # Depth k has its cell cells[k], the domains on entry level[k] and the
@@ -256,12 +262,12 @@ def enumerate_tnorms(
             # Flush early when this chunk could reach the limit, so that a
             # partial result holds the first `limit` t-norms of the search.
             if len(pending) == _CHECK_CHUNK or (
-                limit is not None and len(found) + len(pending) >= limit
+                limit is not None and kept + len(pending) >= limit
             ):
                 flush()
-                if limit is not None and len(found) >= limit:
+                if limit is not None and kept >= limit:
                     raise LimitReached(
-                        f"stopped after {len(found)} t-norms (limit={limit})",
+                        f"stopped after {kept} t-norms (limit={limit})",
                         finish(complete=False),
                     )
             k -= 1
@@ -300,7 +306,7 @@ def is_maximal_tnorm(p: Psoset, op: BinaryOpTable, cap: int = 10) -> bool:
     """No enumerated t-norm sits strictly pointwise above op."""
     if not op.target.same_carrier(p):
         raise TargetMismatch("operations live on different carriers")
-    tables = enumerate_tnorms(p, cap=cap)._tables
+    tables = enumerate_tnorms(p, cap=cap).tables
     above = pointwise_order([op.table], p.rel, tables)[0]
     return not (above & (tables != op.table).any(axis=(1, 2))).any()
 
@@ -308,7 +314,7 @@ def is_maximal_tnorm(p: Psoset, op: BinaryOpTable, cap: int = 10) -> bool:
 def greatest_tnorm(p: Psoset, cap: int = 10) -> BinaryOpTable | None:
     """The t-norm pointwise above all others, when one exists."""
     res = enumerate_tnorms(p, cap=cap)
-    return None if res.greatest is None else res.tnorms[res.greatest]
+    return None if res.greatest is None else BinaryOpTable(p, res.tables[res.greatest])
 
 
 def order_diagram(result: EnumerationResult) -> HasseDiagram:
@@ -319,7 +325,7 @@ def order_diagram(result: EnumerationResult) -> HasseDiagram:
     the result goes through the same diagram extraction as any psoset,
     read straight off the packed order (relation._diagram), which is
     unpacked only when the order is not transitive.  Node k stands for
-    result.tnorms[k] (named "T<k+1>").
+    result.tables[k] (named "T<k+1>").
     """
     if not result.complete:
         raise PreconditionViolated("order diagram needs a complete enumeration")

@@ -30,7 +30,9 @@ parsing.  ParseError carries 1-based line and column numbers.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .relation import (
     HasseDiagram,
     Psoset,
     _first,
+    _frozen,
     strong_components,
     validate_psoset,
 )
@@ -47,15 +50,28 @@ from .trellis import StructureKind, Trellis, build_trellis
 HEADER = "psoset-document v1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsosetDocument:
+    """A psoset document.  Frozen like the carrier: its arrays are
+    read-only copies of writeable ones, and subsets, maps and ops are
+    read-only mappings, so a shared document cannot be changed."""
+
     names: tuple[str, ...]
     rel: np.ndarray
     meet: np.ndarray | None = None
     join: np.ndarray | None = None
-    subsets: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    maps: dict[str, np.ndarray] = field(default_factory=dict)
-    ops: dict[str, np.ndarray] = field(default_factory=dict)
+    subsets: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
+    maps: Mapping[str, np.ndarray] = field(default_factory=dict)
+    ops: Mapping[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("rel", "meet", "join"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "subsets", MappingProxyType(dict(self.subsets)))
+        for name in ("maps", "ops"):
+            arrays = {k: _frozen(v) for k, v in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(arrays))
 
     @property
     def n(self) -> int:
@@ -139,27 +155,30 @@ def parse(text: str) -> PsosetDocument:
         raise ParseError(lineno, 1, "expected 'relation:' line")
     rel = np.array(read_rows("relation", to_bit), dtype=bool)
 
-    doc = PsosetDocument(names=tuple(names), rel=rel)
+    meet = join = None
+    subsets: dict[str, tuple[int, ...]] = {}
+    maps: dict[str, np.ndarray] = {}
+    ops: dict[str, np.ndarray] = {}
     while True:
         got = lines.next_content()
         if got is None:
-            return doc
+            return PsosetDocument(tuple(names), rel, meet, join, subsets, maps, ops)
         lineno, line = got
         stripped = line.strip()
         if stripped == "meet:":
-            if doc.meet is not None:
+            if meet is not None:
                 raise ParseError(lineno, 1, "duplicate meet block")
-            doc.meet = np.array(read_rows("meet", to_element), dtype=np.int64)
+            meet = np.array(read_rows("meet", to_element), dtype=np.int64)
         elif stripped == "join:":
-            if doc.join is not None:
+            if join is not None:
                 raise ParseError(lineno, 1, "duplicate join block")
-            doc.join = np.array(read_rows("join", to_element), dtype=np.int64)
+            join = np.array(read_rows("join", to_element), dtype=np.int64)
         else:
             m = re.match(r"\s*(subset|map|op)\s+(\S+):", line)
             if not m:
                 raise ParseError(lineno, 1, f"unrecognized line {stripped!r}")
             kind, name = m.group(1), m.group(2)
-            store = {"subset": doc.subsets, "map": doc.maps, "op": doc.ops}[kind]
+            store = {"subset": subsets, "map": maps, "op": ops}[kind]
             if name in store:
                 raise ParseError(lineno, 1, f"duplicate {kind} {name!r}")
             rest = line[m.end():]
@@ -168,7 +187,7 @@ def parse(text: str) -> PsosetDocument:
                     raise ParseError(
                         lineno, m.end() + 1, "op table starts on the next line"
                     )
-                doc.ops[name] = np.array(
+                ops[name] = np.array(
                     read_rows(f"op {name}", to_element), dtype=np.int64
                 )
                 continue
@@ -182,13 +201,13 @@ def parse(text: str) -> PsosetDocument:
                     raise ParseError(lineno, 1, f"subset {name!r} is empty")
                 if len(set(members)) != len(members):
                     raise ParseError(lineno, toks[0][0], f"subset {name!r} repeats members")
-                doc.subsets[name] = tuple(sorted(members))
+                subsets[name] = tuple(sorted(members))
             else:
                 if len(toks) != n:
                     raise ParseError(
                         lineno, 1, f"map {name!r} needs {n} entries, got {len(toks)}"
                     )
-                doc.maps[name] = np.array([v for _, v in toks], dtype=np.int64)
+                maps[name] = np.array([v for _, v in toks], dtype=np.int64)
 
 
 def _table_lines(names, table) -> list[str]:
@@ -249,14 +268,16 @@ def make_document(
     maps: dict[str, np.ndarray] | None = None,
     ops: dict[str, np.ndarray] | None = None,
 ) -> PsosetDocument:
-    doc = PsosetDocument(names=p.names, rel=p.rel.copy())
-    if with_tables and isinstance(p, Trellis):
-        doc.meet = p.meet.copy()
-        doc.join = p.join.copy()
-    doc.subsets = {k: tuple(sorted(v)) for k, v in (subsets or {}).items()}
-    doc.maps = {k: np.asarray(v, dtype=np.int64) for k, v in (maps or {}).items()}
-    doc.ops = {k: np.asarray(v, dtype=np.int64) for k, v in (ops or {}).items()}
-    return doc
+    tables = with_tables and isinstance(p, Trellis)
+    return PsosetDocument(
+        p.names,
+        p.rel,
+        p.meet if tables else None,
+        p.join if tables else None,
+        {k: tuple(sorted(v)) for k, v in (subsets or {}).items()},
+        {k: np.asarray(v, dtype=np.int64) for k, v in (maps or {}).items()},
+        {k: np.asarray(v, dtype=np.int64) for k, v in (ops or {}).items()},
+    )
 
 
 def _levels(n: int, covers) -> list[int]:

@@ -12,12 +12,12 @@ The carriers live only in the shipped documents under data/: CARRIERS
 maps each key to a loader that parses its file on first use and caches
 the result, and carrier_document gives the parsed document itself, whose
 `subset rtr` and `map lam` lines hold the recorded right-transitive sets
-and interior maps.  Every cached document is shared, so it is read-only:
-its arrays are frozen and its subsets, maps and ops are read-only
-mappings.  Recorded operation tables come with a shading set
-marking the cells whose value coincides with the meet; the test-suite
-re-derives the shading from the file's relation as a cross-check on all
-of this data entry.
+and interior maps.  Every cached document is shared; it is read-only, as
+every PsosetDocument is: its fields cannot be rebound, its arrays are
+frozen and its subsets, maps and ops are read-only mappings.  Recorded
+operation tables come with a shading set marking the cells whose value
+coincides with the meet; the test-suite re-derives the shading from the
+file's relation as a cross-check on all of this data entry.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from importlib import resources
-from types import MappingProxyType
 
 import numpy as np
 
@@ -57,16 +56,9 @@ _FILES = {
 
 @lru_cache(maxsize=None)
 def carrier_document(key: str) -> PsosetDocument:
-    """The parsed shipped document of a carrier; shared, so read-only."""
+    """The parsed shipped document of a carrier, shared by every caller."""
     path = resources.files(__package__) / "data" / f"{_FILES[key]}.psoset"
-    doc = parse(path.read_text(encoding="utf-8"))
-    for array in (doc.rel, doc.meet, doc.join, *doc.maps.values(), *doc.ops.values()):
-        if array is not None:
-            array.setflags(write=False)
-    doc.subsets = MappingProxyType(doc.subsets)
-    doc.maps = MappingProxyType(doc.maps)
-    doc.ops = MappingProxyType(doc.ops)
-    return doc
+    return parse(path.read_text(encoding="utf-8"))
 
 
 @lru_cache(maxsize=None)

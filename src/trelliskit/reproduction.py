@@ -88,13 +88,9 @@ def _show(labels) -> str:
     return "(" + ", ".join(labels) + ")"
 
 
-def _table_set(ops):
-    return [tuple(op.table.flat) for op in ops]
-
-
 def _found_once(ch, res, rec, label: str) -> int | None:
     """Index of rec's table among res's t-norms, expected exactly once."""
-    hits = np.flatnonzero((res._tables == rec.table).all(axis=(1, 2))).tolist()
+    hits = np.flatnonzero((res.tables == rec.table).all(axis=(1, 2))).tolist()
     ch.expect(len(hits) == 1, label)
     return hits[0] if hits else None
 
@@ -239,8 +235,8 @@ def criterion_6(seed=DEFAULT_SEED) -> CriterionResult:
     nontrivial = 0
     for _ in range(_SEARCH_INSTANCES):
         p = random_bounded_psoset(rng, rng.randint(1, 5))
-        searched = _table_set(enumerate_tnorms(p).tnorms)
-        brute = _table_set(bruteforce_tnorms(p))
+        searched = enumerate_tnorms(p).tables.tolist()
+        brute = [op.table.tolist() for op in bruteforce_tnorms(p)]
         if searched != brute:
             mismatches += 1
         if len(searched) > 1:
@@ -286,7 +282,7 @@ def criterion_7(seed=None) -> CriterionResult:
     res = enumerate_tnorms(hg)
     ch.expect(
         res.greatest is not None
-        and np.array_equal(res._tables[res.greatest], great.table),
+        and np.array_equal(res.tables[res.greatest], great.table),
         "enumeration confirms it is the greatest",
     )
     return ch.result(7, "interior-based constructions on the hourglass carrier")

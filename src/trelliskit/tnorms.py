@@ -37,6 +37,7 @@ from .interior import UnaryMap, interior_from_subset, interior_range
 from .relation import (
     Psoset,
     _first,
+    _frozen,
     _hits,
     _member,
     _members,
@@ -49,10 +50,17 @@ from .relation import (
 from .trellis import Trellis, _as_trellis, _sub_lattice
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BinaryOpTable:
+    """An operation on the carrier.  Frozen like the carrier, with a
+    read-only copy of a writeable table; a read-only view of one
+    stays a view."""
+
     target: Psoset
     table: np.ndarray  # table[x, y] = element index
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table", _frozen(self.table))
 
     @property
     def n(self) -> int:
@@ -71,15 +79,10 @@ class BinaryOpTable:
         )
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    a.setflags(write=False)
-    return a
-
-
 def make_op(target, table) -> BinaryOpTable:
-    """The operation with this table, copied and frozen; ValueError unless
-    it is an n x n integer table with entries in 0..n-1."""
+    """The operation with this table as a frozen int64 array (a writeable
+    table is copied); ValueError unless it is an n x n integer table with
+    entries in 0..n-1."""
     table = np.asarray(table)
     if table.shape != (target.n, target.n):
         raise ValueError(f"table shape {table.shape} does not match carrier")
@@ -88,7 +91,8 @@ def make_op(target, table) -> BinaryOpTable:
     if table.min() < 0 or table.max() >= target.n:
         cells = _hits((table < 0) | (table >= target.n))
         raise ValueError(f"table entries outside 0..{target.n - 1} at {cells}")
-    return BinaryOpTable(target=target, table=_freeze(np.array(table, dtype=np.int64)))
+    # an int64 table is copied once, by BinaryOpTable
+    return BinaryOpTable(target=target, table=table.astype(np.int64, copy=False))
 
 
 def meet_op(t: Trellis) -> BinaryOpTable:
@@ -230,7 +234,7 @@ def _neutral_top(p: Psoset, tab: np.ndarray) -> BinaryOpTable:
     idx = np.arange(p.n)
     tab[p.top, :] = idx
     tab[:, p.top] = idx
-    return BinaryOpTable(target=p, table=_freeze(tab))
+    return BinaryOpTable(target=p, table=tab)
 
 
 def t_drastic(p: Psoset) -> BinaryOpTable:
@@ -248,7 +252,7 @@ def t_coatom(p: Psoset, i: int) -> BinaryOpTable:
     op = t_drastic(p)
     tab = op.table.copy()
     tab[i, i] = i
-    return BinaryOpTable(target=p, table=_freeze(tab))
+    return BinaryOpTable(target=p, table=tab)
 
 
 def join_cover_witness(t: Trellis) -> tuple[int, int, int, int] | None:
@@ -284,7 +288,7 @@ def t_join_cover(t: Trellis) -> BinaryOpTable:
     the failure mode can be inspected via check()."""
     bottom, top = _require_bounds(t)
     tab = np.where(t.join == top, t.meet, bottom)
-    return BinaryOpTable(target=t, table=_freeze(tab))
+    return BinaryOpTable(target=t, table=tab)
 
 
 def restrict(t: Trellis, A) -> tuple[Trellis, list[int]]:
@@ -314,14 +318,13 @@ def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
     # at A.
     m = np.array(members, dtype=np.intp)
     rel = t.rel[m[:, None], m]
-    rel.setflags(write=False)
     meet, join = (
-        _freeze(np.searchsorted(m, table[m[:, None], m])) for table in (t.meet, t.join)
+        np.searchsorted(m, table[m[:, None], m]) for table in (t.meet, t.join)
     )
     names = tuple(t.names[x] for x in members)
     sub = Trellis(names, rel, meet=meet, join=join)
     tab = meet[meet, members.index(a)]
-    return BinaryOpTable(target=sub, table=_freeze(tab))
+    return BinaryOpTable(target=sub, table=tab)
 
 
 _GATE_AXIOMS = ("commutative", "increasing", "associative")  # cheapest first

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from trelliskit import (
     bruteforce_candidate_count,
     bruteforce_tnorms,
     check,
+    cli,
     enumerate_tnorms,
     enumeration,
     greatest_tnorm,
@@ -28,6 +31,7 @@ from trelliskit import (
     pointwise_order,
     random_bounded_psoset,
     random_trellis,
+    relation,
     scaled_meet,
     t_coatom,
     t_drastic,
@@ -679,7 +683,7 @@ def test_search_timings_are_kept_apart_from_the_search_stats(pentagon):
 # --- the result is one frozen value ------------------------------------------
 
 
-CACHED = ("_tables", "_rows", "order", "maximal", "greatest")
+CACHED = ("tnorms", "_rows", "order", "maximal", "greatest")
 
 
 def test_the_result_cannot_be_reordered_or_reassigned(pentagon):
@@ -714,29 +718,47 @@ def test_a_partial_result_is_frozen_too(pentagon):
         partial.complete = True
 
 
+def test_results_compare_by_identity(pentagon):
+    res, again = enumerate_tnorms(pentagon), enumerate_tnorms(pentagon)
+    assert res == res and res != again  # no elementwise compare of the stacks
+
+
+def test_the_stats_and_timings_are_read_only(pentagon):
+    with pytest.raises(LimitReached) as info:
+        enumerate_tnorms(pentagon, limit=3)
+    for res in (enumerate_tnorms(pentagon), info.value.result):
+        for mapping, key in ((res.search_stats, "nodes"), (res.timings, "search")):
+            before = dict(mapping)
+            with pytest.raises(TypeError):
+                mapping[key] = 0
+            with pytest.raises(TypeError):
+                del mapping[key]
+            assert mapping == before
+
+
 @pytest.fixture
-def stack_builds(monkeypatch):
-    """Counts the stacks of t-norm tables an enumeration result builds."""
+def op_builds(monkeypatch):
+    """Counts the BinaryOpTables the enumeration module builds."""
     calls = []
-    freeze = enumeration._freeze
+    build = enumeration.BinaryOpTable
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return freeze(*args, **kwargs)
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration, "_freeze", counted)
+    monkeypatch.setattr(enumeration, "BinaryOpTable", counted)
     return calls
 
 
-def assert_tables(res, stack_builds):
-    """_tables is the read-only stack of res.tnorms, built once however
-    often, and through however many readers, it is read."""
-    tables = res._tables
+def assert_tables(res, op_builds):
+    """tables is the one read-only stack of the t-norms' tables: every
+    reader of the order reads it without building an op, and tnorms,
+    built once when first read, holds views of its rows."""
+    tables = res.tables
     n = res.target.n
     assert tables.dtype == np.int64 and tables.shape == (res.count, n, n)
-    if res.count:
-        assert np.array_equal(tables, np.array([op.table for op in res.tnorms]))
     assert not tables.flags.writeable
+    assert relation._frozen(tables) is tables  # no writeable array under it
     assert tables.base is not None and not tables.base.flags.writeable
     with pytest.raises(ValueError):
         tables.setflags(write=True)
@@ -745,41 +767,59 @@ def assert_tables(res, stack_builds):
     res.maximal, res.greatest, res.order
     if res.complete:
         order_diagram(res)
-    assert res._tables is tables
-    assert len(stack_builds) == 1
-    stack_builds.clear()
+    assert res.tables is tables
+    assert op_builds == []  # no reader of the order builds an op
+    ops = res.tnorms
+    assert isinstance(ops, tuple) and len(ops) == res.count
+    assert len(op_builds) == res.count and res.tnorms is ops
+    if res.count:
+        assert np.array_equal(tables, np.array([op.table for op in ops]))
+    for k, op in enumerate(ops):
+        assert op.target is res.target and np.shares_memory(op.table, tables[k])
+        with pytest.raises(ValueError):
+            op.table.setflags(write=True)
+    op_builds.clear()
 
 
 @pytest.mark.parametrize("key", sorted(SHIPPED_SEARCH))
-def test_the_table_stack_on_shipped_carriers(key, stack_builds):
+def test_the_table_stack_on_shipped_carriers(key, op_builds):
     res = enumerate_tnorms(CARRIERS[key]())
-    assert stack_builds == []  # enumerating builds no stack
-    assert_tables(res, stack_builds)
+    assert op_builds == []  # enumerating builds no op
+    assert_tables(res, op_builds)
 
 
-def test_the_table_stack_on_random_carriers(stack_builds):
+def test_the_table_stack_on_random_carriers(op_builds):
     rng = random.Random(4120)
     for k in range(50):
         make = random_trellis if k % 2 else random_bounded_psoset
-        assert_tables(enumerate_tnorms(make(rng, 3 + k % 4)), stack_builds)
+        assert_tables(enumerate_tnorms(make(rng, 3 + k % 4)), op_builds)
 
 
-def test_the_table_stack_of_no_tnorms(pentagon, monkeypatch, stack_builds):
+def test_the_table_stack_of_no_tnorms(pentagon, monkeypatch, op_builds):
     monkeypatch.setattr(
         enumeration, "_tnorm_mask", lambda tabs, rel, top: np.zeros(len(tabs), bool)
     )
     res = enumerate_tnorms(pentagon)
     assert res.count == 0
-    assert_tables(res, stack_builds)
+    assert_tables(res, op_builds)
 
 
-def test_the_table_stack_of_a_partial_result(stack_builds):
+def test_the_table_stack_of_a_partial_result(op_builds):
     with pytest.raises(LimitReached) as info:
         enumerate_tnorms(CARRIERS["fork8"](), limit=100)
-    assert_tables(info.value.result, stack_builds)
+    assert_tables(info.value.result, op_builds)
 
 
-def test_is_maximal_tnorm_reads_the_table_stack(pentagon, stack_builds):
+def test_is_maximal_tnorm_reads_the_table_stack(pentagon, op_builds):
     ops = enumerate_tnorms(pentagon).tnorms
+    op_builds.clear()
     assert [is_maximal_tnorm(pentagon, op) for op in ops] == [False] * 5 + [True]
-    assert len(stack_builds) == len(ops)  # one per enumeration it runs
+    assert op_builds == []  # it reads the stack of each enumeration it runs
+
+
+def test_enumerate_json_builds_no_op(op_builds, tmp_path, capsys):
+    path = Path(enumeration.__file__).parent / "data" / "fork8.psoset"
+    dot = tmp_path / "fork8.dot"
+    assert cli.main(["enumerate", str(path), "--json", "--dot", str(dot)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 764 and dot.exists()
+    assert op_builds == []

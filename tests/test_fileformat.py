@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -173,10 +174,9 @@ def test_document_trellis_rejects_wrong_declared_table():
     t = bounded_chain(3)
     doc = make_document(t, with_tables=True)
     text = serialize(doc)
-    broken = parse(text)
-    wrong = broken.meet.copy()
+    wrong = parse(text).meet.copy()
     wrong[1, 2] = 2
-    broken.meet = wrong
+    broken = dataclasses.replace(parse(text), meet=wrong)
     with pytest.raises(ValidationError) as info:
         document_trellis(broken)
     assert "meet" in str(info.value)
@@ -307,8 +307,7 @@ def test_the_cached_op_tables_are_read_only(monkeypatch):
 
     def with_op(text):
         doc = real(text)
-        doc.ops["T"] = np.array(doc.meet)
-        return doc
+        return dataclasses.replace(doc, ops={"T": np.array(doc.meet)})
 
     monkeypatch.setattr(fixtures, "parse", with_op)
     doc = fixtures.carrier_document.__wrapped__("pentagon")
@@ -325,3 +324,17 @@ def test_writes_to_the_cached_documents_cannot_reach_the_criteria():
         fixtures.carrier_document("pentagon").rel[1, 3] = True
     assert reproduction.criterion_7().passed
     assert reproduction.criterion_4().passed
+
+
+def test_the_cached_documents_cannot_be_rebound():
+    for key in sorted(CARRIERS):
+        doc = fixtures.carrier_document(key)
+        for f in dataclasses.fields(doc):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(doc, f.name, getattr(doc, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(doc, f.name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fixtures.carrier_document("hourglass7").subsets = {"rtr": (0,)}
+    assert fixtures.carrier_document("hourglass7").subsets["rtr"] != (0,)
+    assert reproduction.criterion_7().passed

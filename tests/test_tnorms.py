@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from trelliskit import (
     AxiomReport,
+    BinaryOpTable,
     Trellis,
     build_trellis,
     check,
@@ -76,6 +78,37 @@ def test_make_op_validates_and_freezes(pentagon):
     tab[1, 3], tab[4, 0] = -1, pentagon.n
     with pytest.raises(ValueError, match=r"outside 0\.\.4 at \[\(1, 3\), \(4, 0\)\]"):
         make_op(pentagon, tab)
+
+
+def test_every_op_is_frozen(pentagon):
+    tab = pentagon.meet.copy()
+    direct = BinaryOpTable(pentagon, tab)
+    tab[0, 0] = pentagon.top  # the caller's array, not the op's
+    assert direct(0, 0) == 0
+    b = pentagon.index("b")
+    rtr = sorted(right_transitive_set(pentagon))
+    ops = [
+        direct,
+        make_op(pentagon, pentagon.meet),
+        meet_op(pentagon),
+        join_op(pentagon),
+        t_drastic(pentagon),
+        t_coatom(pentagon, pentagon.index("c")),
+        t_join_cover(pentagon),
+        scaled_meet(pentagon, rtr, rtr[-1]),
+        tnorm_via_subset(pentagon, [pentagon.bottom, b, pentagon.top]),
+    ]
+    for op in ops:
+        assert op.table.dtype == np.int64 and not op.table.flags.writeable
+        with pytest.raises(ValueError):
+            op.table[0, 0] = 1
+        for name in ("target", "table"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(op, name, getattr(op, name))
+    for op in ops[4:]:  # built from scratch, so the table is the op's own
+        assert op.table.base is None
+    sub = ops[-2].target  # scaled_meet's sub-trellis freezes its own tables
+    assert not any(a.flags.writeable for a in (sub.rel, sub.meet, sub.join))
 
 
 def test_lattice_meet_is_a_tnorm():

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated
-from .relation import _member, _nonempty, _require_side
+from .relation import _member, _nonempty, _readonly, _require_side
 from .trellis import Trellis, _infimum, _supremum
 
 ALPHAS = ("dis", "ass", "meet_ass", "join_ass", "tr", "ltr", "rtr", "mtr")
@@ -75,17 +75,16 @@ def classify(t: Trellis) -> ElementClassification:
     dis_join_bad = meet[join, :] != join[mxz, myz]
     dis = _per_element_bad(dis_meet_bad) & _per_element_bad(dis_join_bad)
 
-    freeze = lambda a: (a.setflags(write=False), a)[1]
     return ElementClassification(
         trellis=t,
-        rtr=freeze(rtr),
-        ltr=freeze(ltr),
-        mtr=freeze(mtr),
-        tr=freeze(tr),
-        meet_ass=freeze(meet_ass),
-        join_ass=freeze(join_ass),
-        ass=freeze(ass),
-        dis=freeze(dis),
+        rtr=rtr,  # the carrier's own cached masks, frozen there
+        ltr=ltr,
+        mtr=_readonly(mtr),
+        tr=_readonly(tr),
+        meet_ass=_readonly(meet_ass),
+        join_ass=_readonly(join_ass),
+        ass=_readonly(ass),
+        dis=_readonly(dis),
     )
 
 

@@ -37,7 +37,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import and_
 from time import perf_counter
 from types import MappingProxyType
 
@@ -48,6 +50,7 @@ from .relation import (
     HasseDiagram,
     Psoset,
     _diagram,
+    _readonly,
     _require_bounds,
     _require_cap,
 )
@@ -97,9 +100,7 @@ class EnumerationResult:
     def _rows(self) -> np.ndarray:
         """The order's rows packed as pointwise_order(..., packed=True)
         returns them, eight t-norms a byte."""
-        rows = pointwise_order(self.tables, self.target.rel, packed=True)
-        rows.setflags(write=False)
-        return rows
+        return _readonly(pointwise_order(self.tables, self.target.rel, packed=True))
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -136,47 +137,39 @@ def enumerate_tnorms(
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
     rel = p.rel.tolist()
-
-    def mask(members) -> int:
-        return sum(1 << w for w, inside in enumerate(members) if inside)
-
-    up = [mask(rel[v]) for v in range(n)]  # {w : v <= w}
-    down = [mask(row[v] for row in rel) for v in range(n)]  # {w : w <= v}
-
-    inner = [x for x in range(n) if x != top]
-    cells = [(i, j) for i in inner for j in inner if i <= j]
-
+    cols = list(zip(*rel))
+    bits = [1 << w for w in range(n)]
+    up = [sum(compress(bits, row)) for row in rel]  # {w : v <= w}
+    down = [sum(compress(bits, col)) for col in cols]  # {w : w <= v}
     # T(i, j) must sit below every upper bound of i and of j: for i <= x
     # the pair (i, j) <= (x, top) cellwise, so T(i, j) <= T(x, top) = x.
-    # The reflexive cases give T(i, j) <= i and <= j.
-    def initial_domain(i: int, j: int) -> int:
-        d = -1
-        for u in range(n):
-            if rel[i][u] or rel[j][u]:
-                d &= down[u]
-        return d
+    # The reflexive cases give T(i, j) <= i and <= j.  So the initial
+    # domain of (i, j) is below[i] & below[j].
+    below = [reduce(and_, compress(down, row)) for row in rel]
 
-    doms = [initial_domain(i, j) for i, j in cells]
-    order = sorted(range(len(cells)), key=lambda k: (doms[k].bit_count(), cells[k]))
-    cells = [cells[k] for k in order]
-    doms = [doms[k] for k in order]
+    inner = [x for x in range(n) if x != top]
+    cells = sorted(
+        ((i, j) for i in inner for j in inner if i <= j),
+        key=lambda c: ((below[c[0]] & below[c[1]]).bit_count(), c),
+    )
+    doms = [below[i] & below[j] for i, j in cells]
     m = len(cells)
 
     # Cellwise comparability (in either orientation, since the table is
     # symmetric) is exactly what joint monotonicity constrains.  prune[k]
     # lists each later comparable cell with the masks that bound it: the
     # cells above k first, then the cells below, as the search tries them.
-    def cell_leq(c: tuple[int, int], d: tuple[int, int]) -> bool:
-        (i, j), (a, b) = c, d
-        return (rel[i][a] and rel[j][b]) or (rel[i][b] and rel[j][a])
-
     prune: list[list[tuple[int, list[int]]]] = []
-    for k in range(m):
-        later = range(k + 1, m)
-        prune.append(
-            [(k2, up) for k2 in later if cell_leq(cells[k], cells[k2])]
-            + [(k2, down) for k2 in later if cell_leq(cells[k2], cells[k])]
-        )
+    for k, (i, j) in enumerate(cells):
+        ri, rj, ci, cj = rel[i], rel[j], cols[i], cols[j]
+        above, under = [], []
+        for k2 in range(k + 1, m):
+            a, b = cells[k2]
+            if ri[a] and rj[b] or ri[b] and rj[a]:
+                above.append((k2, up))
+            if ci[a] and cj[b] or ci[b] and cj[a]:
+                under.append((k2, down))
+        prune.append(above + under)
 
     tab = [[-1] * n for _ in range(n)]
     pairs: list[set[tuple[int, int]]] = [set() for _ in range(n)]
@@ -218,12 +211,12 @@ def enumerate_tnorms(
     started, checking = perf_counter(), 0.0
     chunks: list[np.ndarray] = []  # the checked tables, chunk by chunk
     kept = 0  # tables in chunks
-    pending: list[list[list[int]]] = []  # completed tables not yet checked
+    pending: list[int] = []  # completed tables not yet checked, cell after cell
 
     def flush() -> None:
         nonlocal kept, rejects, checking
         start = perf_counter()
-        tabs = np.array(pending, dtype=np.int64)
+        tabs = np.fromiter(pending, np.int64, len(pending)).reshape(-1, n, n)
         chunks.append(tabs[_tnorm_mask(tabs, p.rel, top)])
         kept += len(chunks[-1])
         rejects += len(tabs) - len(chunks[-1])
@@ -234,10 +227,9 @@ def enumerate_tnorms(
         tables = np.concatenate(chunks) if chunks else np.empty((0, n, n), np.int64)
         keys = tables.reshape(kept, n * n).tolist()
         tables = tables[sorted(range(kept), key=keys.__getitem__)]
-        tables.setflags(write=False)  # then no view of it can be made writeable
         return EnumerationResult(
             target=p,
-            tables=tables[...],
+            tables=_readonly(tables),
             search_stats=MappingProxyType({
                 "nodes": nodes,
                 "monotone_prunes": monotone_prunes,
@@ -258,12 +250,12 @@ def enumerate_tnorms(
     k = 0
     while k >= 0:
         if k == m:
-            pending.append([row[:] for row in tab])
+            for row in tab:
+                pending += row
             # Flush early when this chunk could reach the limit, so that a
             # partial result holds the first `limit` t-norms of the search.
-            if len(pending) == _CHECK_CHUNK or (
-                limit is not None and kept + len(pending) >= limit
-            ):
+            waiting = len(pending) // (n * n)
+            if waiting == _CHECK_CHUNK or (limit is not None and kept + waiting >= limit):
                 flush()
                 if limit is not None and kept >= limit:
                     raise LimitReached(

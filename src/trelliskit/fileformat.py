@@ -52,8 +52,8 @@ HEADER = "psoset-document v1"
 
 @dataclass(frozen=True)
 class PsosetDocument:
-    """A psoset document.  Frozen like the carrier: its arrays are
-    read-only copies of writeable ones, and subsets, maps and ops are
+    """A psoset document.  Frozen like the carrier: its arrays are kept
+    as relation._frozen leaves them, and subsets, maps and ops are
     read-only mappings, so a shared document cannot be changed."""
 
     names: tuple[str, ...]

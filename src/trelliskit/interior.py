@@ -25,6 +25,7 @@ from .relation import (
     _hits,
     _member,
     _members,
+    _readonly,
     _require_bounds,
     _require_side,
 )
@@ -33,8 +34,8 @@ from .trellis import Trellis, _greatest
 
 @dataclass(frozen=True, eq=False)
 class UnaryMap:
-    """A map on the carrier.  Frozen like the carrier, with a read-only
-    copy of a writeable map array, so its interior report is computed on
+    """A map on the carrier.  Frozen like the carrier, with its map array
+    as relation._frozen leaves it, so its interior report is computed on
     first read and then cached."""
 
     target: Trellis
@@ -131,5 +132,4 @@ def interior_from_subset(t: Trellis, A) -> UnaryMap:
     below = inside & t.rel.T  # [x, a]: a in A and a <= x
     # [x, z]: z lies above every A-member below x; the least such z is the image
     out = _greatest(~(below @ ~t.rel), t.rel.T)
-    out.setflags(write=False)
-    return UnaryMap(target=t, map=out)
+    return UnaryMap(target=t, map=_readonly(out))

@@ -42,20 +42,26 @@ def _hits(mask: np.ndarray) -> list[tuple[int, ...]]:
     return list(zip(*(ix.tolist() for ix in np.nonzero(mask))))
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, made read-only too; a must own its data and
+    be held by nobody else.  numpy lets an array that owns its data be
+    made writeable again, but not a view of a read-only array."""
+    a.setflags(write=False)
+    return a[...]
+
+
 def _frozen(a) -> np.ndarray:
-    """a itself when it is a read-only array over no writeable array (a
-    read-only view of a writeable one still changes when that one is
-    written), else a read-only copy of it.  Frozen objects keep their
-    arrays this way, so that nobody can write into them and leave a
-    cached property stale."""
+    """a itself when it is a read-only view over read-only arrays only,
+    as _readonly hands out, else _readonly of a private copy of it (a
+    read-only view of a writeable array still changes when that one is
+    written).  Frozen objects keep their arrays this way, so that nobody
+    can write into them and leave a cached property stale."""
     under = a
     while isinstance(under, np.ndarray) and not under.flags.writeable:
         under = under.base
-    if under is None and isinstance(a, np.ndarray):
+    if under is None and a.base is not None:
         return a
-    a = np.array(a)
-    a.setflags(write=False)
-    return a
+    return _readonly(np.array(a))
 
 
 def _escapes(rel: np.ndarray) -> np.ndarray:
@@ -195,8 +201,8 @@ class Psoset:
 
     The two fields are the whole definition.  Bounds, reachability and
     the side masks are read off rel the first time they are asked for
-    and then cached.  The carrier is frozen and keeps a read-only copy of
-    a writeable rel, so they stay valid."""
+    and then cached.  The carrier is frozen and keeps rel as _frozen
+    leaves it, which nobody can write, so they stay valid."""
 
     names: tuple[str, ...]
     rel: np.ndarray
@@ -236,15 +242,14 @@ class Psoset:
 
     @cached_property
     def closure(self) -> np.ndarray:
-        closure = transitive_closure(self.rel)
-        closure.setflags(write=False)
-        return closure
+        # a view of the unpacked bits, which stay writeable: copied
+        return _frozen(transitive_closure(self.rel))
 
     @cached_property
     def _side_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """The rtr and ltr masks, from the two-step relation alone."""
         escapes = _escapes(self.rel)
-        return ~escapes.any(axis=1), ~escapes.any(axis=0)
+        return _readonly(~escapes.any(axis=1)), _readonly(~escapes.any(axis=0))
 
     def is_transitive(self) -> bool:
         # every escape [a, y] leaves a not right-transitive
@@ -306,8 +311,6 @@ def validate_psoset(rel, names) -> Psoset:
             f"{[(names[x], names[y]) for x, y in pairs]}",
             pairs,
         )
-    rel = rel.copy()
-    rel.setflags(write=False)
     return Psoset(names=names, rel=rel)
 
 

@@ -42,6 +42,7 @@ from .relation import (
     _member,
     _members,
     _nonempty,
+    _readonly,
     _require_bounds,
     _require_side,
     co_atoms,
@@ -52,9 +53,9 @@ from .trellis import Trellis, _as_trellis, _sub_lattice
 
 @dataclass(frozen=True, eq=False)
 class BinaryOpTable:
-    """An operation on the carrier.  Frozen like the carrier, with a
-    read-only copy of a writeable table; a read-only view of one
-    stays a view."""
+    """An operation on the carrier.  Frozen like the carrier, with its
+    table as relation._frozen leaves it: a read-only view over read-only
+    arrays, such as a row of an enumeration's stack, stays a view."""
 
     target: Psoset
     table: np.ndarray  # table[x, y] = element index
@@ -80,9 +81,9 @@ class BinaryOpTable:
 
 
 def make_op(target, table) -> BinaryOpTable:
-    """The operation with this table as a frozen int64 array (a writeable
-    table is copied); ValueError unless it is an n x n integer table with
-    entries in 0..n-1."""
+    """The operation with this table as a frozen int64 array (a table
+    that could still be written is copied); ValueError unless it is an
+    n x n integer table with entries in 0..n-1."""
     table = np.asarray(table)
     if table.shape != (target.n, target.n):
         raise ValueError(f"table shape {table.shape} does not match carrier")
@@ -129,30 +130,30 @@ class TnormReport:
 def _axiom_bad(axiom: str, tabs: np.ndarray, rel: np.ndarray, top: int) -> np.ndarray:
     """Violation mask of one of the four t-norm axioms over a (b, n, n)
     stack of tables, with the table axis first.  Increasing and
-    associative gather with np.take from the flattened stack: increasing
-    at cell x * n + y of each table, associative whole rows, row x of
-    table i being row i * n + x of the stack."""
+    associative gather with ndarray.take from the flattened stack:
+    increasing at cell x * n + y of each table, associative whole rows,
+    row x of table i being row i * n + x of the stack."""
     n = tabs.shape[-1]
-    idx = np.arange(n)
     if axiom == "neutral_top":  # [b, x]: T(x, top) != x or T(top, x) != x
+        idx = np.arange(n)
         return (tabs[:, :, top] != idx) | (tabs[:, top, :] != idx)
     if axiom == "commutative":  # [b, x, y]: T(x, y) != T(y, x)
         return tabs != tabs.transpose(0, 2, 1)
     if axiom == "increasing":
         # [b, p, q]: not T(x, z) <= T(y, t), for the related pairs p = (x, y)
         # and q = (z, t) numbered in the row-major order of np.nonzero(rel)
-        lo, hi = np.nonzero(rel)
+        lo, hi = rel.nonzero()
         flat = tabs.reshape(len(tabs), n * n)
         # [b, p, q]: the cell T(x, z) * n + T(y, t) of rel
-        cell = np.take(flat * n, lo[:, None] * n + lo, axis=1)
-        cell += np.take(flat, hi[:, None] * n + hi, axis=1)
-        return ~np.take(rel, cell)
+        cell = (flat * n).take(lo[:, None] * n + lo, axis=1)
+        cell += flat.take(hi[:, None] * n + hi, axis=1)
+        return ~rel.take(cell)
     # associative, [b, x, y, z]: T(T(x, y), z) != T(x, T(y, z)); the
     # second is row T(y, z) of the transposed table at x.  row[i, x, y]
     # is where row T(x, y) of table i sits in the stack.
     row = tabs + np.arange(0, len(tabs) * n, n)[:, None, None]
-    left = np.take(tabs.reshape(-1, n), row, axis=0)
-    right = np.take(tabs.transpose(0, 2, 1).reshape(-1, n), row, axis=0)
+    left = tabs.reshape(-1, n).take(row, axis=0)
+    right = tabs.transpose(0, 2, 1).reshape(-1, n).take(row, axis=0)
     return left != right.transpose(0, 3, 1, 2)
 
 
@@ -164,16 +165,17 @@ def _tnorm_mask(
 ) -> np.ndarray:
     """(b,) bool: which tables of the (b, n, n) stack satisfy every one of
     the axioms, by default the four that make a t-norm.  Each axiom only
-    runs on the tables that passed the ones before it; the stack is cut
-    down to those only once some table has failed."""
+    runs on the tables that passed the ones before it.  One any() over an
+    axiom's whole mask decides whether some table failed it; only then is
+    the mask reduced per table and the stack cut down to the survivors."""
     keep = np.ones(len(tabs), dtype=bool)
     live = tabs
     for axiom in axioms:
         if not len(live):
             break
-        ok = ~_axiom_bad(axiom, live, rel, top).reshape(len(live), -1).any(axis=1)
-        if not ok.all():
-            keep[keep] = ok
+        bad = _axiom_bad(axiom, live, rel, top)
+        if bad.any():
+            keep[keep] = ~bad.reshape(len(live), -1).any(axis=1)
             live = tabs[keep]
     return keep
 
@@ -234,7 +236,7 @@ def _neutral_top(p: Psoset, tab: np.ndarray) -> BinaryOpTable:
     idx = np.arange(p.n)
     tab[p.top, :] = idx
     tab[:, p.top] = idx
-    return BinaryOpTable(target=p, table=tab)
+    return BinaryOpTable(target=p, table=_readonly(tab))
 
 
 def t_drastic(p: Psoset) -> BinaryOpTable:
@@ -252,7 +254,7 @@ def t_coatom(p: Psoset, i: int) -> BinaryOpTable:
     op = t_drastic(p)
     tab = op.table.copy()
     tab[i, i] = i
-    return BinaryOpTable(target=p, table=tab)
+    return BinaryOpTable(target=p, table=_readonly(tab))
 
 
 def join_cover_witness(t: Trellis) -> tuple[int, int, int, int] | None:
@@ -288,7 +290,7 @@ def t_join_cover(t: Trellis) -> BinaryOpTable:
     the failure mode can be inspected via check()."""
     bottom, top = _require_bounds(t)
     tab = np.where(t.join == top, t.meet, bottom)
-    return BinaryOpTable(target=t, table=tab)
+    return BinaryOpTable(target=t, table=_readonly(tab))
 
 
 def restrict(t: Trellis, A) -> tuple[Trellis, list[int]]:
@@ -317,14 +319,14 @@ def scaled_meet(t: Trellis, A, a: int) -> BinaryOpTable:
     # inside A is one in the carrier, so A's tables are the carrier's read
     # at A.
     m = np.array(members, dtype=np.intp)
-    rel = t.rel[m[:, None], m]
+    rel = _readonly(t.rel[m[:, None], m])
     meet, join = (
-        np.searchsorted(m, table[m[:, None], m]) for table in (t.meet, t.join)
+        _readonly(np.searchsorted(m, table[m[:, None], m])) for table in (t.meet, t.join)
     )
     names = tuple(t.names[x] for x in members)
     sub = Trellis(names, rel, meet=meet, join=join)
     tab = meet[meet, members.index(a)]
-    return BinaryOpTable(target=sub, table=tab)
+    return BinaryOpTable(target=sub, table=_readonly(tab))
 
 
 _GATE_AXIOMS = ("commutative", "increasing", "associative")  # cheapest first
@@ -338,7 +340,7 @@ def _gate_v(t: Trellis, image: np.ndarray, v: BinaryOpTable) -> None:
     generally lack one.)  The flags are read from the masks check() reads
     them from; its full report is built only for the error."""
     names = tuple(t.names[x] for x in image)
-    on_range = Psoset(names=names, rel=t.rel[image[:, None], image])
+    on_range = Psoset(names=names, rel=_readonly(t.rel[image[:, None], image]))
     tab, target = v.table, v.target
     if not target.same_carrier(on_range):
         raise VNotATnorm("operation is not defined on the operator's range", check(v))

@@ -22,6 +22,7 @@ from .relation import (
     _hits,
     _members,
     _nonempty,
+    _readonly,
     _require_bounds,
     validate_psoset,
 )
@@ -109,9 +110,7 @@ def _as_trellis(p: Psoset) -> Trellis:
         raise NotATrellis(
             f"pair ({p.names[x]}, {p.names[y]}) has no {kind}", pair=(x, y), kind=kind
         )
-    meet.setflags(write=False)
-    join.setflags(write=False)
-    return Trellis(p.names, p.rel, meet=meet, join=join)
+    return Trellis(p.names, p.rel, meet=_readonly(meet), join=_readonly(join))
 
 
 def structure_kind(p: Psoset) -> StructureKind:
@@ -211,10 +210,8 @@ def induced_order(meet: np.ndarray, join: np.ndarray) -> np.ndarray:
 def trellis_from_tables(names, meet, join) -> Trellis:
     """Build a Trellis from algebra tables alone (relation is derived)."""
     p = validate_psoset(induced_order(np.asarray(meet), np.asarray(join)), names)
-    meet = np.array(meet, dtype=np.int64)
-    join = np.array(join, dtype=np.int64)
-    meet.setflags(write=False)
-    join.setflags(write=False)
+    meet = _readonly(np.array(meet, dtype=np.int64))
+    join = _readonly(np.array(join, dtype=np.int64))
     return Trellis(p.names, p.rel, meet=meet, join=join)
 
 

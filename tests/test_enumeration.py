@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -638,13 +639,30 @@ def test_kernel_equals_check_on_the_shipped_tnorms(key):
     assert np.flatnonzero(~got).tolist() == [mid]
 
 
+# fork8 stopped at a limit around the check chunks' edges: count, nodes,
+# monotone, associativity and final-check prunes, SHA-256 of the tables
+FORK8_PARTIAL = {
+    1: (1, 28, 0, 0, 0, "48424e7ea1fafa11635cd30c07eb251a1108a3eca664dc10f672428e5a5ff4f0"),
+    63: (63, 109, 0, 6, 0, "756c71d4784ea33b30f30181dc12412403f8093197d46bef2975a6fb738c17bc"),
+    64: (64, 110, 0, 6, 0, "0e6467371a4a1819b56a1309eb25bcc46df2d44fe283ab2b656855c746fd5622"),
+    65: (65, 111, 0, 6, 0, "03d593fcaf30ef2300ac22ef94d4a73eab74ffc2c456d290fd933f11aadf351d"),
+    128: (128, 204, 0, 21, 0, "03a8e3892e1fe2fb5666ce3535a4204c2599ac7c8dfb00b6e5acad29d1e17ea3"),
+}
+
+
+def pinned_summary(res):
+    """count, the four search counters and the SHA-256 of the tables."""
+    digest = hashlib.sha256(res.tables.astype("<i8").tobytes()).hexdigest()
+    return (res.count, *res.search_stats.values(), digest)
+
+
 def test_limit_across_check_chunks():
     fork8 = CARRIERS["fork8"]()
     full = set(grids(enumerate_tnorms(fork8)))
     assert len(full) == 764
     chunk = enumeration._CHECK_CHUNK
     smaller = set()
-    for limit in (1, chunk - 1, chunk, chunk + 1, 763, 764):
+    for limit in (1, chunk - 1, chunk, chunk + 1, 2 * chunk, 763, 764):
         with pytest.raises(LimitReached) as info:
             enumerate_tnorms(fork8, limit=limit)
         partial = info.value.result
@@ -652,6 +670,25 @@ def test_limit_across_check_chunks():
         got = set(grids(partial))
         assert len(got) == limit and smaller <= got <= full
         smaller = got
+        if limit in FORK8_PARTIAL:
+            assert pinned_summary(partial) == FORK8_PARTIAL[limit]
+
+
+SWEEP_DIGEST = "8c436a63f900e0b34aa917d66fd6c191cb328b4a76f1ebd9c6fb41f6177d1ae5"
+
+
+def test_the_search_sweep_carriers_are_pinned():
+    # the carriers perfbench's search-sweep draws at seed 1019 (the
+    # library's generators draw the same ones as its reference copy's):
+    # carrier k has 3 + (k // 2) % 3 elements, from random_bounded_psoset
+    # for even k and random_trellis for odd k
+    rng = random.Random(1019)
+    digest = hashlib.sha256()
+    for k in range(1500):
+        make = random_trellis if k % 2 else random_bounded_psoset
+        res = enumerate_tnorms(make(rng, 3 + (k // 2) % 3))
+        digest.update(repr(pinned_summary(res)).encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("key", ["pentagon", "twin_peaks7", "fork8", "loop8"])
@@ -765,6 +802,9 @@ def assert_tables(res, op_builds):
     with pytest.raises(ValueError):
         tables[...] = 0
     res.maximal, res.greatest, res.order
+    for array in (res._rows, res.order):  # the cached order, either form
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
     if res.complete:
         order_diagram(res)
     assert res.tables is tables

@@ -35,8 +35,8 @@ from trelliskit.errors import (
     PreconditionError,
     ValidationError,
 )
-from trelliskit.fixtures import CARRIERS, RECORDED_FACTS, bounded_chain
-from trelliskit.relation import _escapes, transitive_closure
+from trelliskit.fixtures import CARRIERS, RECORDED_FACTS, bounded_chain, carrier_document
+from trelliskit.relation import _escapes, _frozen, transitive_closure
 
 
 def chain_rel(n):
@@ -169,6 +169,32 @@ def test_relation_is_frozen():
     p = CARRIERS["pentagon"]()
     with pytest.raises(ValueError):
         p.rel[0, 0] = False
+
+
+def test_shared_arrays_cannot_be_made_writeable_again():
+    # numpy lets an array that owns its data be made writeable again, but
+    # not a view of a read-only array, which is what _frozen hands out
+    pentagon = CARRIERS["pentagon"]()
+    classes = tk.classify(pentagon)
+    shared = (
+        pentagon.rel,
+        pentagon.closure,
+        tk.t_drastic(pentagon).table,
+        carrier_document("hourglass7").rel,
+        classes.rtr,  # the carrier's cached mask, which is_transitive reads
+        classes.dis,
+    )
+    for array in shared:
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+        assert _frozen(array) is array
+    owner = np.eye(3, dtype=bool)
+    owner.setflags(write=False)
+    kept = _frozen(owner)
+    assert kept is not owner and not np.shares_memory(kept, owner)
+    assert np.array_equal(kept, owner) and _frozen(kept) is kept
+    with pytest.raises(ValueError):
+        kept.setflags(write=True)
 
 
 def test_a_carrier_holds_only_its_definition():

@@ -53,6 +53,7 @@ from trelliskit.fixtures import (
     diamond_lattice,
     recorded_table,
 )
+from trelliskit import tnorms as tnorms_module
 from trelliskit.tnorms import _AXIOMS, TnormReport, _axiom_bad, _tnorm_mask
 
 
@@ -102,13 +103,18 @@ def test_every_op_is_frozen(pentagon):
         assert op.table.dtype == np.int64 and not op.table.flags.writeable
         with pytest.raises(ValueError):
             op.table[0, 0] = 1
+        with pytest.raises(ValueError):  # nor can it be made writeable again
+            op.table.setflags(write=True)
         for name in ("target", "table"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(op, name, getattr(op, name))
     for op in ops[4:]:  # built from scratch, so the table is the op's own
-        assert op.table.base is None
+        assert op.table.base.base is None and not op.table.base.flags.writeable
     sub = ops[-2].target  # scaled_meet's sub-trellis freezes its own tables
     assert not any(a.flags.writeable for a in (sub.rel, sub.meet, sub.join))
+    for array in (sub.rel, sub.meet, sub.join):
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
 
 
 def test_lattice_meet_is_a_tnorm():
@@ -593,14 +599,22 @@ def failed_axioms(report):
     return {name for name in AXIOMS if not getattr(report, name)}
 
 
-def test_kernel_equals_check_when_one_axiom_fails():
-    chain = bounded_chain(4)
-    tables = []
+def one_axiom_off_tables():
+    """The chain of ONE_AXIOM_OFF and its tables, axiom -> table."""
+    chain, tables = bounded_chain(4), {}
     for name, inner in ONE_AXIOM_OFF.items():
         tab = np.zeros((4, 4), dtype=np.int64)
         if inner is not None:
             tab[:3, :3] = inner
             tab[3], tab[:, 3] = np.arange(4), np.arange(4)
+        tables[name] = tab
+    return chain, tables
+
+
+def test_kernel_equals_check_when_one_axiom_fails():
+    chain, off = one_axiom_off_tables()
+    tables = []
+    for name, tab in off.items():
         assert failed_axioms(check(make_op(chain, tab))) == {name}
         tables.append(tab)
     carriers = [(chain, tables + [op.table for op in enumerate_tnorms(chain).tnorms])]
@@ -709,25 +723,74 @@ def kernel_stacks():
         yield rel, top, np.array([tables[i] for i in order], dtype=np.int64)
 
 
+# every nonempty subset of the axioms, forwards and backwards
+AXIOM_SUBSETS = [
+    axioms
+    for r in range(1, len(_AXIOMS) + 1)
+    for combo in itertools.combinations(_AXIOMS, r)
+    for axioms in (combo, combo[::-1])
+]
+
+
+def assert_kernel_equals_the_oracle(tabs, rel, top, label=""):
+    for axiom in _AXIOMS:
+        got, want = _axiom_bad(axiom, tabs, rel, top), axiom_bad_oracle(axiom, tabs, rel, top)
+        assert got.shape == want.shape and np.array_equal(got, want), (label, axiom)
+    for axioms in AXIOM_SUBSETS:
+        got = _tnorm_mask(tabs, rel, top, axioms)
+        assert np.array_equal(got, tnorm_mask_oracle(tabs, rel, top, axioms)), (label, axioms)
+
+
 def test_axiom_kernel_equals_the_fancy_indexing_oracle():
-    subsets = [
-        axioms
-        for r in range(1, len(_AXIOMS) + 1)
-        for combo in itertools.combinations(_AXIOMS, r)
-        for axioms in (combo, combo[::-1])
-    ]
     passed = failed = 0
     for rel, top, tabs in kernel_stacks():
-        for axiom in _AXIOMS:
-            got, want = _axiom_bad(axiom, tabs, rel, top), axiom_bad_oracle(axiom, tabs, rel, top)
-            assert got.shape == want.shape and np.array_equal(got, want), axiom
-        for axioms in subsets:
-            got = _tnorm_mask(tabs, rel, top, axioms)
-            assert np.array_equal(got, tnorm_mask_oracle(tabs, rel, top, axioms)), axioms
+        assert_kernel_equals_the_oracle(tabs, rel, top)
         mask = _tnorm_mask(tabs, rel, top)
         passed += int(mask.sum())
         failed += int((~mask).sum())
     assert passed > 1000 and failed > 1000
+
+
+def test_axiom_kernel_edge_cases_equal_the_oracle():
+    chain, off = one_axiom_off_tables()
+    found = enumerate_tnorms(chain).tables
+    # label -> (stack, the tables that fail)
+    stacks = {
+        "empty": (found[:0], []),
+        "one t-norm": (found[:1], []),
+        "one table failing": (off["increasing"][None], [0]),
+        "all fail the first axiom": (np.stack([off["neutral_top"]] * 3), [0, 1, 2]),
+        "all pass": (found, []),
+    }
+    for name, tab in off.items():  # one table fails this axiom alone
+        for at in (0, len(found) // 2, len(found)):
+            stacks[f"{name} off at {at}"] = (np.insert(found, at, tab, axis=0), [at])
+    for label, (tabs, failing) in stacks.items():
+        assert_kernel_equals_the_oracle(tabs, chain.rel, chain.top, label)
+        mask = _tnorm_mask(tabs, chain.rel, chain.top)
+        assert mask.dtype == bool and mask.shape == (len(tabs),), label
+        assert np.flatnonzero(~mask).tolist() == failing, label
+
+
+def test_the_kernel_reduces_a_mask_per_table_only_after_a_failure(monkeypatch):
+    axes = []  # the axis of every any() taken of an axiom's mask
+
+    class Counted(np.ndarray):
+        def any(self, axis=None, **kwargs):
+            axes.append(axis)
+            return np.asarray(self).any(axis=axis, **kwargs)
+
+    chain, off = one_axiom_off_tables()
+    found = enumerate_tnorms(chain).tables
+    real = tnorms_module._axiom_bad
+    monkeypatch.setattr(tnorms_module, "_axiom_bad", lambda *args: real(*args).view(Counted))
+    assert _tnorm_mask(found, chain.rel, chain.top).all()
+    assert axes == [None] * len(_AXIOMS)  # one any() over each whole mask
+    axes.clear()
+    tabs = np.concatenate([found, off["increasing"][None]])
+    assert np.flatnonzero(~_tnorm_mask(tabs, chain.rel, chain.top)).tolist() == [len(found)]
+    # neutral_top, commutative, increasing and then its per-table any(), associative
+    assert axes == [None, None, None, 1, None]
 
 
 def test_is_tnorm_reads_the_four_axioms():

@@ -67,11 +67,11 @@ class InteriorReport:
     I(x ^ y) = I(x) ^ I(y).  Derived facts (they follow from the axioms,
     listed for diagnostics): fixed on the range, increasing."""
 
-    contractive: list
-    idempotent: list
-    meet_homomorphism: list
-    fixed_on_range: list
-    increasing: list
+    contractive: tuple
+    idempotent: tuple
+    meet_homomorphism: tuple
+    fixed_on_range: tuple
+    increasing: tuple
 
     @property
     def ok(self) -> bool:
@@ -79,8 +79,9 @@ class InteriorReport:
 
 
 def validate_interior(t: Trellis, m: UnaryMap) -> InteriorReport:
-    """Check the interior axioms; each list holds its violating elements or
-    pairs in row-major (lexicographic) order.  Raises ValidationError
+    """Check the interior axioms; each field is a tuple of its violating
+    elements or pairs in row-major (lexicographic) order, so a report that
+    UnaryMap caches cannot be changed.  Raises ValidationError
     unless the map is an integer array of length n with entries in 0..n-1;
     its violations are the positions holding an entry outside that range."""
     rel, meet, n = t.rel, t.meet, t.n
@@ -96,11 +97,11 @@ def validate_interior(t: Trellis, m: UnaryMap) -> InteriorReport:
     in_image = np.zeros(n, dtype=bool)
     in_image[f] = True
     return InteriorReport(
-        contractive=np.flatnonzero(~rel[f, idx]).tolist(),
-        idempotent=np.flatnonzero(f[f] != f).tolist(),
-        meet_homomorphism=_hits(f[meet] != meet[f[:, None], f]),
-        fixed_on_range=np.flatnonzero(in_image & (f != idx)).tolist(),
-        increasing=_hits(rel & ~rel[f[:, None], f]),
+        contractive=tuple(np.flatnonzero(~rel[f, idx]).tolist()),
+        idempotent=tuple(np.flatnonzero(f[f] != f).tolist()),
+        meet_homomorphism=tuple(_hits(f[meet] != meet[f[:, None], f])),
+        fixed_on_range=tuple(np.flatnonzero(in_image & (f != idx)).tolist()),
+        increasing=tuple(_hits(rel & ~rel[f[:, None], f])),
     )
 
 

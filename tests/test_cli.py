@@ -332,6 +332,8 @@ def test_verify_paper_json_is_the_stdlib_rendering(capsys):
 VERIFY_PAPER_SHA256 = {
     "1405": "f9171afaacfd543e8c803e1bedb2d80ca5210b8dfcf03173567574da933f3f96",
     "7": "911788aa883816d81fbd05e0985b866789238f0fde447830165091e1229b757a",
+    "1019": "a0f20e5a790ee921c73369618a3768e1666b09d098f9af40b5e5e1b8dd335804",
+    "2024": "41989da082b57349e22f884851eb79af9d6518b2a06247d4c7b7793eca829c11",
 }
 
 

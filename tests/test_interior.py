@@ -189,6 +189,18 @@ def test_one_interior_report_per_map(monkeypatch):
         im.map = np.arange(t.n)
 
 
+def test_a_cached_interior_report_cannot_be_changed():
+    pentagon = CARRIERS["pentagon"]()
+    m = interior_from_subset(pentagon, [pentagon.bottom, pentagon.top])
+    assert m.report.ok
+    for name in dataclasses.fields(m.report):
+        value = getattr(m.report, name.name)
+        assert isinstance(value, tuple)
+        with pytest.raises(AttributeError):
+            value.append((0,))
+    assert m.report.ok and not m.report.contractive
+
+
 # Oracles: the constructions as they were written before they read the
 # carrier's own tables.
 

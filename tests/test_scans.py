@@ -120,19 +120,19 @@ def interior_oracle(t, m):
     outside = np.flatnonzero((f < 0) | (f >= n)).tolist()
     if outside:
         raise ValidationError(f"map entries outside 0..{n - 1} at {outside}", outside)
-    contractive = [int(x) for x in range(n) if not rel[f[x], x]]
-    idempotent = [int(x) for x in range(n) if f[f[x]] != f[x]]
-    hom = [
+    contractive = tuple(int(x) for x in range(n) if not rel[f[x], x])
+    idempotent = tuple(int(x) for x in range(n) if f[f[x]] != f[x])
+    hom = tuple(
         (x, y)
         for x in range(n)
         for y in range(n)
         if f[meet[x, y]] != meet[f[x], f[y]]
-    ]
+    )
     image = sorted(set(int(v) for v in f))
-    fixed = [int(v) for v in image if f[v] != v]
-    increasing = [
+    fixed = tuple(int(v) for v in image if f[v] != v)
+    increasing = tuple(
         (x, y) for x in range(n) for y in range(n) if rel[x, y] and not rel[f[x], f[y]]
-    ]
+    )
     return InteriorReport(contractive, idempotent, hom, fixed, increasing)
 
 

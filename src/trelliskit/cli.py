@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 unexpected failure (or a failing verify-paper
-run), 2 validation violations in the input, 3 file parse errors (a file
-that is not UTF-8 text among them), 4 unsatisfied preconditions (no
-bounds, carrier too large, method arguments that do not apply to the
-given carrier or name an unknown element, and the like).
+Exit codes: 0 success, 1 unexpected failure (a failing verify-paper run,
+and running out of memory, among them), 2 validation violations in the
+input, 3 file parse errors (a file that is not UTF-8 text among them),
+4 unsatisfied preconditions (no bounds, carrier too large, method
+arguments that do not apply to the given carrier or name an unknown
+element, and the like).
 """
 
 from __future__ import annotations
@@ -115,8 +116,9 @@ def _print_report(names, rep) -> None:
 
 
 def _emit_dot(args, diagram, names) -> None:
-    if args.dot:
-        Path(args.dot).write_text(export_dot(diagram, names))
+    """Write the diagram to the --dot path; callers build it only when
+    that option is given."""
+    Path(args.dot).write_text(export_dot(diagram, names))
 
 
 def _print_times(times) -> None:
@@ -239,7 +241,8 @@ def cmd_validate(args) -> int:
         fields["axioms_ok"] = check_skala_axioms(p.meet, p.join).ok
     else:
         fields["trellis_gap"] = str(gap)
-    _emit_dot(args, hasse(p), p.names)
+    if args.dot:
+        _emit_dot(args, hasse(p), p.names)
     if args.json:
         _print_json(args, **fields)
         return EXIT_OK
@@ -315,7 +318,8 @@ def cmd_structure(args) -> int:
         fields["join_cover_witness"] = (
             None if witness is None else _named(p.names, witness)
         )
-    _emit_dot(args, hasse(p), p.names)
+    if args.dot:
+        _emit_dot(args, hasse(p), p.names)
     if args.json:
         _print_json(args, **fields)
         return EXIT_OK
@@ -421,7 +425,7 @@ def cmd_enumerate(args) -> int:
         diagram = order_diagram(res)
         timings["diagram"] = perf_counter() - started
     drawn = perf_counter()
-    if diagram is not None:
+    if diagram is not None and args.dot:
         _emit_dot(args, diagram, [f"T{k + 1}" for k in range(res.count)])
     if args.json:
         _print_json(
@@ -568,6 +572,9 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except (OSError, TrellisKitError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_UNEXPECTED
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_UNEXPECTED
 
 

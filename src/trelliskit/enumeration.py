@@ -109,9 +109,10 @@ class EnumerationResult:
         return bits.view(bool)
 
     @cached_property
-    def maximal(self) -> list[int]:
+    def maximal(self) -> tuple[int, ...]:
         # the order is reflexive, so a maximal row holds only its diagonal bit
-        return np.flatnonzero(np.bitwise_count(self._rows).sum(axis=1) == 1).tolist()
+        diagonal_only = np.bitwise_count(self._rows).sum(axis=1) == 1
+        return tuple(np.flatnonzero(diagonal_only).tolist())
 
     @cached_property
     def greatest(self) -> int | None:

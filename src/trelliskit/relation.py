@@ -375,41 +375,11 @@ def co_atoms(p: Psoset) -> frozenset[int]:
     return frozenset(np.flatnonzero(strict.sum(axis=1) == 1).tolist())
 
 
-def _sweep(rows: list[int]) -> tuple[list[list[int]], list[int]] | None:
-    """Covers and reachability in one reverse sweep: the reduct-and-closure
-    algorithm of Goralcikova and Koubek (1979).  rows[x] is row x of the
-    relation as a bitset, bit y set iff x <= y.
-
-    It needs index order to be a topological order, so it returns None
-    when some related pair x <= y has y < x.  Otherwise, going from the
-    last x down, the successors of x are taken in index order, and each
-    one x does not yet reach is a cover: then nothing lies on a longer
-    chain between them.  Its reach is ORed into x's, one OR per cover.
-    Returns (covers, reach): covers[x] lists those y ascending, and
-    reach[x] is the reflexive, transitive reach of x as a bitset."""
-    covers: list[list[int]] = []
-    reach = [0] * len(rows)
-    for x in range(len(rows) - 1, -1, -1):
-        row = rows[x]
-        if row & ((1 << x) - 1):
-            return None
-        seen, picked = 1 << x, []
-        todo = row & ~seen
-        while todo:
-            y = (todo & -todo).bit_length() - 1
-            picked.append(y)
-            seen |= reach[y]
-            todo &= ~reach[y]
-        reach[x] = seen
-        covers.append(picked)
-    covers.reverse()
-    return covers, reach
-
-
 def _bit_rows(packed: np.ndarray) -> list[int]:
-    """np.packbits(..., bitorder="little") rows as ints, column y as bit y."""
+    """np.packbits(..., bitorder="little") rows as ints, column y as bit y,
+    each read through a view of packed, not a copy of it."""
     w, step = packed.shape
-    data = packed.tobytes()
+    data = memoryview(packed.reshape(-1))  # flat: cast() fails on a 0 x 0 view
     return [int.from_bytes(data[x * step:(x + 1) * step], "little") for x in range(w)]
 
 
@@ -422,33 +392,41 @@ def _unpack(rows: list[int]) -> np.ndarray:
 
 
 def _reach(rows: list[int]) -> tuple[list[list[int]] | None, list[int]]:
-    """(covers, reach) of bitset rows: reach[x] has bit y iff a chain
-    x <= ... <= y of one or more steps exists.  When index order is
-    topological, _sweep gives both, and x reaches itself only if x <= x.
-    Otherwise covers is None, and one pass over the strong components
-    (Purdom, 1970), sinks first, ORs each one's rows and then the reach of
-    each node it leads out to that is not yet reached."""
-    swept = _sweep(rows)
-    if swept is not None:
-        covers, reach = swept
-        for x, row in enumerate(rows):
-            if not row & 1 << x:
-                reach[x] ^= 1 << x
-        return covers, reach
-    reach = [0] * len(rows)
-    for component in strong_components(_successors(_unpack(rows))):
-        # a cycle's members are its members' successors, with reach still 0
-        seen = 0
+    """(covers, reach) of bitset rows, bit y of rows[x] set iff x <= y:
+    reach[x] has bit y iff a chain x <= ... <= y of one or more steps
+    exists, and is rows[x] itself when the two are equal, so a transitive
+    relation's reach is its rows.
+
+    One pass over the strong components, sinks first (Purdom, 1970): a
+    component ORs its members' rows, then takes the lowest node not yet
+    reached and ORs in that node's reach, until none is left.  When no
+    related pair lies below the diagonal, index order is topological, the
+    components are the single nodes from the last one down, and the nodes
+    x takes are its covers, as nothing lies on a longer chain to them
+    (the reverse sweep of Goralcikova and Koubek, 1979); covers[x] lists
+    them ascending.  Otherwise covers is None."""
+    topological = not any(row & ((1 << x) - 1) for x, row in enumerate(rows))
+    if topological:
+        components = [(x,) for x in range(len(rows) - 1, -1, -1)]
+    else:
+        components = strong_components(_successors(_unpack(rows)))
+    covers, reach = [], [0] * len(rows)
+    for component in components:
+        # a cycle's members are its members' successors, and never taken
+        seen = own = 0
         for x in component:
             seen |= rows[x]
-        todo = seen
+            own |= 1 << x
+        todo, taken = seen & ~own, []
         while todo:
             y = (todo & -todo).bit_length() - 1
+            taken.append(y)
             seen |= reach[y]
             todo &= ~(reach[y] | 1 << y)
         for x in component:
-            reach[x] = seen
-    return None, reach
+            reach[x] = rows[x] if seen == rows[x] else seen
+        covers.append(taken)
+    return (covers[::-1] if topological else None), reach
 
 
 def _two_step_covers(noid: np.ndarray) -> np.ndarray:
@@ -463,9 +441,9 @@ def _two_step_covers(noid: np.ndarray) -> np.ndarray:
 
 def _diagram(packed: np.ndarray) -> HasseDiagram:
     """The diagram of the reflexive relation with rows packed as _bit_rows
-    reads them.  When _reach gives swept covers and a reach equal to the
-    relation (the transitive case), those are the covers, since a longer
-    chain then has a middle element, and nothing is dashed or a back edge.
+    reads them.  When _reach gives covers and the rows as the reach (the
+    transitive case), those are the covers, since a longer chain then has
+    a middle element, and nothing is dashed or a back edge.
     Otherwise the covers come off the unpacked relation's two-step mask,
     and the dashed pairs and back edges off the reach."""
     rows = _bit_rows(packed)

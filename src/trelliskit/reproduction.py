@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
@@ -52,12 +52,12 @@ _LAW_INSTANCES = 500  # random trellises criterion 10 checks the laws on
 FACTS = fx.RECORDED_FACTS
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriterionResult:
     number: int
     title: str
     passed: bool
-    details: list[str] = field(default_factory=list)
+    details: tuple[str, ...] = ()
     seconds: float = 0.0  # wall time, set by run_all
 
     @property
@@ -77,7 +77,7 @@ class _Checks:
         return cond
 
     def result(self, number: int, title: str) -> CriterionResult:
-        return CriterionResult(number, title, self.ok, self.lines)
+        return CriterionResult(number, title, self.ok, tuple(self.lines))
 
 
 def _names(p, tup):
@@ -566,6 +566,5 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
     for fn in CRITERIA:
         start = time.perf_counter()
         result = fn(seed)
-        result.seconds = time.perf_counter() - start
-        results.append(result)
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results

@@ -21,7 +21,9 @@ Constructions provided:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -104,11 +106,12 @@ def join_op(t: Trellis) -> BinaryOpTable:
     return BinaryOpTable(target=t, table=t.join)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TnormReport:
     """Flag -> True/False, or None when the flag does not apply (no top,
     or no meet/join tables on the carrier).  `witnesses[flag]` holds the
-    lexicographically first violating tuple for each failed flag."""
+    lexicographically first violating tuple for each failed flag.  Frozen,
+    with witnesses a read-only mapping, so a report cannot be changed."""
 
     commutative: bool | None = None
     associative: bool | None = None
@@ -120,7 +123,10 @@ class TnormReport:
     disjunctive: bool | None = None
     idempotent: bool | None = None
     meet_preserving: bool | None = None
-    witnesses: dict[str, tuple] = field(default_factory=dict)
+    witnesses: Mapping[str, tuple] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
 
     @property
     def is_tnorm(self) -> bool:
@@ -219,15 +225,15 @@ def check(op: BinaryOpTable) -> TnormReport:
         bad["disjunctive"] = ~rel[target.join, tab]
         bad["meet_preserving"] = _meet_preserving_bad(tab, target)
 
-    report = TnormReport()
+    flags, witnesses = {}, {}
     for name, mask in bad.items():
         hit = _first(mask)
-        setattr(report, name, hit is None)
+        flags[name] = hit is None
         if hit is not None:
             k = _PAIR_AXES.get(name, 0)
             pairs = tuple(v for p in hit[:k] for v in (int(lo[p]), int(hi[p])))
-            report.witnesses[name] = pairs + hit[k:]
-    return report
+            witnesses[name] = pairs + hit[k:]
+    return TnormReport(**flags, witnesses=witnesses)
 
 
 def _neutral_top(p: Psoset, tab: np.ndarray) -> BinaryOpTable:

@@ -140,12 +140,13 @@ def structure_kind(p: Psoset) -> StructureKind:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of the algebraic axiom check on a (meet, join) table pair."""
+    """Outcome of the algebraic axiom check on a (meet, join) table pair;
+    each field is a tuple, so a report cannot be changed."""
 
-    commutative: list
-    idempotent: list
-    absorption: list
-    part_preservation: list
+    commutative: tuple
+    idempotent: tuple
+    absorption: tuple
+    part_preservation: tuple
 
     @property
     def ok(self) -> bool:
@@ -183,15 +184,15 @@ def check_skala_axioms(meet: np.ndarray, join: np.ndarray) -> AxiomReport:
         raise ValidationError(f"table entries outside 0..{n - 1} at {cells}", cells)
     idx = np.arange(n)
     col = idx[:, None]
-    idempotent = _hits((meet.diagonal() != idx) | (join.diagonal() != idx))
-    commutative = _hits((meet != meet.T) | (join != join.T))
+    idempotent = tuple(_hits((meet.diagonal() != idx) | (join.diagonal() != idx)))
+    commutative = tuple(_hits((meet != meet.T) | (join != join.T)))
     # [x, y]: x v (y ^ x) = x = x ^ (y v x)
-    absorption = _hits((join[col, meet.T] != col) | (meet[col, join.T] != col))
+    absorption = tuple(_hits((join[col, meet.T] != col) | (meet[col, join.T] != col)))
     # [x, y, z]: x v ((x^y) v (x^z)) = x = x ^ ((xvy) ^ (xvz))
     x = idx[:, None, None]
     lhs = join[x, join[meet[:, :, None], meet[:, None, :]]]
     rhs = meet[x, meet[join[:, :, None], join[:, None, :]]]
-    part = _hits((lhs != x) | (rhs != x))
+    part = tuple(_hits((lhs != x) | (rhs != x)))
     return AxiomReport(commutative, idempotent, absorption, part)
 
 

@@ -3,6 +3,8 @@ scratch and compares.  One line of output per criterion; every one of them
 must pass.  The CLI's verify-paper subcommand runs exactly the same
 functions."""
 
+import dataclasses
+
 import pytest
 
 from trelliskit import reproduction
@@ -22,3 +24,11 @@ def test_criterion(results, number):
 
 def test_nothing_is_skipped(results):
     assert sorted(results) == list(range(1, 11))
+
+
+def test_a_result_cannot_be_changed(results):
+    r = results[1]
+    assert r.seconds > 0 and isinstance(r.details, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.passed = False
+    assert r.passed

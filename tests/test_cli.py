@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trelliskit import cli, random_trellis
-from trelliskit.fileformat import make_document, serialize
+from trelliskit import cli, hasse, random_trellis
+from trelliskit.fileformat import export_dot, make_document, serialize
 from trelliskit.fixtures import CARRIERS, bounded_chain, recorded_table
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -209,6 +209,31 @@ def test_validate_writes_carrier_dot(tmp_path, capsys):
     code, _, _ = run(capsys, "validate", PENTAGON, "--dot", str(dot_path))
     assert code == 0
     assert '"a" -> "c" [dir=none, style=dashed];' in dot_path.read_text()
+
+
+@pytest.mark.parametrize("command", ["validate", "structure"])
+def test_the_carrier_diagram_is_drawn_only_for_dot(command, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "hasse", lambda p: calls.append(p) or hasse(p))
+    pentagon = CARRIERS["pentagon"]()
+    for extra in ((), ("--json",)):
+        plain = run(capsys, command, PENTAGON, *extra)
+        assert plain[0] == 0 and calls == []
+        dot_path = tmp_path / f"{command}{len(extra)}.dot"
+        assert run(capsys, command, PENTAGON, *extra, "--dot", str(dot_path)) == plain
+        assert len(calls) == 1
+        assert dot_path.read_text() == export_dot(hasse(pentagon), pentagon.names)
+        calls.clear()
+
+
+def test_running_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "enumerate_tnorms", exhausted)
+    assert run(capsys, "enumerate", PENTAGON, "--json") == (
+        1, "", "error: out of memory\n"
+    )
 
 
 def test_dot_quotes_backslashes_in_names(tmp_path, capsys):

@@ -25,8 +25,9 @@ from trelliskit.fileformat import _levels
 from trelliskit.fixtures import CARRIERS, bounded_chain
 from trelliskit.relation import (
     HasseDiagram,
+    _bit_rows,
     _hits,
-    _sweep,
+    _reach,
     strong_components,
     transitive_closure,
 )
@@ -112,10 +113,27 @@ def test_closure_of_a_topological_relation_keeps_its_own_diagonal():
         rel[np.diag_indices(n)] = rng.random(n) < (k % 3) / 2
         rows = [int.from_bytes(r.tobytes(), "little")
                 for r in np.packbits(rel, axis=1, bitorder="little")]
-        assert _sweep(rows) is not None
+        assert _reach(rows)[0] is not None
         closed = transitive_closure(rel)
         assert np.array_equal(closed, warshall_oracle(rel))
         assert np.array_equal(closed.diagonal(), rel.diagonal())
+
+
+def test_a_row_that_is_its_own_reach_is_kept_as_the_reach():
+    # so a transitive relation's reach is its rows, object for object,
+    # and holds no second copy of them
+    rng = np.random.default_rng(1707)
+    for k in range(240):
+        n = 1 + k % 40
+        rel = rng.random((n, n)) < rng.uniform(0.02, 0.4)
+        if k % 2:
+            rel = np.triu(rel)
+        if k % 3 == 0:
+            rel = warshall_oracle(rel)
+        rows = _bit_rows(np.packbits(rel, axis=1, bitorder="little"))
+        reach = _reach(rows)[1]
+        assert all((r is s) == (r == s) for r, s in zip(reach, rows))
+        assert (reach == rows) == np.array_equal(warshall_oracle(rel), rel)
 
 
 def test_closure_of_cyclic_relations_as_given_and_relabelled():
@@ -306,7 +324,7 @@ def test_hasse_equals_the_closure_based_oracle_as_given_and_relabelled():
         assert d == hasse_oracle(p), family
         rows = [int.from_bytes(r.tobytes(), "little")
                 for r in np.packbits(p.rel, axis=1, bitorder="little")]
-        if _sweep(rows) is not None:
+        if _reach(rows)[0] is not None:
             swept["acyclic" if d.dashed_pairs else "transitive"] += 1
         q, new = relabelled(p, rng)
         e = hasse(q)

@@ -204,7 +204,7 @@ def test_pentagon_enumeration_is_the_recorded_six(pentagon):
     for got, want in zip(res.tnorms, expected):
         assert got.same_op(want)
     assert res.greatest == PENTAGON_ORDER.index("T6")
-    assert res.maximal == [PENTAGON_ORDER.index("T6")]
+    assert res.maximal == (PENTAGON_ORDER.index("T6"),)
 
 
 def test_pentagon_order_diagram(pentagon):
@@ -399,9 +399,9 @@ def order_by_pairs(ops):
 def maximal_and_greatest(above):
     """maximal and greatest as first defined: Python scans of the order."""
     w = len(above)
-    maximal = [
+    maximal = tuple(
         a for a in range(w) if not any(above[a, b] for b in range(w) if b != a)
-    ]
+    )
     greatest = next((b for b in range(w) if above[:, b].all()), None)
     return maximal, greatest
 
@@ -449,7 +449,7 @@ def test_no_tnorms_means_no_maximal_and_no_greatest(pentagon, monkeypatch):
     )
     res = enumerate_tnorms(pentagon)
     assert res.count == 0 and res.order.shape == (0, 0)
-    assert res.maximal == [] and res.greatest is None
+    assert res.maximal == () and res.greatest is None
     assert res.search_stats["final_check_rejects"] > 0
 
 
@@ -620,7 +620,7 @@ def test_one_element_carrier_has_one_tnorm():
     res = enumerate_tnorms(bounded_chain(1))
     assert res.complete and res.count == 1
     assert grids(res) == [((0,),)]
-    assert res.maximal == [0] and res.greatest == 0
+    assert res.maximal == (0,) and res.greatest == 0
     assert res.search_stats == dict.fromkeys(res.search_stats, 0)
 
 
@@ -697,7 +697,7 @@ def test_maximal_and_greatest_read_the_packed_order(key):
     maximal, greatest = res.maximal, res.greatest
     assert "order" not in vars(res)  # neither unpacked the order
     order = res.order
-    assert maximal == np.flatnonzero(order.sum(axis=1) == 1).tolist()
+    assert maximal == tuple(np.flatnonzero(order.sum(axis=1) == 1).tolist())
     above_all = np.flatnonzero(order.all(axis=0)).tolist()
     assert greatest == (above_all[0] if above_all else None)
     assert np.array_equal(
@@ -726,7 +726,9 @@ CACHED = ("tnorms", "_rows", "order", "maximal", "greatest")
 def test_the_result_cannot_be_reordered_or_reassigned(pentagon):
     res = enumerate_tnorms(pentagon)
     greatest, maximal, order = res.greatest, res.maximal, res.order.copy()
-    assert greatest == 5 and maximal == [5]
+    assert greatest == 5 and maximal == (5,)
+    with pytest.raises(AttributeError):
+        res.maximal.append(0)
     assert isinstance(res.tnorms, tuple)
     before = res.tnorms
     with pytest.raises(AttributeError):

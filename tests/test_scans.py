@@ -107,7 +107,9 @@ def skala_oracle(meet, join):
         lhs = join[x][join[meet[x][:, None], meet[x]]]
         rhs = meet[x][meet[join[x][:, None], join[x]]]
         part += tuples((lhs != x) | (rhs != x), x)
-    return AxiomReport(commutative, idempotent, absorption, part)
+    return AxiomReport(
+        tuple(commutative), tuple(idempotent), tuple(absorption), tuple(part)
+    )
 
 
 def interior_oracle(t, m):

@@ -417,6 +417,23 @@ def test_neutral_top_witness_shape(pentagon):
     assert report.witnesses["neutral_top"] == (0,)
 
 
+def test_reports_cannot_be_changed(pentagon):
+    broken = pentagon.meet.copy()
+    broken[pentagon.top, 0] = pentagon.top
+    report = check(make_op(pentagon, broken))
+    assert report.witnesses["neutral_top"] == (0,) and not report.is_tnorm
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.neutral_top = True
+    with pytest.raises(TypeError):
+        report.witnesses["neutral_top"] = None
+    axioms = check_skala_axioms(pentagon.meet, pentagon.join)
+    for field in dataclasses.fields(axioms):
+        with pytest.raises(AttributeError):
+            getattr(axioms, field.name).append((0, 1))
+    assert report.witnesses["neutral_top"] == (0,) and not report.is_tnorm
+    assert axioms.ok
+
+
 def first_witnesses(op):
     """Witness oracle: for each failed flag, the first violating tuple of
     a plain lexicographic loop over the flag's quantifiers."""
@@ -511,7 +528,9 @@ def loop_skala_axioms(meet, join):
                 rhs = meet[x, meet[join[x, y], join[x, z]]]
                 if lhs != x or rhs != x:
                     part.append((x, y, z))
-    return AxiomReport(commutative, idempotent, absorption, part)
+    return AxiomReport(
+        tuple(commutative), tuple(idempotent), tuple(absorption), tuple(part)
+    )
 
 
 def trellis_witnesses(t):

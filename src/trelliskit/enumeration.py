@@ -53,8 +53,9 @@ from .relation import (
     _readonly,
     _require_bounds,
     _require_cap,
+    _unpack,
 )
-from .tnorms import BinaryOpTable, _tnorm_mask, pointwise_order
+from .tnorms import BinaryOpTable, _order_rows, _tnorm_mask, pointwise_order
 
 _CHECK_CHUNK = 64  # completed tables per axiom-kernel call
 
@@ -71,9 +72,10 @@ class EnumerationResult:
     tables[a] <= tables[b] in every cell; maximal and greatest are
     indices into tables.  The order is built from the stack the first
     time order, maximal, greatest or order_diagram needs it and is then
-    cached as packed bit rows, which maximal, greatest and order_diagram
-    read as they are; order unpacks them once, when first read.  So a
-    caller that only needs the tables never builds the order or an op.
+    cached as a tuple of int rows, bit b of row a set iff order[a, b],
+    which maximal, greatest and order_diagram read as they are; order
+    unpacks them once, when first read.  So a caller that only needs the
+    tables never builds the order or an op.
     If complete is False the search stopped at a limit and
     order/maximal/greatest only describe what was found up to that
     point.  Results compare by identity.  search_stats and timings are
@@ -97,30 +99,25 @@ class EnumerationResult:
         return tuple(BinaryOpTable(self.target, t) for t in self.tables)
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """The order's rows packed as pointwise_order(..., packed=True)
-        returns them, eight t-norms a byte."""
-        return _readonly(pointwise_order(self.tables, self.target.rel, packed=True))
+    def _rows(self) -> tuple[int, ...]:
+        return tuple(_order_rows(self.tables, self.target.rel))
 
     @cached_property
     def order(self) -> np.ndarray:
-        bits = np.unpackbits(self._rows, axis=1, count=self.count, bitorder="little")
-        bits.setflags(write=False)  # the bool view's base, read-only too
-        return bits.view(bool)
+        order = _unpack(self._rows, self.count)
+        order.base.setflags(write=False)  # the bool view's base, read-only too
+        order.setflags(write=False)
+        return order
 
     @cached_property
     def maximal(self) -> tuple[int, ...]:
         # the order is reflexive, so a maximal row holds only its diagonal bit
-        diagonal_only = np.bitwise_count(self._rows).sum(axis=1) == 1
-        return tuple(np.flatnonzero(diagonal_only).tolist())
+        return tuple(a for a, row in enumerate(self._rows) if row.bit_count() == 1)
 
     @cached_property
     def greatest(self) -> int | None:
-        above_all = np.bitwise_and.reduce(self._rows, axis=0)
-        greatest = np.flatnonzero(
-            np.unpackbits(above_all, count=self.count, bitorder="little")
-        )
-        return int(greatest[0]) if len(greatest) else None
+        above_all = reduce(and_, self._rows, (1 << self.count) - 1)
+        return (above_all & -above_all).bit_length() - 1 if above_all else None
 
 
 def enumerate_tnorms(
@@ -316,7 +313,7 @@ def order_diagram(result: EnumerationResult) -> HasseDiagram:
     The pointwise comparison of t-norm tables is reflexive and
     antisymmetric but need not be transitive when the carrier is not, so
     the result goes through the same diagram extraction as any psoset,
-    read straight off the packed order (relation._diagram), which is
+    read straight off the order's int rows (relation._diagram), which are
     unpacked only when the order is not transitive.  Node k stands for
     result.tables[k] (named "T<k+1>").
     """

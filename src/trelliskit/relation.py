@@ -9,6 +9,7 @@ itself and gets its own operations here, which all read it off _reach.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,7 +133,7 @@ def _nonempty(p: Psoset, A, what: str) -> list[int]:
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
     """Transitive closure (reflexive when rel is), read off _reach."""
     packed = np.packbits(np.asarray(rel, dtype=bool), axis=1, bitorder="little")
-    return _unpack(_reach(_bit_rows(packed))[1])
+    return _unpack(_reach(_bit_rows(packed))[1], len(packed))
 
 
 def _successors(rel: np.ndarray) -> list[list[int]]:
@@ -383,11 +384,11 @@ def _bit_rows(packed: np.ndarray) -> list[int]:
     return [int.from_bytes(data[x * step:(x + 1) * step], "little") for x in range(w)]
 
 
-def _unpack(rows: list[int]) -> np.ndarray:
-    """The boolean matrix of bitset rows; _bit_rows undone."""
-    w, step = len(rows), (len(rows) + 7) // 8
+def _unpack(rows: Sequence[int], w: int) -> np.ndarray:
+    """The boolean matrix of bitset rows with w columns; _bit_rows undone."""
+    step = (w + 7) // 8
     data = np.frombuffer(b"".join([r.to_bytes(step, "little") for r in rows]), np.uint8)
-    bits = np.unpackbits(data.reshape(w, step), axis=1, count=w, bitorder="little")
+    bits = np.unpackbits(data.reshape(len(rows), step), axis=1, count=w, bitorder="little")
     return bits.view(bool)
 
 
@@ -409,7 +410,7 @@ def _reach(rows: list[int]) -> tuple[list[list[int]] | None, list[int]]:
     if topological:
         components = [(x,) for x in range(len(rows) - 1, -1, -1)]
     else:
-        components = strong_components(_successors(_unpack(rows)))
+        components = strong_components(_successors(_unpack(rows, len(rows))))
     covers, reach = [], [0] * len(rows)
     for component in components:
         # a cycle's members are its members' successors, and never taken
@@ -439,19 +440,19 @@ def _two_step_covers(noid: np.ndarray) -> np.ndarray:
     return noid & ~np.unpackbits(mid, axis=1, count=len(noid)).view(bool)
 
 
-def _diagram(packed: np.ndarray) -> HasseDiagram:
-    """The diagram of the reflexive relation with rows packed as _bit_rows
-    reads them.  When _reach gives covers and the rows as the reach (the
-    transitive case), those are the covers, since a longer chain then has
-    a middle element, and nothing is dashed or a back edge.
+def _diagram(rows: Sequence[int]) -> HasseDiagram:
+    """The diagram of the reflexive relation with bitset rows, bit y of
+    rows[x] set iff x <= y.  When _reach gives covers and the rows as the
+    reach (the transitive case), those are the covers, since a longer
+    chain then has a middle element, and nothing is dashed or a back edge.
     Otherwise the covers come off the unpacked relation's two-step mask,
     and the dashed pairs and back edges off the reach."""
-    rows = _bit_rows(packed)
+    rows = list(rows)  # as _reach's reach is, so that the two compare
     covers, reach = _reach(rows)
     if covers is not None and reach == rows:
         edges = tuple((x, y) for x, ys in enumerate(covers) for y in ys)
         return HasseDiagram(edges, dashed_pairs=(), back_edges=())
-    rel, reach = _unpack(rows), _unpack(reach)
+    rel, reach = _unpack(rows, len(rows)), _unpack(reach, len(rows))
     noid = rel & ~np.eye(len(rows), dtype=bool)
     dashed = ~rel & ~rel.T & (reach | reach.T)
     return HasseDiagram(
@@ -467,4 +468,4 @@ def hasse(p: Psoset) -> HasseDiagram:
     Covers come from the relation itself; dashed pairs and back edges
     need reachability, which for a pseudo-order can relate more than the
     relation does; both come from the one reach routine (see _diagram)."""
-    return _diagram(np.packbits(p.rel, axis=1, bitorder="little"))
+    return _diagram(_bit_rows(np.packbits(p.rel, axis=1, bitorder="little")))

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, getitem
 from types import MappingProxyType
 
 import numpy as np
@@ -38,6 +40,7 @@ from .errors import (
 from .interior import UnaryMap, interior_from_subset, interior_range
 from .relation import (
     Psoset,
+    _bit_rows,
     _first,
     _frozen,
     _hits,
@@ -47,6 +50,7 @@ from .relation import (
     _readonly,
     _require_bounds,
     _require_side,
+    _unpack,
     co_atoms,
     validate_psoset,
 )
@@ -414,36 +418,32 @@ def pointwise_leq(a: BinaryOpTable, b: BinaryOpTable) -> bool:
     return bool(a.target.rel[a.table, b.table].all())
 
 
-_ORDER_CHUNK = 128  # rows of the order per bitset pass
-
-
-def pointwise_order(
-    lower, rel: np.ndarray, upper=None, *, packed: bool = False
-) -> np.ndarray:
-    """order[a, b] iff lower[a] <= upper[b] cellwise under rel.
+def _order_rows(lower, rel: np.ndarray, upper=None) -> list[int]:
+    """Row a of the order as an int: bit b set iff lower[a] <= upper[b]
+    cellwise under rel.
 
     lower and upper are sequences of (n, n) tables on the carrier whose
     relation is rel; upper defaults to lower.  Per cell k and value v the
-    set {b : rel[v, upper[b][k]]} is packed into a bitset, so row a is
-    the AND of the n*n bitsets picked by lower[a]'s entries.  Rows go in
-    chunks to keep the temporaries at a few MB.
-
-    With packed=True the rows are returned as built, eight columns a
-    byte: column b is bit b % 8 of byte b // 8 (np.packbits with
-    bitorder="little"), so a row read as a little-endian integer has bit
-    b set iff order[a, b].
+    set {b : rel[v, upper[b][k]]} is one int, so row a is the AND of the
+    sets picked by lower[a]'s entries.  A cell that holds one value v in
+    every table of lower and upper is skipped: as rel is reflexive, its
+    set for v holds every b.
     """
     n = rel.shape[0]
     low = np.asarray(lower, dtype=np.intp).reshape(-1, n * n)
     up = low if upper is None else np.asarray(upper, dtype=np.intp).reshape(-1, n * n)
-    w = len(up)
-    cells = np.arange(n * n)
-    # bits[k, v] packs {b : rel[v, up[b, k]]}
-    bits = np.packbits(rel[:, up].transpose(2, 0, 1), axis=-1, bitorder="little")
-    rows = np.empty((len(low), bits.shape[-1]), dtype=np.uint8)
-    for start in range(0, len(low), _ORDER_CHUNK):
-        chunk = slice(start, start + _ORDER_CHUNK)
-        rows[chunk] = np.bitwise_and.reduce(bits[cells, low[chunk]], axis=1)
-    if packed:
-        return rows
-    return np.unpackbits(rows, axis=-1, count=w, bitorder="little").view(bool)
+    both = low if upper is None else np.concatenate([low, up])
+    kept = np.flatnonzero((both != both[:1]).any(axis=0))
+    # bits[k, v] packs {b : rel[v, up[b, kept[k]]]}
+    bits = np.packbits(rel[:, up[:, kept].T].transpose(1, 0, 2), axis=-1, bitorder="little")
+    sets = _bit_rows(bits.reshape(len(kept) * n, bits.shape[-1]))
+    picks = [sets[k * n:(k + 1) * n] for k in range(len(kept))]
+    full = (1 << len(up)) - 1
+    return [reduce(and_, map(getitem, picks, row), full) for row in low[:, kept].tolist()]
+
+
+def pointwise_order(lower, rel: np.ndarray, upper=None) -> np.ndarray:
+    """order[a, b] iff lower[a] <= upper[b] cellwise under rel; upper
+    defaults to lower (see _order_rows)."""
+    w = len(lower if upper is None else upper)
+    return _unpack(_order_rows(lower, rel, upper), w)

@@ -286,7 +286,7 @@ def test_shipped_enumerate_outputs_match_the_pins(name, tmp_path, capsys, monkey
 
 def test_stress_carrier_outputs_are_pinned(tmp_path, capsys, monkeypatch):
     # the 3rd random_trellis(random.Random(7), 8): 2522 t-norms, whose
-    # diagram relation._reach reads off the packed order rows (the sweep,
+    # diagram relation._reach reads off the order's int rows (the sweep,
     # or a pass over strong components); the hashes were recorded with the
     # unpacked, closure-based diagram code
     rng = random.Random(7)

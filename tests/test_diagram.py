@@ -19,6 +19,7 @@ from trelliskit import (
     order_diagram,
     random_bounded_psoset,
     random_trellis,
+    relation,
     validate_psoset,
 )
 from trelliskit.fileformat import _levels
@@ -353,9 +354,18 @@ def test_order_diagram_equals_the_oracle_on_the_packed_order():
     assert dashed >= 2  # fork8 and twin_peaks7 at least
 
 
-def test_a_chain_order_is_drawn_without_unpacking_it():
+def test_a_chain_order_is_drawn_without_unpacking_it(monkeypatch):
+    unpacked = []
+    unpack = relation._unpack
+
+    def counted(*args):
+        unpacked.append(1)
+        return unpack(*args)
+
+    monkeypatch.setattr(relation, "_unpack", counted)
     res = enumerate_tnorms(bounded_chain(6))
     d = order_diagram(res)
     assert (len(d.cover_edges), d.dashed_pairs, d.back_edges) == (211, (), ())
+    assert unpacked == []  # the transitive order took the sweep's covers
     assert "order" not in vars(res)  # the cached_property was never read
     assert d == hasse_oracle(validate_psoset(res.order, [str(k) for k in range(res.count)]))

@@ -57,7 +57,8 @@ from trelliskit.fixtures import (
     recorded_table,
 )
 from trelliskit.interior import UnaryMap
-from trelliskit.tnorms import _tnorm_mask
+from trelliskit.relation import _bit_rows
+from trelliskit.tnorms import _order_rows, _tnorm_mask
 
 # canonical (row-major) positions of the recorded pentagon tables
 PENTAGON_ORDER = ("T1", "T3", "T2", "T5", "T4", "T6")
@@ -457,13 +458,13 @@ def test_no_tnorms_means_no_maximal_and_no_greatest(pentagon, monkeypatch):
 def order_calls(monkeypatch):
     """Counts the calls that build an enumeration's pointwise order."""
     calls = []
-    build = enumeration.pointwise_order
+    build = enumeration._order_rows
 
     def counted(*args, **kwargs):
         calls.append(1)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration, "pointwise_order", counted)
+    monkeypatch.setattr(enumeration, "_order_rows", counted)
     return calls
 
 
@@ -540,6 +541,50 @@ def test_pointwise_order_between_two_lists(pentagon):
     want = np.array([[pointwise_leq(a, b) for b in upper] for a in lower])
     assert np.array_equal(got, want)
     assert pointwise_order([], pentagon.rel).shape == (0, 0)
+
+
+def packed_order_oracle(lower, rel, upper=None):
+    """The packed build the int rows replaced: per cell k and value v the
+    set {b : rel[v, upper[b][k]]} packed eight columns a byte, and each
+    row the AND of the n*n sets its entries pick, 128 rows at a time."""
+    n = rel.shape[0]
+    low = np.asarray(lower, dtype=np.intp).reshape(-1, n * n)
+    up = low if upper is None else np.asarray(upper, dtype=np.intp).reshape(-1, n * n)
+    cells = np.arange(n * n)
+    bits = np.packbits(rel[:, up].transpose(2, 0, 1), axis=-1, bitorder="little")
+    rows = np.empty((len(low), bits.shape[-1]), dtype=np.uint8)
+    for start in range(0, len(low), 128):
+        chunk = slice(start, start + 128)
+        rows[chunk] = np.bitwise_and.reduce(bits[cells, low[chunk]], axis=1)
+    return rows
+
+
+def test_order_rows_equal_the_packed_build():
+    carriers = [make() for key, make in CARRIERS.items() if key != "six_cycle"]
+    rng = random.Random(2828)
+    for k in range(60):
+        make = random_trellis if k % 2 else random_bounded_psoset
+        carriers.append(make(rng, 1 + k % 7))
+    for p in carriers:
+        n, tables = p.n, enumerate_tnorms(p).tables
+        # a table that is not a t-norm, as is_maximal_tnorm may be handed
+        junk = np.array([[[rng.randrange(n) for _ in range(n)] for _ in range(n)]])
+        stacks = [
+            (tables, None),
+            (tables[::3], tables[1::2]),
+            (junk, tables),
+            (np.concatenate([junk, tables[:5]]), tables[::-1]),
+            (tables[:0], None),  # an empty stack
+            (tables[:1], None),  # no cell varies
+            (tables, tables[:0]),  # no table above
+        ]
+        for lower, upper in stacks:
+            want = _bit_rows(packed_order_oracle(lower, p.rel, upper))
+            assert _order_rows(lower, p.rel, upper) == want
+            got = pointwise_order(lower, p.rel, upper)
+            assert got.shape == (len(lower), len(lower if upper is None else upper))
+            assert got.tolist() == [[bool(r >> b & 1) for b in range(got.shape[1])]
+                                    for r in want]
 
 
 def test_is_maximal_tnorm_refuses_other_carriers(pentagon):
@@ -700,9 +745,7 @@ def test_maximal_and_greatest_read_the_packed_order(key):
     assert maximal == tuple(np.flatnonzero(order.sum(axis=1) == 1).tolist())
     above_all = np.flatnonzero(order.all(axis=0)).tolist()
     assert greatest == (above_all[0] if above_all else None)
-    assert np.array_equal(
-        np.packbits(order, axis=1, bitorder="little"), res._rows
-    )
+    assert res._rows == tuple(_bit_rows(np.packbits(order, axis=1, bitorder="little")))
 
 
 def test_search_timings_are_kept_apart_from_the_search_stats(pentagon):
@@ -804,9 +847,10 @@ def assert_tables(res, op_builds):
     with pytest.raises(ValueError):
         tables[...] = 0
     res.maximal, res.greatest, res.order
-    for array in (res._rows, res.order):  # the cached order, either form
-        with pytest.raises(ValueError):
-            array.setflags(write=True)
+    assert isinstance(res._rows, tuple)  # the cached order, either form
+    with pytest.raises(ValueError):
+        res.order.setflags(write=True)
+    assert relation._frozen(res.order) is res.order
     if res.complete:
         order_diagram(res)
     assert res.tables is tables

@@ -57,7 +57,6 @@ from .tnorms import (
     make_op,
     meet_op,
     pointwise_leq,
-    pointwise_order,
     restrict,
     scaled_meet,
     t_coatom,

@@ -55,7 +55,7 @@ from .relation import (
     _require_cap,
     _unpack,
 )
-from .tnorms import BinaryOpTable, _order_rows, _tnorm_mask, pointwise_order
+from .tnorms import BinaryOpTable, _order_rows, _tnorm_mask
 
 _CHECK_CHUNK = 64  # completed tables per axiom-kernel call
 
@@ -104,10 +104,7 @@ class EnumerationResult:
 
     @cached_property
     def order(self) -> np.ndarray:
-        order = _unpack(self._rows, self.count)
-        order.base.setflags(write=False)  # the bool view's base, read-only too
-        order.setflags(write=False)
-        return order
+        return _unpack(self._rows, self.count)
 
     @cached_property
     def maximal(self) -> tuple[int, ...]:
@@ -297,7 +294,7 @@ def is_maximal_tnorm(p: Psoset, op: BinaryOpTable, cap: int = 10) -> bool:
     if not op.target.same_carrier(p):
         raise TargetMismatch("operations live on different carriers")
     tables = enumerate_tnorms(p, cap=cap).tables
-    above = pointwise_order([op.table], p.rel, tables)[0]
+    above = p.rel[op.table, tables].all(axis=(1, 2))  # op <= tables[b] cellwise
     return not (above & (tables != op.table).any(axis=(1, 2))).any()
 
 

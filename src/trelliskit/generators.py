@@ -15,7 +15,7 @@ import random
 import numpy as np
 
 from .errors import NotATrellis
-from .relation import Psoset, is_pseudo_chain, transitive_closure, validate_psoset
+from .relation import Psoset, transitive_closure, validate_psoset
 from .trellis import Trellis, _as_trellis
 
 _MAX_TRIES = 500  # rejection-sampling draws before a generator gives up
@@ -37,7 +37,7 @@ def _random_bounded_poset(rng: random.Random, n: int) -> np.ndarray:
                 rel[i, j] = True
     rel[0, :] = True
     rel[:, n - 1] = True
-    return transitive_closure(rel)
+    return np.array(transitive_closure(rel))  # written into by the callers
 
 
 def _deletable_pairs(rel: np.ndarray, n: int) -> list[tuple[int, int]]:
@@ -97,9 +97,9 @@ def random_bounded_psoset(
         for x, y in _breaking_pairs(rel, n):
             if rng.random() < 0.4:
                 rel[x, y] = False
-        cands = _deletable_pairs(rel, n)
-        deletions = rng.randint(0, len(cands) // 2) if cands else 0
     cands = _deletable_pairs(rel, n)
+    if deletions is None:
+        deletions = rng.randint(0, len(cands) // 2) if cands else 0
     for x, y in rng.sample(cands, min(deletions, len(cands))):
         rel[x, y] = False
     return validate_psoset(rel, _names(n))
@@ -129,8 +129,8 @@ def random_pseudo_chain(
 ) -> Trellis:
     """A random pseudo-chain trellis: a bounded chain with random
     non-cover pairs removed and, sometimes, a spliced three-cycle.  The
-    backbone covers stay, so every pair remains reachable in at least one
-    direction."""
+    backbone covers (x, x + 1) are never removed, so every pair remains
+    reachable in at least one direction: it is always a pseudo-chain."""
     if n < 1:
         raise ValueError("need at least one element")
     for _ in range(_MAX_TRIES):
@@ -144,8 +144,6 @@ def random_pseudo_chain(
             if rng.random() < q:
                 rel[x, y] = False
         p = validate_psoset(rel, _names(n))
-        if not is_pseudo_chain(p, range(n)):
-            continue
         try:
             return _as_trellis(p)
         except NotATrellis:

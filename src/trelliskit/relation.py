@@ -9,6 +9,7 @@ itself and gets its own operations here, which all read it off _reach.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -131,9 +132,10 @@ def _nonempty(p: Psoset, A, what: str) -> list[int]:
 
 
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
-    """Transitive closure (reflexive when rel is), read off _reach."""
-    packed = np.packbits(np.asarray(rel, dtype=bool), axis=1, bitorder="little")
-    return _unpack(_reach(_bit_rows(packed))[1], len(packed))
+    """Transitive closure (reflexive when rel is), read off _reach; the
+    matrix is read-only."""
+    rel = np.asarray(rel, dtype=bool)
+    return _unpack(_reach(_bit_rows(rel))[1], len(rel))
 
 
 def _successors(rel: np.ndarray) -> list[list[int]]:
@@ -243,8 +245,7 @@ class Psoset:
 
     @cached_property
     def closure(self) -> np.ndarray:
-        # a view of the unpacked bits, which stay writeable: copied
-        return _frozen(transitive_closure(self.rel))
+        return transitive_closure(self.rel)
 
     @cached_property
     def _side_masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -376,20 +377,29 @@ def co_atoms(p: Psoset) -> frozenset[int]:
     return frozenset(np.flatnonzero(strict.sum(axis=1) == 1).tolist())
 
 
-def _bit_rows(packed: np.ndarray) -> list[int]:
-    """np.packbits(..., bitorder="little") rows as ints, column y as bit y,
-    each read through a view of packed, not a copy of it."""
-    w, step = packed.shape
+# --- bitset rows ------------------------------------------------------------
+# Row x of a relation as one int, bit y set iff x <= y.  The two functions
+# below are the only code that packs or unpacks this layout.
+
+
+def _bit_rows(mask: np.ndarray) -> list[int]:
+    """The rows of a boolean array as ints, column y as bit y: its last
+    axis is the columns and its leading axes are flattened into rows.
+    Each int is read through a view of one packed buffer, not a copy."""
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    step = packed.shape[-1]
     data = memoryview(packed.reshape(-1))  # flat: cast() fails on a 0 x 0 view
-    return [int.from_bytes(data[x * step:(x + 1) * step], "little") for x in range(w)]
+    rows = math.prod(mask.shape[:-1])  # not len(data) // step: step is 0 on 0 x 0
+    return [int.from_bytes(data[x * step:(x + 1) * step], "little") for x in range(rows)]
 
 
 def _unpack(rows: Sequence[int], w: int) -> np.ndarray:
-    """The boolean matrix of bitset rows with w columns; _bit_rows undone."""
+    """The read-only boolean matrix of bitset rows with w columns;
+    _bit_rows undone.  _frozen keeps it as it is."""
     step = (w + 7) // 8
     data = np.frombuffer(b"".join([r.to_bytes(step, "little") for r in rows]), np.uint8)
     bits = np.unpackbits(data.reshape(len(rows), step), axis=1, count=w, bitorder="little")
-    return bits.view(bool)
+    return _readonly(bits).view(bool)
 
 
 def _reach(rows: list[int]) -> tuple[list[list[int]] | None, list[int]]:
@@ -468,4 +478,4 @@ def hasse(p: Psoset) -> HasseDiagram:
     Covers come from the relation itself; dashed pairs and back edges
     need reachability, which for a pseudo-order can relate more than the
     relation does; both come from the one reach routine (see _diagram)."""
-    return _diagram(_bit_rows(np.packbits(p.rel, axis=1, bitorder="little")))
+    return _diagram(_bit_rows(p.rel))

@@ -50,7 +50,6 @@ from .relation import (
     _readonly,
     _require_bounds,
     _require_side,
-    _unpack,
     co_atoms,
     validate_psoset,
 )
@@ -418,32 +417,21 @@ def pointwise_leq(a: BinaryOpTable, b: BinaryOpTable) -> bool:
     return bool(a.target.rel[a.table, b.table].all())
 
 
-def _order_rows(lower, rel: np.ndarray, upper=None) -> list[int]:
-    """Row a of the order as an int: bit b set iff lower[a] <= upper[b]
-    cellwise under rel.
+def _order_rows(tables, rel: np.ndarray) -> list[int]:
+    """Row a of the pointwise order of the (count, n, n) stack tables on
+    the carrier whose relation is rel, as an int: bit b set iff
+    tables[a] <= tables[b] cellwise under rel.
 
-    lower and upper are sequences of (n, n) tables on the carrier whose
-    relation is rel; upper defaults to lower.  Per cell k and value v the
-    set {b : rel[v, upper[b][k]]} is one int, so row a is the AND of the
-    sets picked by lower[a]'s entries.  A cell that holds one value v in
-    every table of lower and upper is skipped: as rel is reflexive, its
-    set for v holds every b.
+    Per cell k and value v the set {b : rel[v, tables[b][k]]} is one int,
+    so row a is the AND of the sets picked by tables[a]'s entries.  A cell
+    that holds one value v in every table is skipped: as rel is
+    reflexive, its set for v holds every b.
     """
     n = rel.shape[0]
-    low = np.asarray(lower, dtype=np.intp).reshape(-1, n * n)
-    up = low if upper is None else np.asarray(upper, dtype=np.intp).reshape(-1, n * n)
-    both = low if upper is None else np.concatenate([low, up])
-    kept = np.flatnonzero((both != both[:1]).any(axis=0))
-    # bits[k, v] packs {b : rel[v, up[b, kept[k]]]}
-    bits = np.packbits(rel[:, up[:, kept].T].transpose(1, 0, 2), axis=-1, bitorder="little")
-    sets = _bit_rows(bits.reshape(len(kept) * n, bits.shape[-1]))
+    flat = tables.reshape(-1, n * n)
+    kept = np.flatnonzero((flat != flat[:1]).any(axis=0))
+    # sets[k * n + v] = {b : rel[v, flat[b, kept[k]]]}
+    sets = _bit_rows(rel[:, flat[:, kept].T].transpose(1, 0, 2))
     picks = [sets[k * n:(k + 1) * n] for k in range(len(kept))]
-    full = (1 << len(up)) - 1
-    return [reduce(and_, map(getitem, picks, row), full) for row in low[:, kept].tolist()]
-
-
-def pointwise_order(lower, rel: np.ndarray, upper=None) -> np.ndarray:
-    """order[a, b] iff lower[a] <= upper[b] cellwise under rel; upper
-    defaults to lower (see _order_rows)."""
-    w = len(lower if upper is None else upper)
-    return _unpack(_order_rows(lower, rel, upper), w)
+    full = (1 << len(flat)) - 1
+    return [reduce(and_, map(getitem, picks, row), full) for row in flat[:, kept].tolist()]

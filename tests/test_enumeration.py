@@ -29,10 +29,10 @@ from trelliskit import (
     modular_implication_check,
     order_diagram,
     pointwise_leq,
-    pointwise_order,
     random_bounded_psoset,
     random_trellis,
     relation,
+    right_transitive_set,
     scaled_meet,
     t_coatom,
     t_drastic,
@@ -397,6 +397,14 @@ def order_by_pairs(ops):
     ).reshape(w, w)
 
 
+def cellwise_order(rel, tables):
+    """order[a, b] iff tables[a] <= tables[b] in every cell: the
+    definition, one row at a time."""
+    tables = np.asarray(tables)
+    w = len(tables)
+    return np.array([rel[tab, tables].all(axis=(1, 2)) for tab in tables]).reshape(w, w)
+
+
 def maximal_and_greatest(above):
     """maximal and greatest as first defined: Python scans of the order."""
     w = len(above)
@@ -426,9 +434,7 @@ def test_order_on_fork8_equals_the_cellwise_definition():
     # 764^2 pointwise_leq calls take seconds; the same definition row by row
     t = CARRIERS["fork8"]()
     res = enumerate_tnorms(t)
-    tables = np.array([op.table for op in res.tnorms])
-    above = np.array([t.rel[tab, tables].all(axis=(1, 2)) for tab in tables])
-    assert_order_matches(res, above)
+    assert_order_matches(res, cellwise_order(t.rel, [op.table for op in res.tnorms]))
     assert np.array_equal(res.order[:40, :40], order_by_pairs(res.tnorms[:40]))
 
 
@@ -533,30 +539,19 @@ def test_enumerating_the_9_chain_stays_small():
     assert peak_kb < 150 * 1024
 
 
-def test_pointwise_order_between_two_lists(pentagon):
-    ops = enumerate_tnorms(pentagon).tnorms
-    lower, upper = ops[:2], ops[1:]
-    got = pointwise_order([op.table for op in lower], pentagon.rel,
-                          [op.table for op in upper])
-    want = np.array([[pointwise_leq(a, b) for b in upper] for a in lower])
-    assert np.array_equal(got, want)
-    assert pointwise_order([], pentagon.rel).shape == (0, 0)
-
-
-def packed_order_oracle(lower, rel, upper=None):
+def packed_order_oracle(tables, rel):
     """The packed build the int rows replaced: per cell k and value v the
-    set {b : rel[v, upper[b][k]]} packed eight columns a byte, and each
+    set {b : rel[v, tables[b][k]]} packed eight columns a byte, and each
     row the AND of the n*n sets its entries pick, 128 rows at a time."""
     n = rel.shape[0]
-    low = np.asarray(lower, dtype=np.intp).reshape(-1, n * n)
-    up = low if upper is None else np.asarray(upper, dtype=np.intp).reshape(-1, n * n)
+    flat = np.asarray(tables, dtype=np.intp).reshape(-1, n * n)
     cells = np.arange(n * n)
-    bits = np.packbits(rel[:, up].transpose(2, 0, 1), axis=-1, bitorder="little")
-    rows = np.empty((len(low), bits.shape[-1]), dtype=np.uint8)
-    for start in range(0, len(low), 128):
+    bits = np.packbits(rel[:, flat].transpose(2, 0, 1), axis=-1, bitorder="little")
+    rows = np.empty((len(flat), bits.shape[-1]), dtype=np.uint8)
+    for start in range(0, len(flat), 128):
         chunk = slice(start, start + 128)
-        rows[chunk] = np.bitwise_and.reduce(bits[cells, low[chunk]], axis=1)
-    return rows
+        rows[chunk] = np.bitwise_and.reduce(bits[cells, flat[chunk]], axis=1)
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def test_order_rows_equal_the_packed_build():
@@ -567,24 +562,46 @@ def test_order_rows_equal_the_packed_build():
         carriers.append(make(rng, 1 + k % 7))
     for p in carriers:
         n, tables = p.n, enumerate_tnorms(p).tables
-        # a table that is not a t-norm, as is_maximal_tnorm may be handed
+        # the build is exact on any stack: a table that is not a t-norm
         junk = np.array([[[rng.randrange(n) for _ in range(n)] for _ in range(n)]])
         stacks = [
-            (tables, None),
-            (tables[::3], tables[1::2]),
-            (junk, tables),
-            (np.concatenate([junk, tables[:5]]), tables[::-1]),
-            (tables[:0], None),  # an empty stack
-            (tables[:1], None),  # no cell varies
-            (tables, tables[:0]),  # no table above
+            tables,
+            tables[::3],
+            np.concatenate([junk, tables[:5]]),
+            junk,
+            tables[:0],  # an empty stack
+            tables[:1],  # no cell varies
         ]
-        for lower, upper in stacks:
-            want = _bit_rows(packed_order_oracle(lower, p.rel, upper))
-            assert _order_rows(lower, p.rel, upper) == want
-            got = pointwise_order(lower, p.rel, upper)
-            assert got.shape == (len(lower), len(lower if upper is None else upper))
-            assert got.tolist() == [[bool(r >> b & 1) for b in range(got.shape[1])]
-                                    for r in want]
+        for stack in stacks:
+            assert _order_rows(stack, p.rel) == packed_order_oracle(stack, p.rel)
+
+
+def test_is_maximal_tnorm_equals_the_pointwise_leq_oracle():
+    # op is maximal iff no enumerated t-norm other than op is pointwise
+    # above it, asked table by table; op need not be a t-norm
+    rng = random.Random(2929)
+    outcomes = set()
+    for key, make in CARRIERS.items():
+        if key == "six_cycle":  # no top
+            continue
+        t = make()
+        res = enumerate_tnorms(t)
+        tnorms, n = res.tnorms, t.n
+        ops = [
+            make_op(t, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]),
+            t_drastic(t),
+            tnorms[res.maximal[0]],
+            *rng.sample(tnorms, 3),
+        ]
+        if key == "diamond7":
+            rtr = sorted(right_transitive_set(t))
+            ops += [t_join_cover(t), tnorm_via_subset(t, rtr, unchecked=True)]
+            assert not any(check(op).is_tnorm for op in ops[-2:])
+        for op in ops:
+            above = [b for b in tnorms if pointwise_leq(op, b) and not op.same_op(b)]
+            assert is_maximal_tnorm(t, op) == (not above), key
+            outcomes.add(not above)
+    assert outcomes == {True, False}
 
 
 def test_is_maximal_tnorm_refuses_other_carriers(pentagon):
@@ -615,8 +632,7 @@ def test_kernel_equals_the_recursive_numpy_search():
         res = enumerate_tnorms(t)
         assert grids(res) == [tuple(map(tuple, tab.tolist())) for tab in tables]
         assert res.search_stats == stats
-        order = pointwise_order(tables, t.rel)
-        assert_order_matches(res, order)
+        assert_order_matches(res, cellwise_order(t.rel, tables))
         seen["assoc"] |= stats["associativity_prunes"] > 0
         seen["monotone"] |= stats["monotone_prunes"] > 0
     assert seen["assoc"] and seen["monotone"]
@@ -745,7 +761,7 @@ def test_maximal_and_greatest_read_the_packed_order(key):
     assert maximal == tuple(np.flatnonzero(order.sum(axis=1) == 1).tolist())
     above_all = np.flatnonzero(order.all(axis=0)).tolist()
     assert greatest == (above_all[0] if above_all else None)
-    assert res._rows == tuple(_bit_rows(np.packbits(order, axis=1, bitorder="little")))
+    assert res._rows == tuple(_bit_rows(order))
 
 
 def test_search_timings_are_kept_apart_from_the_search_stats(pentagon):

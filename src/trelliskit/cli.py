@@ -427,6 +427,11 @@ def cmd_enumerate(args) -> int:
     drawn = perf_counter()
     if diagram is not None and args.dot:
         _emit_dot(args, diagram, [f"T{k + 1}" for k in range(res.count)])
+    elif args.dot:  # say so, or a stale file at the path looks current
+        print(
+            f"no diagram written to {args.dot}: the search stopped at --limit",
+            file=sys.stderr,
+        )
     if args.json:
         _print_json(
             args,

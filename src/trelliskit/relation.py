@@ -442,12 +442,34 @@ def _reach(rows: list[int]) -> tuple[list[list[int]] | None, list[int]]:
 
 def _two_step_covers(noid: np.ndarray) -> np.ndarray:
     """[x, y]: x < y with no z such that x < z < y, where noid is the
-    relation with its diagonal cleared."""
-    rows = np.packbits(noid, axis=1)
-    mid = np.zeros_like(rows)  # [x, y] bit: some z with x < z < y
-    for x in range(len(noid)):
-        mid[x] = np.bitwise_or.reduce(rows[noid[x]], axis=0)
-    return noid & ~np.unpackbits(mid, axis=1, count=len(noid)).view(bool)
+    relation with its diagonal cleared.
+
+    The middles come by the method of Four Russians (Arlazarov et al.,
+    1970): byte c of packed row x says which of the rows 8c..8c+7 x steps
+    to, and table[c, m] is the OR of the rows 8c + b for the bits b of m,
+    so the OR of every row x steps to is the OR over c of table[c, byte
+    c of row x].  Rows are ORed as 64-bit words, 16 bytes of columns at
+    a time, so no array takes more than 2·w² bytes.  That reads w³/64
+    bytes whatever the density, against w/8 per related pair for an OR
+    over each row's successors: less once one pair in eight is related,
+    as in the pointwise orders of t-norms (12–33% of pairs on random
+    carriers, 23% on fork8)."""
+    w = len(noid)
+    packed = np.packbits(noid, axis=1, bitorder="little")  # byte c: noid[x, 8c:8c + 8]
+    width, words = packed.shape[1], -(-packed.shape[1] // 8)
+    rows = np.zeros((8 * width, 8 * words), np.uint8)  # rows past the last stay 0
+    rows[:w, :width] = packed
+    rows = rows.view(np.uint64)
+    mid = np.zeros((w, words), np.uint64)  # [x]: the OR of the rows x steps to
+    for c in range(0, width, 16):
+        part = rows[8 * c:8 * c + 128].reshape(-1, 8, words)
+        table = np.zeros((len(part), 256, words), np.uint64)
+        for b in range(8):
+            np.bitwise_or(table[:, :1 << b], part[:, b, None], out=table[:, 1 << b:2 << b])
+        pick = packed[:, c:c + 16] + np.arange(0, 256 * len(part), 256)
+        mid |= np.bitwise_or.reduce(table.reshape(-1, words).take(pick, axis=0), axis=1)
+    between = np.unpackbits(mid.view(np.uint8), axis=1, count=w, bitorder="little")
+    return noid & ~between.view(bool)
 
 
 def _diagram(rows: Sequence[int]) -> HasseDiagram:
@@ -455,20 +477,31 @@ def _diagram(rows: Sequence[int]) -> HasseDiagram:
     rows[x] set iff x <= y.  When _reach gives covers and the rows as the
     reach (the transitive case), those are the covers, since a longer
     chain then has a middle element, and nothing is dashed or a back edge.
-    Otherwise the covers come off the unpacked relation's two-step mask,
-    and the dashed pairs and back edges off the reach."""
+    Otherwise the covers come off the unpacked relation's two-step mask.
+    When _reach gives covers but the reach is more than the rows (acyclic,
+    not transitive), no related pair lies below the diagonal, so a chain
+    only climbs: nothing is a back edge, and x < y is dashed exactly when
+    bit y of reach[x] & ~rows[x] is set, one int per row, unpacked once.
+    Otherwise the dashed pairs and back edges come off the unpacked
+    reach."""
     rows = list(rows)  # as _reach's reach is, so that the two compare
     covers, reach = _reach(rows)
     if covers is not None and reach == rows:
         edges = tuple((x, y) for x, ys in enumerate(covers) for y in ys)
         return HasseDiagram(edges, dashed_pairs=(), back_edges=())
-    rel, reach = _unpack(rows, len(rows)), _unpack(reach, len(rows))
-    noid = rel & ~np.eye(len(rows), dtype=bool)
-    dashed = ~rel & ~rel.T & (reach | reach.T)
+    w = len(rows)
+    rel = _unpack(rows, w)
+    noid = rel & ~np.eye(w, dtype=bool)
+    if covers is not None:  # acyclic
+        dashed, back = _unpack([up & ~row for row, up in zip(rows, reach)], w), []
+    else:
+        reach = _unpack(reach, w)
+        dashed = np.triu(~rel & ~rel.T & (reach | reach.T), 1)
+        back = _hits(noid & reach.T)
     return HasseDiagram(
         cover_edges=tuple(_hits(_two_step_covers(noid))),
-        dashed_pairs=tuple(_hits(np.triu(dashed, 1))),
-        back_edges=tuple(_hits(noid & reach.T)),
+        dashed_pairs=tuple(_hits(dashed)),
+        back_edges=tuple(back),
     )
 
 

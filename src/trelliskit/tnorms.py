@@ -136,37 +136,56 @@ class TnormReport:
         return all(getattr(self, axiom) for axiom in _AXIOMS)
 
 
-def _axiom_bad(axiom: str, tabs: np.ndarray, rel: np.ndarray, top: int) -> np.ndarray:
+def _axiom_bad(
+    axiom: str, tabs: np.ndarray, rel: np.ndarray, top: int, symmetric: bool = False
+) -> np.ndarray:
     """Violation mask of one of the four t-norm axioms over a (b, n, n)
     stack of tables, with the table axis first.  Increasing and
     associative gather with ndarray.take from the flattened stack:
     increasing at cell x * n + y of each table, associative whole rows,
-    row x of table i being row i * n + x of the stack."""
+    row x of table i being row i * n + x of the stack.
+
+    symmetric=True promises that every table equals its transpose, and
+    the mask then covers only what a commutative table does not repeat:
+    neutral_top reads T(top, x) alone, increasing the pair-pairs (p, q)
+    with p <= q, as (q, p) checks the same two cells, and associative
+    reads T(x, T(y, z)) as T(T(y, z), x), off the one gather.  A table
+    that breaks the promise may pass these masks."""
     n = tabs.shape[-1]
     if axiom == "neutral_top":  # [b, x]: T(x, top) != x or T(top, x) != x
         idx = np.arange(n)
+        if symmetric:
+            return tabs[:, top, :] != idx
         return (tabs[:, :, top] != idx) | (tabs[:, top, :] != idx)
     if axiom == "commutative":  # [b, x, y]: T(x, y) != T(y, x)
         return tabs != tabs.transpose(0, 2, 1)
     if axiom == "increasing":
         # [b, p, q]: not T(x, z) <= T(y, t), for the related pairs p = (x, y)
-        # and q = (z, t) numbered in the row-major order of np.nonzero(rel)
+        # and q = (z, t) numbered in the row-major order of np.nonzero(rel);
+        # [b, h] over the h-th pair-pair with p <= q when symmetric
         lo, hi = rel.nonzero()
         flat = tabs.reshape(len(tabs), n * n)
-        # [b, p, q]: the cell T(x, z) * n + T(y, t) of rel
-        cell = (flat * n).take(lo[:, None] * n + lo, axis=1)
-        cell += flat.take(hi[:, None] * n + hi, axis=1)
+        if symmetric:
+            pair = np.arange(len(lo))
+            p, q = (pair[:, None] <= pair).nonzero()
+            left, right = lo[p] * n + lo[q], hi[p] * n + hi[q]
+        else:
+            left, right = lo[:, None] * n + lo, hi[:, None] * n + hi
+        # the cell T(x, z) * n + T(y, t) of rel
+        cell = (flat * n).take(left, axis=1)
+        cell += flat.take(right, axis=1)
         return ~rel.take(cell)
     # associative, [b, x, y, z]: T(T(x, y), z) != T(x, T(y, z)); the
-    # second is row T(y, z) of the transposed table at x.  row[i, x, y]
-    # is where row T(x, y) of table i sits in the stack.
+    # second is row T(y, z) of the transposed table at x, which is the
+    # table itself when symmetric.  row[i, x, y] is where row T(x, y) of
+    # table i sits in the stack.
     row = tabs + np.arange(0, len(tabs) * n, n)[:, None, None]
     left = tabs.reshape(-1, n).take(row, axis=0)
-    right = tabs.transpose(0, 2, 1).reshape(-1, n).take(row, axis=0)
+    right = left if symmetric else tabs.transpose(0, 2, 1).reshape(-1, n).take(row, axis=0)
     return left != right.transpose(0, 3, 1, 2)
 
 
-_AXIOMS = ("neutral_top", "commutative", "increasing", "associative")  # cheapest first
+_AXIOMS = ("commutative", "neutral_top", "increasing", "associative")  # cheapest first
 
 
 def _tnorm_mask(
@@ -176,16 +195,22 @@ def _tnorm_mask(
     the axioms, by default the four that make a t-norm.  Each axiom only
     runs on the tables that passed the ones before it.  One any() over an
     axiom's whole mask decides whether some table failed it; only then is
-    the mask reduced per table and the stack cut down to the survivors."""
+    the mask reduced per table and the stack cut down to the survivors.
+
+    Once commutative has run, every table left equals its transpose, and
+    the axioms after it take their symmetric masks (see _axiom_bad): the
+    same decisions from about half the cells.  An axiom list without
+    commutative, or with it later, reads the full masks up to it."""
     keep = np.ones(len(tabs), dtype=bool)
-    live = tabs
+    live, symmetric = tabs, False
     for axiom in axioms:
         if not len(live):
             break
-        bad = _axiom_bad(axiom, live, rel, top)
+        bad = _axiom_bad(axiom, live, rel, top, symmetric)
         if bad.any():
             keep[keep] = ~bad.reshape(len(live), -1).any(axis=1)
             live = tabs[keep]
+        symmetric = symmetric or axiom == "commutative"
     return keep
 
 
@@ -425,11 +450,16 @@ def _order_rows(tables, rel: np.ndarray) -> list[int]:
     Per cell k and value v the set {b : rel[v, tables[b][k]]} is one int,
     so row a is the AND of the sets picked by tables[a]'s entries.  A cell
     that holds one value v in every table is skipped: as rel is
-    reflexive, its set for v holds every b.
+    reflexive, its set for v holds every b.  When every table equals its
+    transpose, as t-norms do, cell (y, x) repeats cell (x, y), so only
+    the cells with x <= y are kept; any other stack keeps both.
     """
     n = rel.shape[0]
     flat = tables.reshape(-1, n * n)
-    kept = np.flatnonzero((flat != flat[:1]).any(axis=0))
+    vary = (flat != flat[:1]).any(axis=0).reshape(n, n)
+    if np.array_equal(tables, tables.transpose(0, 2, 1)):
+        vary = np.triu(vary)
+    kept = np.flatnonzero(vary)
     # sets[k * n + v] = {b : rel[v, flat[b, kept[k]]]}
     sets = _bit_rows(rel[:, flat[:, kept].T].transpose(1, 0, 2))
     picks = [sets[k * n:(k + 1) * n] for k in range(len(kept))]

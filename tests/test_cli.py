@@ -204,6 +204,21 @@ def test_enumerate_deep_search_stops_at_limit(tmp_path, capsys):
     assert "t-norms found: 1  (stopped at limit)" in out
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_enumerate_stopped_at_limit_says_it_wrote_no_dot(extra, tmp_path, capsys):
+    # a stale file at the path is left as it is, and one stderr line says
+    # that it was not written, so that it is not taken for this run's
+    dot = tmp_path / "order.dot"
+    dot.write_text("stale")
+    code, out, err = run(capsys, "enumerate", PENTAGON, "--limit", "2", "--dot", str(dot), *extra)
+    assert code == 0 and dot.read_text() == "stale"
+    assert err == f"no diagram written to {dot}: the search stopped at --limit\n"
+    assert run(capsys, "enumerate", PENTAGON, "--limit", "2", *extra) == (code, out, "")
+    # a search that ends below the limit is complete, and draws its diagram
+    code, _, err = run(capsys, "enumerate", PENTAGON, "--limit", "7", "--dot", str(dot), *extra)
+    assert (code, err) == (0, "") and dot.read_text().startswith("digraph")
+
+
 def test_validate_writes_carrier_dot(tmp_path, capsys):
     dot_path = tmp_path / "carrier.dot"
     code, _, _ = run(capsys, "validate", PENTAGON, "--dot", str(dot_path))
@@ -390,11 +405,19 @@ def test_enumerate_stats_time_each_phase_on_stderr(extra, tmp_path, capsys):
         report = json.loads(out)
         del report["timings"]
         out = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert (code, out) == plain[:2] and plain[2] == ""
     drawn = extra != ["--limit", "2"]
+
+    def notice(name):  # a run stopped at --limit draws nothing and says so first
+        return "" if drawn else (
+            f"no diagram written to {tmp_path / name}: the search stopped at --limit\n"
+        )
+
+    assert (code, out) == plain[:2] and plain[2] == notice("a.dot")
     assert (tmp_path / "a.dot").exists() == drawn
     if drawn:
         assert (tmp_path / "a.dot").read_text() == (tmp_path / "b.dot").read_text()
+    assert err.startswith(notice("b.dot"))
+    err = err[len(notice("b.dot")):]
     lines = [re.fullmatch(r"(.+): \d+\.\d{3} s", l) for l in err.splitlines()]
     phases = tuple(p for p in ENUMERATE_PHASES if drawn or p != "diagram")
     assert tuple(m and m.group(1) for m in lines) == phases

@@ -27,8 +27,11 @@ from trelliskit.fixtures import CARRIERS, bounded_chain
 from trelliskit.relation import (
     HasseDiagram,
     _bit_rows,
+    _diagram,
     _hits,
     _reach,
+    _two_step_covers,
+    _unpack,
     strong_components,
     transitive_closure,
 )
@@ -354,6 +357,17 @@ def test_order_diagram_equals_the_oracle_on_the_packed_order():
     assert dashed >= 2  # fork8 and twin_peaks7 at least
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 127, 128, 129, 136, 300])
+def test_two_step_covers_equal_the_matrix_product(n):
+    # the tables are built per byte of columns and read 16 bytes at a
+    # time, so widths on both sides of a byte and of 128 columns
+    rng = np.random.default_rng(1708 + n)
+    for density in (0.02, 0.125, 0.5):
+        noid = (rng.random((n, n)) < density) & ~np.eye(n, dtype=bool)
+        step = noid.astype(np.int64)
+        assert np.array_equal(_two_step_covers(noid), noid & ~(step @ step > 0))
+
+
 def test_a_chain_order_is_drawn_without_unpacking_it(monkeypatch):
     unpacked = []
     unpack = relation._unpack
@@ -369,3 +383,54 @@ def test_a_chain_order_is_drawn_without_unpacking_it(monkeypatch):
     assert unpacked == []  # the transitive order took the sweep's covers
     assert "order" not in vars(res)  # the cached_property was never read
     assert d == hasse_oracle(validate_psoset(res.order, [str(k) for k in range(res.count)]))
+
+
+def general_diagram(rows):
+    """_diagram's general path, for any reflexive relation, as it stands:
+    covers off the two-step mask, dashed pairs and back edges off the
+    unpacked reach."""
+    rows = list(rows)
+    rel, reach = _unpack(rows, len(rows)), _unpack(_reach(rows)[1], len(rows))
+    noid = rel & ~np.eye(len(rows), dtype=bool)
+    dashed = ~rel & ~rel.T & (reach | reach.T)
+    return HasseDiagram(
+        cover_edges=tuple(_hits(_two_step_covers(noid))),
+        dashed_pairs=tuple(_hits(np.triu(dashed, 1))),
+        back_edges=tuple(_hits(noid & reach.T)),
+    )
+
+
+def path_taken(rows):
+    """Which path _diagram takes on these rows."""
+    covers, reach = _reach(list(rows))
+    if covers is None:
+        return "general"
+    return "transitive" if reach == list(rows) else "acyclic"
+
+
+def test_the_acyclic_path_equals_the_general_one():
+    # no related pair below the diagonal, yet not transitive: the dashed
+    # pairs come off the int rows and no back edge is looked for
+    fork8 = enumerate_tnorms(CARRIERS["fork8"]())
+    relations = [("fork8 order", fork8._rows)]
+    relations += [(key, _bit_rows(make().rel)) for key, make in CARRIERS.items()]
+    rng = np.random.default_rng(3001)
+    for k in range(300):
+        rel = upper_relation(rng, 3 + k % 40, closed=False)
+        relations.append((f"random {k}", _bit_rows(rel)))
+    taken = {"acyclic": 0, "transitive": 0, "general": 0}
+    for label, rows in relations:
+        path = path_taken(rows)
+        taken[path] += 1
+        d = _diagram(rows)
+        assert d == general_diagram(rows), label
+        if path == "acyclic":
+            assert d.dashed_pairs and d.back_edges == (), label
+    assert path_taken(fork8._rows) == "acyclic"
+    assert len(order_diagram(fork8).dashed_pairs) == 17_255
+    assert taken["acyclic"] > 200 and taken["transitive"] > 5
+    # loop8's relation has a cycle, so it takes the general path, the one
+    # that finds back edges
+    loop8 = _bit_rows(CARRIERS["loop8"]().rel)
+    assert path_taken(loop8) == "general"
+    assert _diagram(loop8).back_edges == general_diagram(loop8).back_edges != ()

@@ -58,6 +58,7 @@ from trelliskit.fixtures import (
 )
 from trelliskit.interior import UnaryMap
 from trelliskit.relation import _bit_rows
+from trelliskit import tnorms as tnorms_module
 from trelliskit.tnorms import _order_rows, _tnorm_mask
 
 # canonical (row-major) positions of the recorded pentagon tables
@@ -574,6 +575,26 @@ def test_order_rows_equal_the_packed_build():
         ]
         for stack in stacks:
             assert _order_rows(stack, p.rel) == packed_order_oracle(stack, p.rel)
+
+
+def test_order_rows_of_a_symmetric_stack_keep_the_cells_with_x_le_y(monkeypatch):
+    # t-norms are commutative, so cell (y, x) repeats cell (x, y): of the
+    # cells that vary, fork8 keeps 18 of 31 and the 9-chain 28 of 49
+    kept = []
+    build = tnorms_module._bit_rows
+    monkeypatch.setattr(tnorms_module, "_bit_rows", lambda mask: kept.append(len(mask)) or build(mask))
+    for p, cells in ((CARRIERS["fork8"](), 18), (bounded_chain(9), 28)):
+        tables = enumerate_tnorms(p, cap=12).tables
+        rows = _order_rows(tables, p.rel)
+        assert kept == [cells]
+        # one table that is not symmetric switches the cut off; with its
+        # bit cleared, every other row is the same
+        junk = np.zeros_like(tables[:1])
+        junk[0, 0, 1] = 1
+        full = _order_rows(np.concatenate([tables, junk]), p.rel)
+        assert kept[1] > cells
+        assert [row & ((1 << len(tables)) - 1) for row in full[:-1]] == rows
+        kept.clear()
 
 
 def test_is_maximal_tnorm_equals_the_pointwise_leq_oracle():

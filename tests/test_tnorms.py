@@ -54,7 +54,13 @@ from trelliskit.fixtures import (
     recorded_table,
 )
 from trelliskit import tnorms as tnorms_module
-from trelliskit.tnorms import _AXIOMS, TnormReport, _axiom_bad, _tnorm_mask
+from trelliskit.tnorms import (
+    _AXIOMS,
+    _GATE_AXIOMS,
+    TnormReport,
+    _axiom_bad,
+    _tnorm_mask,
+)
 
 
 def test_make_op_validates_and_freezes(pentagon):
@@ -666,6 +672,73 @@ def test_kernel_equals_check_when_one_axiom_fails():
     assert alone == set(AXIOMS)
 
 
+def kernel_cut_stacks():
+    """(carrier, stack) on every bounded shipped carrier (loop8 is cyclic,
+    fork8 not transitive), the chain of ONE_AXIOM_OFF and random carriers
+    with n = 1..7.  Each stack mixes t-norms, symmetric neutral-topped
+    tables, the same with one cell pair changed, which can fail one axiom
+    alone, and tables that are not symmetric."""
+    rng = np.random.default_rng(3030)
+    carriers = [make() for key, make in CARRIERS.items() if key != "six_cycle"]
+    fork8 = CARRIERS["fork8"]()
+    draws = random.Random(3031)
+    carriers += [
+        (random_trellis if k % 2 else random_bounded_psoset)(draws, 1 + k % 7)
+        for k in range(42)
+    ]
+    chain, off = one_axiom_off_tables()
+    yield chain, np.array(list(off.values()))
+    for t in carriers:
+        n, top = t.n, t.top
+        found = enumerate_tnorms(t).tables
+        tables = list(found[rng.permutation(len(found))[:12]])
+        for _ in range(8):  # symmetric, with the top neutral
+            tab = np.triu(rng.integers(0, n, (n, n)))
+            tab += np.triu(tab, 1).T
+            tab[top, :] = tab[:, top] = np.arange(n)
+            tables.append(tab)
+        for tab in list(tables):
+            i, j, v = rng.integers(n, size=3)
+            both, one = tab.copy(), tab.copy()
+            both[i, j] = both[j, i] = one[i, j] = v
+            tables += [both, one]
+        if t.same_carrier(fork8):
+            # T(d, d) = a: d <= e and a <= T(d, e) <= T(e, e), yet not
+            # a <= T(e, e), so the only violations are T(x, x) <= T(y, y)
+            # for x <= y, on the pair-pairs (p, p)
+            tab = found[230].copy()
+            tab[t.index("d"), t.index("d")] = t.index("a")
+            tables.append(tab)
+        tables += list(rng.integers(0, n, (4, n, n)))
+        yield t, np.array(tables, dtype=np.int64)
+
+
+def test_kernel_cut_equals_the_full_masks_of_check():
+    # _tnorm_mask reads half masks once commutativity has passed; check()
+    # reads every cell, so its flags are the authority on every stack; a
+    # list without commutative must read the full masks throughout
+    axiom_lists = [_AXIOMS, _GATE_AXIOMS, _AXIOMS[1:], *((axiom,) for axiom in _AXIOMS)]
+    alone, cut, diagonal = set(), 0, 0
+    for t, tabs in kernel_cut_stacks():
+        bad = _axiom_bad("increasing", tabs, t.rel, t.top)
+        off = bad & ~np.eye(bad.shape[-1], dtype=bool)
+        diagonal += int((bad.any(axis=(1, 2)) & ~off.any(axis=(1, 2))).sum())
+        reports = [check(make_op(t, tab)) for tab in tabs]
+        assert _tnorm_mask(tabs, t.rel, t.top).tolist() == [r.is_tnorm for r in reports]
+        for axioms in axiom_lists:
+            want = [all(getattr(r, axiom) for axiom in axioms) for r in reports]
+            assert _tnorm_mask(tabs, t.rel, t.top, axioms).tolist() == want, axioms
+        for report in reports:
+            failed = failed_axioms(report)
+            if len(failed) == 1:
+                alone |= failed
+            # a symmetric table judged by the half masks of the others
+            cut += report.commutative and not report.is_tnorm
+    assert alone == set(AXIOMS)
+    assert cut > 100
+    assert diagonal > 0  # so the half mask must keep p == q
+
+
 def test_same_op_compares_the_carriers_relations():
     # a five-element chain under the pentagon's names: same names, same
     # drastic table, different order
@@ -808,7 +881,7 @@ def test_the_kernel_reduces_a_mask_per_table_only_after_a_failure(monkeypatch):
     axes.clear()
     tabs = np.concatenate([found, off["increasing"][None]])
     assert np.flatnonzero(~_tnorm_mask(tabs, chain.rel, chain.top)).tolist() == [len(found)]
-    # neutral_top, commutative, increasing and then its per-table any(), associative
+    # commutative, neutral_top, increasing and then its per-table any(), associative
     assert axes == [None, None, None, 1, None]
 
 

@@ -21,7 +21,6 @@ from .elements import (
 from .enumeration import (
     EnumerationResult,
     enumerate_tnorms,
-    greatest_tnorm,
     is_maximal_tnorm,
     order_diagram,
 )

@@ -53,7 +53,6 @@ from .relation import (
     _readonly,
     _require_bounds,
     _require_cap,
-    _unpack,
 )
 from .tnorms import BinaryOpTable, _order_rows, _tnorm_mask
 
@@ -68,20 +67,18 @@ class EnumerationResult:
     sorted canonically (row-major tuple of table entries), so equal
     carriers always enumerate in the same order; each table is stored
     there once.  tnorms is the tuple of BinaryOpTable views of its rows,
-    built the first time it is read.  order[a, b] holds, read-only, iff
-    tables[a] <= tables[b] in every cell; maximal and greatest are
-    indices into tables.  The order is built from the stack the first
-    time order, maximal, greatest or order_diagram needs it and is then
-    cached as a tuple of int rows, bit b of row a set iff order[a, b],
-    which maximal, greatest and order_diagram read as they are; order
-    unpacks them once, when first read.  So a caller that only needs the
-    tables never builds the order or an op.
+    built the first time it is read.  maximal and greatest are indices
+    into tables, read off the pointwise order: built from the stack the
+    first time maximal, greatest or order_diagram needs it and cached as
+    a tuple of int rows, bit b of row a set iff tables[a] <= tables[b] in
+    every cell.  So a caller that only needs the tables never builds the
+    order or an op; pointwise_leq compares any two ops.
     If complete is False the search stopped at a limit and
-    order/maximal/greatest only describe what was found up to that
-    point.  Results compare by identity.  search_stats and timings are
-    read-only mappings; timings holds wall times in seconds: "search"
-    and "final check" (the axiom kernel run on the completed tables, not
-    included in "search").
+    maximal/greatest only describe what was found up to that point.
+    Results compare by identity.  search_stats and timings are read-only
+    mappings; timings holds wall times in seconds: "search" and "final
+    check" (the axiom kernel run on the completed tables, not included in
+    "search").
     """
 
     target: Psoset
@@ -101,10 +98,6 @@ class EnumerationResult:
     @cached_property
     def _rows(self) -> tuple[int, ...]:
         return tuple(_order_rows(self.tables, self.target.rel))
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        return _unpack(self._rows, self.count)
 
     @cached_property
     def maximal(self) -> tuple[int, ...]:
@@ -289,19 +282,21 @@ def enumerate_tnorms(
     return finish(complete=True)
 
 
-def is_maximal_tnorm(p: Psoset, op: BinaryOpTable, cap: int = 10) -> bool:
-    """No enumerated t-norm sits strictly pointwise above op."""
-    if not op.target.same_carrier(p):
+def is_maximal_tnorm(result: EnumerationResult, op: BinaryOpTable) -> bool:
+    """No t-norm of a complete enumeration sits strictly pointwise above op.
+
+    op need not be one of result's t-norms, nor a t-norm at all.  Reads
+    the cellwise definition against result.tables; it runs no search and
+    builds no order.  A partial result raises PreconditionViolated: being
+    maximal among the t-norms found so far is not being maximal.
+    """
+    if not op.target.same_carrier(result.target):
         raise TargetMismatch("operations live on different carriers")
-    tables = enumerate_tnorms(p, cap=cap).tables
-    above = p.rel[op.table, tables].all(axis=(1, 2))  # op <= tables[b] cellwise
+    if not result.complete:
+        raise PreconditionViolated("maximality needs a complete enumeration")
+    tables = result.tables
+    above = result.target.rel[op.table, tables].all(axis=(1, 2))  # op <= tables[b]
     return not (above & (tables != op.table).any(axis=(1, 2))).any()
-
-
-def greatest_tnorm(p: Psoset, cap: int = 10) -> BinaryOpTable | None:
-    """The t-norm pointwise above all others, when one exists."""
-    res = enumerate_tnorms(p, cap=cap)
-    return None if res.greatest is None else BinaryOpTable(p, res.tables[res.greatest])
 
 
 def order_diagram(result: EnumerationResult) -> HasseDiagram:

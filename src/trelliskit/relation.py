@@ -87,7 +87,8 @@ def _require_bounds(p: Psoset) -> tuple[int, int]:
 def _require_cap(p: Psoset, cap: int) -> None:
     if p.n > cap:
         raise CarrierTooLarge(
-            f"carrier has {p.n} elements, cap is {cap}; pass cap= to override"
+            f"carrier has {p.n} elements, cap is {cap}; "
+            "pass cap= (--cap on the command line) to override"
         )
 
 

@@ -191,7 +191,7 @@ def test_enumerate_refuses_unbounded(capsys):
 
 def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", str(DATA / "fork8.psoset"), "--cap", "6")
-    assert code == 4 and "cap" in err
+    assert code == 4 and "cap is 6" in err and "--cap" in err  # the CLI's option
 
 
 def test_enumerate_deep_search_stops_at_limit(tmp_path, capsys):

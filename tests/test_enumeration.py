@@ -20,7 +20,6 @@ from trelliskit import (
     cli,
     enumerate_tnorms,
     enumeration,
-    greatest_tnorm,
     hasse,
     interior_from_subset,
     is_maximal_tnorm,
@@ -256,7 +255,8 @@ def test_order_diagram_reads_the_order_without_revalidating(monkeypatch):
     assert len(drawn) == len(carriers)
     for res, diagram in drawn:
         names = [f"T{k + 1}" for k in range(res.count)]
-        assert diagram == hasse(validate_psoset(res.order, names))
+        order = cellwise_order(res.target.rel, res.tables)
+        assert diagram == hasse(validate_psoset(order, names))
 
 
 def test_twin_peaks_has_two_maximal_and_no_greatest():
@@ -269,7 +269,6 @@ def test_twin_peaks_has_two_maximal_and_no_greatest():
         tuple(map(tuple, recorded_table("twin_peaks7.T1").table.tolist())),
         tuple(map(tuple, recorded_table("twin_peaks7.T2").table.tolist())),
     }
-    assert greatest_tnorm(t) is None
 
 
 def test_engine_equals_bruteforce_on_the_hourglass(hourglass):
@@ -315,10 +314,11 @@ def test_every_construction_appears_in_the_enumeration(pentagon, hourglass):
 
 
 def test_greatest_tnorm_helpers(pentagon):
-    best = greatest_tnorm(pentagon)
-    assert best is not None and best.same_op(recorded_table("pentagon.T6"))
-    assert is_maximal_tnorm(pentagon, best)
-    assert not is_maximal_tnorm(pentagon, t_drastic(pentagon))
+    res = enumerate_tnorms(pentagon)
+    best = res.tnorms[res.greatest]
+    assert best.same_op(recorded_table("pentagon.T6"))
+    assert is_maximal_tnorm(res, best)
+    assert not is_maximal_tnorm(res, t_drastic(pentagon))
 
 
 def test_limit_interrupts_with_a_partial_result(pentagon):
@@ -326,12 +326,16 @@ def test_limit_interrupts_with_a_partial_result(pentagon):
         enumerate_tnorms(pentagon, limit=3)
     partial = info.value.result
     assert partial.count == 3 and not partial.complete
-    assert partial.order.shape == (3, 3)
-    assert np.array_equal(partial.order, order_by_pairs(partial.tnorms))
-    full = grids(enumerate_tnorms(pentagon))
-    assert set(grids(partial)) <= set(full)
+    assert_order_matches(partial, order_by_pairs(partial.tnorms))
+    res = enumerate_tnorms(pentagon)
+    assert set(grids(partial)) <= set(grids(res))
     with pytest.raises(PreconditionViolated):
         order_diagram(partial)
+    # maximal among the t-norms found so far is not maximal
+    op = partial.tnorms[partial.maximal[0]]
+    with pytest.raises(PreconditionViolated):
+        is_maximal_tnorm(partial, op)
+    assert not is_maximal_tnorm(res, op)
 
 
 def test_limit_must_be_positive(pentagon):
@@ -417,9 +421,7 @@ def maximal_and_greatest(above):
 
 
 def assert_order_matches(res, above):
-    assert res.order.shape == (res.count, res.count)
-    assert res.order.dtype == bool and not res.order.flags.writeable
-    assert np.array_equal(res.order, above)
+    assert res._rows == tuple(_bit_rows(above))
     assert (res.maximal, res.greatest) == maximal_and_greatest(above)
 
 
@@ -436,7 +438,8 @@ def test_order_on_fork8_equals_the_cellwise_definition():
     t = CARRIERS["fork8"]()
     res = enumerate_tnorms(t)
     assert_order_matches(res, cellwise_order(t.rel, [op.table for op in res.tnorms]))
-    assert np.array_equal(res.order[:40, :40], order_by_pairs(res.tnorms[:40]))
+    corner = [row & ((1 << 40) - 1) for row in res._rows[:40]]
+    assert corner == _bit_rows(order_by_pairs(res.tnorms[:40]))
 
 
 def test_order_equals_pointwise_leq_on_random_carriers():
@@ -448,7 +451,7 @@ def test_order_equals_pointwise_leq_on_random_carriers():
         res = enumerate_tnorms(make(rng, n))
         assert_order_matches(res, order_by_pairs(res.tnorms))
         widths.add(res.count)
-    assert max(widths) > 64  # more than one packed word of t-norms
+    assert max(widths) > 64
 
 
 def test_no_tnorms_means_no_maximal_and_no_greatest(pentagon, monkeypatch):
@@ -456,7 +459,7 @@ def test_no_tnorms_means_no_maximal_and_no_greatest(pentagon, monkeypatch):
         enumeration, "_tnorm_mask", lambda tabs, rel, top: np.zeros(len(tabs), bool)
     )
     res = enumerate_tnorms(pentagon)
-    assert res.count == 0 and res.order.shape == (0, 0)
+    assert res.count == 0 and res._rows == ()
     assert res.maximal == () and res.greatest is None
     assert res.search_stats["final_check_rejects"] > 0
 
@@ -485,7 +488,7 @@ def test_enumerating_builds_no_order(order_calls):
 
 
 ORDER_READERS = {
-    "order": lambda res: res.order,
+    "order": lambda res: res._rows,
     "maximal": lambda res: res.maximal,
     "greatest": lambda res: res.greatest,
     "order_diagram": order_diagram,
@@ -519,14 +522,17 @@ def test_a_partial_result_builds_its_order_when_read(pentagon, order_calls):
     not os.path.exists("/proc/self/status"), reason="reads the child's VmHWM"
 )
 def test_enumerating_the_9_chain_stays_small():
-    # w = 13,775: the bool order alone would be 190 MB.  Never run the
-    # 10-chain here; its order would not fit in memory.  The child reports
-    # VmHWM, the peak RSS of its own address space: ru_maxrss would also
-    # count the address space it was started from, the test process's.
+    # w = 13,775: a w x w bool order would be 181 MiB on its own, so this
+    # bounds every reader of the order (maximal, greatest, order_diagram)
+    # to the int rows.  Never run the 10-chain here; its order and
+    # diagram peak above 1 GB.  The child reports VmHWM, the peak RSS of
+    # its own address space: ru_maxrss would also count the address space
+    # it was started from, the test process's.
     code = (
-        "from trelliskit import enumerate_tnorms\n"
+        "from trelliskit import enumerate_tnorms, order_diagram\n"
         "from trelliskit.fixtures import bounded_chain\n"
         "res = enumerate_tnorms(bounded_chain(9), cap=12)\n"
+        "res.maximal, res.greatest, order_diagram(res)\n"
         "status = open('/proc/self/status').read().split()\n"
         "print(res.count, status[status.index('VmHWM:') + 1])\n"
     )
@@ -620,14 +626,14 @@ def test_is_maximal_tnorm_equals_the_pointwise_leq_oracle():
             assert not any(check(op).is_tnorm for op in ops[-2:])
         for op in ops:
             above = [b for b in tnorms if pointwise_leq(op, b) and not op.same_op(b)]
-            assert is_maximal_tnorm(t, op) == (not above), key
+            assert is_maximal_tnorm(res, op) == (not above), key
             outcomes.add(not above)
     assert outcomes == {True, False}
 
 
 def test_is_maximal_tnorm_refuses_other_carriers(pentagon):
     with pytest.raises(TargetMismatch):
-        is_maximal_tnorm(pentagon, t_drastic(bounded_chain(5)))
+        is_maximal_tnorm(enumerate_tnorms(pentagon), t_drastic(bounded_chain(5)))
 
 
 SHIPPED_SEARCH = {
@@ -774,14 +780,12 @@ def test_the_search_sweep_carriers_are_pinned():
 
 
 @pytest.mark.parametrize("key", ["pentagon", "twin_peaks7", "fork8", "loop8"])
-def test_maximal_and_greatest_read_the_packed_order(key):
+def test_maximal_and_greatest_read_the_int_rows(key):
     res = enumerate_tnorms(CARRIERS[key]())
-    maximal, greatest = res.maximal, res.greatest
-    assert "order" not in vars(res)  # neither unpacked the order
-    order = res.order
-    assert maximal == tuple(np.flatnonzero(order.sum(axis=1) == 1).tolist())
+    order = cellwise_order(res.target.rel, res.tables)
+    assert res.maximal == tuple(np.flatnonzero(order.sum(axis=1) == 1).tolist())
     above_all = np.flatnonzero(order.all(axis=0)).tolist()
-    assert greatest == (above_all[0] if above_all else None)
+    assert res.greatest == (above_all[0] if above_all else None)
     assert res._rows == tuple(_bit_rows(order))
 
 
@@ -800,12 +804,12 @@ def test_search_timings_are_kept_apart_from_the_search_stats(pentagon):
 # --- the result is one frozen value ------------------------------------------
 
 
-CACHED = ("tnorms", "_rows", "order", "maximal", "greatest")
+CACHED = ("tnorms", "_rows", "maximal", "greatest")
 
 
 def test_the_result_cannot_be_reordered_or_reassigned(pentagon):
     res = enumerate_tnorms(pentagon)
-    greatest, maximal, order = res.greatest, res.maximal, res.order.copy()
+    greatest, maximal, rows = res.greatest, res.maximal, res._rows
     assert greatest == 5 and maximal == (5,)
     with pytest.raises(AttributeError):
         res.maximal.append(0)
@@ -824,7 +828,7 @@ def test_the_result_cannot_be_reordered_or_reassigned(pentagon):
         res.tnorms = before[::-1]
     assert res.tnorms is before
     assert (res.greatest, res.maximal) == (greatest, maximal)
-    assert np.array_equal(res.order, order)
+    assert res._rows is rows
     assert res.tnorms[res.greatest].same_op(recorded_table("pentagon.T6"))
 
 
@@ -883,11 +887,8 @@ def assert_tables(res, op_builds):
         tables.setflags(write=True)
     with pytest.raises(ValueError):
         tables[...] = 0
-    res.maximal, res.greatest, res.order
-    assert isinstance(res._rows, tuple)  # the cached order, either form
-    with pytest.raises(ValueError):
-        res.order.setflags(write=True)
-    assert relation._frozen(res.order) is res.order
+    res.maximal, res.greatest
+    assert isinstance(res._rows, tuple)  # the cached order
     if res.complete:
         order_diagram(res)
     assert res.tables is tables
@@ -933,11 +934,20 @@ def test_the_table_stack_of_a_partial_result(op_builds):
     assert_tables(info.value.result, op_builds)
 
 
-def test_is_maximal_tnorm_reads_the_table_stack(pentagon, op_builds):
-    ops = enumerate_tnorms(pentagon).tnorms
+def test_is_maximal_tnorm_reads_the_table_stack(
+    pentagon, op_builds, order_calls, monkeypatch
+):
+    res = enumerate_tnorms(pentagon)
+    ops = res.tnorms
     op_builds.clear()
-    assert [is_maximal_tnorm(pentagon, op) for op in ops] == [False] * 5 + [True]
-    assert op_builds == []  # it reads the stack of each enumeration it runs
+    searches = []
+    search = enumeration.enumerate_tnorms
+    monkeypatch.setattr(
+        enumeration, "enumerate_tnorms", lambda *a, **k: searches.append(1) or search(*a, **k)
+    )
+    assert [is_maximal_tnorm(res, op) for op in ops] == [False] * 5 + [True]
+    # no op, no order and no search: only the cellwise test on res.tables
+    assert op_builds == [] and order_calls == [] and searches == []
 
 
 def test_enumerate_json_builds_no_op(op_builds, tmp_path, capsys):

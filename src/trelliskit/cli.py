@@ -20,6 +20,7 @@ from json.encoder import encode_basestring_ascii
 from operator import countOf
 from pathlib import Path
 from time import perf_counter
+from types import GeneratorType
 
 import numpy as np
 
@@ -89,11 +90,39 @@ def _named(names, indices):
     return np.array(names, dtype=object)[np.asarray(indices, dtype=np.intp)].tolist()
 
 
-def _format_table(names, table) -> str:
+_BLOCK = 4096  # tables, or cover edges, rendered per write
+
+
+def _table_text(tables, cells, cell_sep, leads, heads, tail):
+    """The tables of a (w, n, n) index stack as text, one str per _BLOCK
+    tables.  Table k reads leads[k], then heads[i] and row i for each i,
+    then tail, where a row reads cell_sep.join(cells[v] for v in row).
+    Rows are keyed by the bytes of a void view, so each distinct row is
+    rendered once, and no key overflows, whatever n is."""
+    w, n = len(tables), len(cells)
+    flat = tables.reshape(w * n, n).astype(np.min_scalar_type(n - 1))
+    keys = flat.view(np.dtype((np.void, n * flat.itemsize))).ravel()
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    texts = np.array([cell_sep.join(r) for r in _named(cells, flat[first])], object)
+    rows = texts[inv].reshape(w, n)
+    for start in range(0, w, _BLOCK):
+        block = rows[start:start + _BLOCK]
+        pieces = np.empty((len(block), 2 * n + 2), object)
+        pieces[:, 0] = leads[start:start + _BLOCK]
+        pieces[:, 1:-1:2] = heads
+        pieces[:, 2:-1:2] = block
+        pieces[:, -1] = tail
+        yield "".join(pieces.ravel().tolist())
+
+
+def _text_tables(names, tables, leads):
+    """_table_text in the text mode: each table is a header line of the
+    names, then a line per row, led by its name, all cells right-aligned."""
     width = max(len(s) for s in names)
-    cells = [[""] + list(names)]
-    cells += ([name] + row for name, row in zip(names, _named(names, table)))
-    return "\n".join(" ".join(f"{c:>{width}}" for c in row) for row in cells)
+    pad = [f"{s:>{width}}" for s in names]
+    heads = [f"\n{s} " for s in pad]
+    heads[0] = " " * width + " " + " ".join(pad) + heads[0]
+    return _table_text(tables, pad, " ", leads, heads, "\n")
 
 
 def _report_dict(names, rep) -> dict:
@@ -148,61 +177,56 @@ def _json_key(key) -> str:
     )
 
 
-def _json(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+def _json(obj, nl: str = "\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with nl
+    as the newline and indent that obj itself sits at.
 
     On Python 3.10 and 3.11 any indent sends the stdlib to its
     pure-Python encoder; this writes each container as one join.
-    Renderings of all-str lists are reused within the call: a key over
-    mixed scalars would be wrong, since 1, 1.0 and True are equal keys.
     Floats, scalar subclasses and unknown types go to json.dumps, so
     they render, or raise TypeError, as they do there.  Reports are
     trees, so no check for circular references is made."""
-    memo: dict = {}
-
-    def render(obj, nl: str) -> str:
-        scalar = _JSON_SCALAR.get(type(obj))
-        if scalar is not None:
-            return scalar(obj)
-        if isinstance(obj, (list, tuple)):
-            if not obj:
-                return "[]"
-            inner = nl + "  "
-            first = type(obj[0])
-            scalar = _JSON_SCALAR.get(first)
-            if scalar is not None and countOf(map(type, obj), first) < len(obj):
-                scalar = None  # mixed types render item by item
-            if scalar is encode_basestring_ascii:
-                key = (inner, *obj)
-                text = memo.get(key)
-                if text is None:
-                    text = memo[key] = (
-                        "[" + inner + ("," + inner).join(map(scalar, obj)) + nl + "]"
-                    )
-                return text
-            if scalar is not None:
-                items = map(scalar, obj)
-            else:
-                items = [render(x, inner) for x in obj]
-            return "[" + inner + ("," + inner).join(items) + nl + "]"
-        if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            inner = nl + "  "
-            items = [
-                f"{encode_basestring_ascii(_json_key(k))}: {render(v, inner)}"
-                for k, v in sorted(obj.items())
-            ]
-            return "{" + inner + ("," + inner).join(items) + nl + "}"
-        return json.dumps(obj)
-
-    return render(obj, "\n")
+    scalar = _JSON_SCALAR.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        first = type(obj[0])
+        scalar = _JSON_SCALAR.get(first)
+        if scalar is not None and countOf(map(type, obj), first) == len(obj):
+            items = map(scalar, obj)
+        else:  # mixed types render item by item
+            items = [_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = [
+            f"{encode_basestring_ascii(_json_key(k))}: {_json(v, inner)}"
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(obj)
 
 
 def _print_json(args, **fields) -> None:
-    """Print a report: fields plus the schema and the command name."""
+    """Print a report: fields plus the schema and the command name.  A
+    field given as a generator is written as the text pieces it yields,
+    so that a long list need never be held as one str."""
     report = {"schema": SCHEMA, "command": args.command, **fields}
-    print(_json(report))
+    out = sys.stdout
+    sep = "{"
+    for key, value in sorted(report.items()):
+        out.write(f"{sep}\n  {encode_basestring_ascii(key)}: ")
+        if isinstance(value, GeneratorType):
+            out.writelines(value)
+        else:
+            out.write(_json(value, "\n  "))
+        sep = ","
+    out.write("\n}\n")
 
 
 def _carrier(path: str):
@@ -399,7 +423,7 @@ def cmd_construct(args) -> int:
         )
         return EXIT_OK
     print(f"method: {method}")
-    print(_format_table(p.names, op.table))
+    sys.stdout.writelines(_text_tables(p.names, op.table[None], [""]))
     _print_report(p.names, rep)
     return EXIT_OK
 
@@ -438,10 +462,10 @@ def cmd_enumerate(args) -> int:
             file=args.file,
             count=res.count,
             complete=res.complete,
-            tnorms=_named(p.names, res.tables),
+            tnorms=_json_tables(p.names, res.tables),
             maximal=maximal,
             greatest=greatest,
-            cover_edges=diagram.cover_edges if diagram else None,
+            cover_edges=_json_pairs(diagram.cover_edges) if diagram else None,
             search_stats=dict(res.search_stats),
             **({"timings": timings} if args.stats else {}),
         )
@@ -452,17 +476,34 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _json_tables(names, tables):
+    """The tnorms field, _named(names, tables), as _json renders it at a
+    key of the report, in pieces."""
+    leads = np.full(len(tables), ",\n    ", object)
+    leads[:1] = "[\n    "
+    heads = ["[\n      [\n        "] + ["\n      ],\n      [\n        "] * (len(names) - 1)
+    cells = [encode_basestring_ascii(s) for s in names]
+    yield from _table_text(tables, cells, ",\n        ", leads, heads, "\n      ]\n    ]")
+    yield "\n  ]" if len(tables) else "[]"
+
+
+def _json_pairs(pairs):
+    """The cover_edges field, a tuple of int pairs, as _json renders it at
+    a key of the report, in pieces."""
+    sep = "[\n    "
+    for start in range(0, len(pairs), _BLOCK):
+        block = pairs[start:start + _BLOCK]
+        yield sep + ",\n    ".join(["[\n      %d,\n      %d\n    ]" % e for e in block])
+        sep = ",\n    "
+    yield "\n  ]" if pairs else "[]"
+
+
 def _print_enumeration(p, res, maximal, greatest, diagram) -> None:
     print(f"t-norms found: {res.count}" + ("" if res.complete else "  (stopped at limit)"))
-    for k, table in enumerate(res.tables):
-        tags = []
-        if k in maximal:
-            tags.append("maximal")
-        if k == greatest:
-            tags.append("greatest")
-        suffix = f"  ({', '.join(tags)})" if tags else ""
-        print(f"\nT{k + 1}{suffix}")
-        print(_format_table(p.names, table))
+    leads = np.array([f"\nT{k + 1}\n" for k in range(res.count)], object)
+    for k in maximal:  # a greatest t-norm is the one maximal t-norm
+        leads[k] = f"\nT{k + 1}  (maximal{', greatest' if k == greatest else ''})\n"
+    sys.stdout.writelines(_text_tables(p.names, res.tables, leads))
     if diagram is not None:
         covers = ", ".join(f"T{u + 1} -> T{v + 1}" for u, v in diagram.cover_edges)
         print(f"\norder diagram covers: {covers if covers else 'none'}")

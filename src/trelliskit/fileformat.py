@@ -286,10 +286,19 @@ def _levels(n: int, covers) -> list[int]:
 
     The components come from one Tarjan pass over the cover edges, in
     reverse topological order, so a single sweep over them backwards
-    settles every depth.  O(n + number of covers)."""
+    settles every depth.  O(n + number of covers).  When every cover
+    goes up in index (an enumeration's order diagram, for one), index
+    order is already topological, and one sweep in it does the same."""
     succ: list[list[int]] = [[] for _ in range(n)]
     for u, v in covers:
         succ[u].append(v)
+    if all(u < v for u, v in covers):
+        depth = [0] * n
+        for x, below in enumerate(succ):
+            for y in below:
+                if depth[y] <= depth[x]:
+                    depth[y] = depth[x] + 1
+        return depth
     components = strong_components(succ)
     comp = [0] * n
     for c, members in enumerate(components):
@@ -329,5 +338,5 @@ def export_dot(diagram: HasseDiagram, names) -> str:
         out.append(f"  {q[u]} -> {q[v]} [dir=none, style=dashed];")
     for u, v in diagram.back_edges:
         out.append(f"  {q[u]} -> {q[v]};")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    out.append("}\n")  # ending the last line here spares a copy of the whole text
+    return "\n".join(out)

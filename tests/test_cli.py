@@ -1,14 +1,26 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trelliskit import cli, hasse, random_trellis
+from trelliskit import (
+    cli,
+    enumerate_tnorms,
+    enumeration,
+    hasse,
+    order_diagram,
+    random_bounded_psoset,
+    random_trellis,
+)
+from trelliskit.errors import LimitReached
 from trelliskit.fileformat import export_dot, make_document, serialize
 from trelliskit.fixtures import CARRIERS, bounded_chain, recorded_table
 
@@ -317,6 +329,153 @@ def test_stress_carrier_outputs_are_pinned(tmp_path, capsys, monkeypatch):
     assert got["dot_sha256"] == (
         "96a326e148a85ac98f2aeec1fc45d7e2b8176f2d0a37d8adf18c9c72121bbe88"
     )
+
+
+# The whole-report renderers enumerate used before it streamed its tables:
+# _named and _json for --json, and one _format_table per table for text.
+def _format_table(names, table) -> str:
+    width = max(len(s) for s in names)
+    cells = [[""] + list(names)]
+    cells += ([name] + row for name, row in zip(names, cli._named(names, table)))
+    return "\n".join(" ".join(f"{c:>{width}}" for c in row) for row in cells)
+
+
+def enumerate_oracles(path, limit=None, cap=None):
+    """enumerate's stdout with and without --json, each rendered whole."""
+    _, p, _, _ = cli._carrier(path)
+    try:
+        res = enumerate_tnorms(p, limit=limit, **({} if cap is None else {"cap": cap}))
+    except LimitReached as e:
+        res = e.result
+    diagram = order_diagram(res) if res.complete else None
+    report = cli._json({
+        "schema": cli.SCHEMA,
+        "command": "enumerate",
+        "file": path,
+        "count": res.count,
+        "complete": res.complete,
+        "tnorms": cli._named(p.names, res.tables),
+        "maximal": res.maximal,
+        "greatest": res.greatest,
+        "cover_edges": diagram.cover_edges if diagram else None,
+        "search_stats": dict(res.search_stats),
+    }) + "\n"
+    lines = [f"t-norms found: {res.count}" + ("" if res.complete else "  (stopped at limit)")]
+    for k, table in enumerate(res.tables):
+        tags = []
+        if k in res.maximal:
+            tags.append("maximal")
+        if k == res.greatest:
+            tags.append("greatest")
+        suffix = f"  ({', '.join(tags)})" if tags else ""
+        lines += [f"\nT{k + 1}{suffix}", _format_table(p.names, table)]
+    if diagram is not None:
+        covers = ", ".join(f"T{u + 1} -> T{v + 1}" for u, v in diagram.cover_edges)
+        lines.append(f"\norder diagram covers: {covers if covers else 'none'}")
+    lines.append(f"search stats: {dict(res.search_stats)}")
+    return report, "\n".join(lines) + "\n"
+
+
+def assert_streamed_as_rendered_whole(capsys, path, limit=None, cap=None):
+    report, text = enumerate_oracles(path, limit, cap)
+    argv = ["enumerate", path]
+    argv += [] if limit is None else ["--limit", str(limit)]
+    argv += [] if cap is None else ["--cap", str(cap)]
+    assert run(capsys, *argv, "--json") == (0, report, "")
+    assert run(capsys, *argv) == (0, text, "")
+
+
+BOUNDED = sorted(name for name in PINNED if PINNED[name]["exit_code"] == 0)
+
+
+@pytest.mark.parametrize("name", BOUNDED)
+def test_streamed_output_on_the_shipped_carriers(name, capsys):
+    assert_streamed_as_rendered_whole(capsys, str(DATA / name))
+
+
+def test_streamed_output_on_random_carriers(tmp_path, capsys):
+    rng = random.Random(3201)
+    for k in range(30):
+        make = random_trellis if k % 2 else random_bounded_psoset
+        path = tmp_path / f"random{k}.psoset"
+        path.write_text(serialize(make_document(make(rng, 3 + k % 4))))
+        assert_streamed_as_rendered_whole(capsys, str(path))
+
+
+@pytest.mark.parametrize("name, limit", [("pentagon.psoset", 2), ("fork8.psoset", 100)])
+def test_streamed_output_of_a_partial_result(name, limit, capsys):
+    assert_streamed_as_rendered_whole(capsys, str(DATA / name), limit=limit)
+    _, payload = run_json(capsys, "enumerate", str(DATA / name), "--limit", str(limit))
+    assert payload["complete"] is False and payload["cover_edges"] is None
+
+
+def test_streamed_output_of_no_tnorms(capsys, monkeypatch):
+    monkeypatch.setattr(
+        enumeration, "_tnorm_mask", lambda tabs, rel, top: np.zeros(len(tabs), bool)
+    )
+    assert_streamed_as_rendered_whole(capsys, PENTAGON)
+    payload = json.loads(run(capsys, "enumerate", PENTAGON, "--json")[1])
+    assert payload["count"] == 0 and payload["tnorms"] == [] and payload["cover_edges"] == []
+
+
+def test_streamed_output_escapes_names(tmp_path, capsys):
+    path = tmp_path / "awkward.psoset"
+    path.write_text(
+        "psoset-document v1\n"
+        'elements: 0 a\\ "b \u00e9 \u2603\U0001f600 1\n'
+        "relation:\n1 1 1 1 1 1\n0 1 0 0 0 1\n0 0 1 0 0 1\n0 0 0 1 0 1\n"
+        "0 0 0 0 1 1\n0 0 0 0 0 1\n",
+        encoding="utf-8",
+    )
+    assert_streamed_as_rendered_whole(capsys, str(path))
+    out = run(capsys, "enumerate", str(path), "--json")[1]
+    assert '"a\\\\"' in out and '"\\"b"' in out and '"\\u00e9"' in out
+    assert out.isascii()
+
+
+def test_streamed_output_where_n_to_the_n_passes_int64(tmp_path, capsys):
+    path = tmp_path / "chain16.psoset"
+    path.write_text(serialize(make_document(bounded_chain(16))))
+    assert 16**16 > np.iinfo(np.int64).max
+    assert_streamed_as_rendered_whole(capsys, str(path), limit=3, cap=16)
+
+
+@pytest.mark.parametrize("block", [1, 7, 763, 764])
+def test_streamed_output_longer_than_one_block(block, capsys, monkeypatch):
+    # fork8 has 764 t-norms; each write holds at most one block of tables
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    assert_streamed_as_rendered_whole(capsys, str(DATA / "fork8.psoset"))
+    writes = []
+    monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or len(text))
+    cli.main(["enumerate", str(DATA / "fork8.psoset"), "--json"])
+    longest = max(writes, key=len)
+    assert len(writes) > 764 // block and len(longest) < 1200 * block + 200
+
+
+@pytest.mark.parametrize("n", [1, 6, 300])
+def test_one_table_prints_as_before(n):
+    # construct prints its table this way; past 256 elements a cell's key
+    # takes two bytes
+    rng = np.random.default_rng(n)
+    names = [f"e{k}" for k in range(n)]
+    table = rng.integers(0, n, (n, n))
+    assert "".join(cli._text_tables(names, table[None], [""])) == (
+        _format_table(names, table) + "\n"
+    )
+
+
+def test_a_stdout_pipe_closed_early_ends_in_one_error_line():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "trelliskit.cli", "enumerate", str(DATA / "fork8.psoset"), "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()  # the report is 817,731 bytes, far more than a pipe holds
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=120) == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_verify_paper_smoke(capsys):

@@ -185,6 +185,17 @@ def test_levels_equal_the_oracle_on_random_digraphs():
     assert cyclic > 100
 
 
+def test_levels_of_covers_that_all_go_up_in_index():
+    # these take the one sweep in index order in place of the component
+    # pass, in whatever order the covers come
+    rng = random.Random(7)
+    for _ in range(500):
+        n = rng.randrange(1, 25)
+        covers = [(u, v) for u, v in random_digraph(rng, n) if u < v]
+        rng.shuffle(covers)
+        assert _levels(n, covers) == levels_oracle(n, covers)
+
+
 def test_levels_where_the_covers_reach_less_than_the_relation():
     # in a pseudo-order x <= y may hold with no chain of covers from x to
     # y, so the cover graph can have fewer or smaller cycles than rel

@@ -36,7 +36,7 @@ from .errors import (
     TrellisKitError,
     ValidationError,
 )
-from .fileformat import document_psoset, document_trellis, export_dot, parse
+from .fileformat import _dot_pieces, document_psoset, document_trellis, parse
 from .interior import UnaryMap, interior_from_subset, interior_range
 from .relation import co_atoms, hasse, maximal_cycles
 from .tnorms import (
@@ -145,9 +145,11 @@ def _print_report(names, rep) -> None:
 
 
 def _emit_dot(args, diagram, names) -> None:
-    """Write the diagram to the --dot path; callers build it only when
-    that option is given."""
-    Path(args.dot).write_text(export_dot(diagram, names))
+    """Write the diagram to the --dot path in pieces, to a file opened as
+    Path.write_text opens it; callers build it only when that option is
+    given."""
+    with Path(args.dot).open("w") as out:
+        out.writelines(_dot_pieces(diagram, names))
 
 
 def _print_times(times) -> None:
@@ -498,6 +500,17 @@ def _json_pairs(pairs):
     yield "\n  ]" if pairs else "[]"
 
 
+def _text_covers(pairs):
+    """The text mode's line of cover edges, in pieces of _BLOCK edges."""
+    yield "\norder diagram covers: "
+    sep = ""
+    for start in range(0, len(pairs), _BLOCK):
+        block = pairs[start:start + _BLOCK]
+        yield sep + ", ".join(["T%d -> T%d" % (u + 1, v + 1) for u, v in block])
+        sep = ", "
+    yield "\n" if pairs else "none\n"
+
+
 def _print_enumeration(p, res, maximal, greatest, diagram) -> None:
     print(f"t-norms found: {res.count}" + ("" if res.complete else "  (stopped at limit)"))
     leads = np.array([f"\nT{k + 1}\n" for k in range(res.count)], object)
@@ -505,8 +518,7 @@ def _print_enumeration(p, res, maximal, greatest, diagram) -> None:
         leads[k] = f"\nT{k + 1}  (maximal{', greatest' if k == greatest else ''})\n"
     sys.stdout.writelines(_text_tables(p.names, res.tables, leads))
     if diagram is not None:
-        covers = ", ".join(f"T{u + 1} -> T{v + 1}" for u, v in diagram.cover_edges)
-        print(f"\norder diagram covers: {covers if covers else 'none'}")
+        sys.stdout.writelines(_text_covers(diagram.cover_edges))
     print(f"search stats: {dict(res.search_stats)}")
 
 

@@ -12,18 +12,22 @@ domain with the precomputed mask of the values above (or below) the one
 just assigned.
 
 Associativity is checked incrementally, with the occurrence index of
-the SEM and Mace4 model finders: pairs[a] holds the ordered cells
-(x, y) with T(x, y) = a, and every write to the table goes through one
-put() that keeps it current.  After T(i, j) = T(j, i) = v only the
-equations E(x, y, z): T(T(x, y), z) = T(x, T(y, z)) the new cell can
-complete are tested, in two families: the cell as (x, y), for every z
-and both orientations (2n equations), and the cell as (T(x, y), z),
-that is z = j over pairs[i] and z = i over pairs[j].  That is enough:
-every equation whose four lookups the new cell completes uses it as
-(x, y), (y, z), (T(x, y), z) or (x, T(y, z)); on a symmetric table
-E(x, y, z) holds exactly when E(z, y, x) does, which maps the last two
-positions onto the first two; and every other fully-defined equation
-was checked when its own last cell was set.
+the SEM and Mace4 model finders: pairs[a] holds the searched cells
+(x, y), in both orientations, with T(x, y) = a.  Each list is a stack:
+every deeper cell is cleared before the search returns to a cell, so
+that cell's entries are the last of its value's list.  The neutral
+cells (x, top) and (top, x) stay out, as every equation they complete
+holds: T(x, T(top, y)) = T(x, y) and T(top, T(x, y)) = T(x, y).  After
+T(i, j) = T(j, i) = v only the equations E(x, y, z): T(T(x, y), z) =
+T(x, T(y, z)) the new cell can complete are tested, in two families:
+the cell as (x, y), for every z and both orientations (2n equations),
+and the cell as (T(x, y), z), that is z = j over pairs[i] and z = i
+over pairs[j].  That is enough: every equation whose four lookups the
+new cell completes uses it as (x, y), (y, z), (T(x, y), z) or
+(x, T(y, z)); on a symmetric table E(x, y, z) holds exactly when
+E(z, y, x) does, which maps the last two positions onto the first two;
+and every other fully-defined equation was checked when its own last
+cell was set.
 
 The search is one loop over an explicit stack indexed by depth (the
 values still to try, the domains on entry and the cell), so no carrier
@@ -143,42 +147,34 @@ def enumerate_tnorms(
     doms = [below[i] & below[j] for i, j in cells]
     m = len(cells)
 
+    tab = [[-1] * n for _ in range(n)]
+    for x in range(n):
+        tab[x][top] = tab[top][x] = x
     # Cellwise comparability (in either orientation, since the table is
-    # symmetric) is exactly what joint monotonicity constrains.  prune[k]
-    # lists each later comparable cell with the masks that bound it: the
-    # cells above k first, then the cells below, as the search tries them.
-    prune: list[list[tuple[int, list[int]]]] = []
+    # symmetric) is exactly what joint monotonicity constrains.  Depth k
+    # keeps its cell, the cell's two table rows, its index entries and the
+    # later comparable cells: those above it, bounded by up[v], and those
+    # below it, bounded by down[v].
+    steps = []
     for k, (i, j) in enumerate(cells):
         ri, rj, ci, cj = rel[i], rel[j], cols[i], cols[j]
-        above, under = [], []
+        hi_cells, lo_cells = [], []
         for k2 in range(k + 1, m):
             a, b = cells[k2]
             if ri[a] and rj[b] or ri[b] and rj[a]:
-                above.append((k2, up))
+                hi_cells.append(k2)
             if ci[a] and cj[b] or ci[b] and cj[a]:
-                under.append((k2, down))
-        prune.append(above + under)
+                lo_cells.append(k2)
+        mine = [(i, j)] if i == j else [(i, j), (j, i)]
+        steps.append((i, j, tab[i], tab[j], mine, hi_cells, lo_cells))
+    # the occurrence index, one stack of searched cells per value
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
-    tab = [[-1] * n for _ in range(n)]
-    pairs: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-
-    def put(i: int, j: int, v: int) -> None:
-        """T(i, j) = T(j, i) = v, or unassigned for v = -1, with pairs
-        kept current: the cells leave their old value's set first."""
-        old = tab[i][j]
-        if old >= 0:
-            pairs[old].difference_update(((i, j), (j, i)))
-        tab[i][j] = tab[j][i] = v
-        if v >= 0:
-            pairs[v].update(((i, j), (j, i)))
-
-    for x in range(n):
-        put(x, top, x)
-
-    def assoc_ok(i: int, j: int, v: int) -> bool:
-        """Every equation T(i, j) = v completes holds."""
+    def assoc_ok(mine: list[tuple[int, int]], v: int) -> bool:
+        """Every equation T(i, j) = T(j, i) = v completes holds; mine
+        lists the cell's orientations, (i, j) and (j, i), one if i = j."""
         row_v = tab[v]
-        for x, y in ((i, j),) if i == j else ((i, j), (j, i)):
+        for x, y in mine:
             # the cell as (x, y): T(v, z) = T(x, T(y, z))
             row_x = tab[x]
             for left, b in zip(row_v, tab[y]):
@@ -212,7 +208,10 @@ def enumerate_tnorms(
         checking += perf_counter() - start
 
     def finish(complete: bool) -> EnumerationResult:
-        tables = np.concatenate(chunks) if chunks else np.empty((0, n, n), np.int64)
+        if len(chunks) == 1:  # the sort below copies it, so no concatenation
+            tables = chunks[0]
+        else:
+            tables = np.concatenate(chunks) if chunks else np.empty((0, n, n), np.int64)
         keys = tables.reshape(kept, n * n).tolist()
         tables = tables[sorted(range(kept), key=keys.__getitem__)]
         return EnumerationResult(
@@ -231,8 +230,8 @@ def enumerate_tnorms(
             }),
         )
 
-    # Depth k has its cell cells[k], the domains on entry level[k] and the
-    # values it has still to try rest[k].  Depth m is a completed table.
+    # Depth k has its cell in steps[k], the domains on entry level[k] and
+    # the values it has still to try rest[k].  Depth m is a completed table.
     level: list[list[int]] = [doms] + [[]] * m
     rest = doms[:1] + [0] * m
     k = 0
@@ -252,31 +251,43 @@ def enumerate_tnorms(
                     )
             k -= 1
             continue
-        i, j = cells[k]
+        i, j, row_i, row_j, mine, hi_cells, lo_cells = steps[k]
+        old = row_i[j]
+        if old >= 0:  # the cell's entries leave its old value's stack
+            del pairs[old][-len(mine):]
         todo = rest[k]
         if not todo:
-            put(i, j, -1)
+            row_i[j] = row_j[i] = -1
             k -= 1
             continue
         low = todo & -todo
         rest[k] = todo ^ low
         v = low.bit_length() - 1
         nodes += 1
-        put(i, j, v)
-        if not assoc_ok(i, j, v):
+        row_i[j] = row_j[i] = v
+        pairs[v] += mine
+        if not assoc_ok(mine, v):
             assoc_prunes += 1
             continue
+        # one empty domain prunes the node; else the search goes deeper
         d = level[k][:]
-        for k2, bound in prune[k]:
-            d[k2] &= bound[v]
+        hi, lo = up[v], down[v]
+        for k2 in hi_cells:
+            d[k2] &= hi
             if not d[k2]:
-                monotone_prunes += 1
                 break
         else:
-            k += 1
-            level[k] = d
-            if k < m:
-                rest[k] = d[k]
+            for k2 in lo_cells:
+                d[k2] &= lo
+                if not d[k2]:
+                    break
+            else:
+                k += 1
+                level[k] = d
+                if k < m:
+                    rest[k] = d[k]
+                continue
+        monotone_prunes += 1
     if pending:
         flush()
     return finish(complete=True)

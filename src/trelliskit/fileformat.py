@@ -30,6 +30,7 @@ parsing.  ParseError carries 1-based line and column numbers.
 from __future__ import annotations
 
 import re
+from itertools import chain, islice
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -319,6 +320,15 @@ def export_dot(diagram: HasseDiagram, names) -> str:
     """DOT text: solid undirected covers, dashed unrelated-but-connected
     pairs, directed in-cycle edges; nodes ranked by diagram level.
     Names are quoted with backslash and double quote escaped."""
+    return "".join(_dot_pieces(diagram, names))
+
+
+_DOT_BLOCK = 4096  # lines per piece of DOT text
+
+
+def _dot_pieces(diagram: HasseDiagram, names):
+    """export_dot's text in pieces of _DOT_BLOCK lines each, so a writer
+    never holds the whole text."""
     n = len(names)
     q = ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in names]
 
@@ -327,16 +337,13 @@ def export_dot(diagram: HasseDiagram, names) -> str:
     for x, lev in enumerate(_levels(n, diagram.cover_edges)):
         ranks[lev].append(q[x])
 
-    out = ["digraph psoset {", "  rankdir=BT;", "  node [shape=plaintext];"]
-    for group in ranks:
-        if group:
-            out.append("  { rank=same; " + " ".join(f"{s};" for s in group) + " }")
-    for u, v in diagram.cover_edges:
-        if (u, v) not in back:
-            out.append(f"  {q[u]} -> {q[v]} [dir=none];")
-    for u, v in diagram.dashed_pairs:
-        out.append(f"  {q[u]} -> {q[v]} [dir=none, style=dashed];")
-    for u, v in diagram.back_edges:
-        out.append(f"  {q[u]} -> {q[v]};")
-    out.append("}\n")  # ending the last line here spares a copy of the whole text
-    return "\n".join(out)
+    lines = chain(
+        ["digraph psoset {", "  rankdir=BT;", "  node [shape=plaintext];"],
+        ("  { rank=same; " + " ".join(f"{s};" for s in group) + " }" for group in ranks if group),
+        (f"  {q[u]} -> {q[v]} [dir=none];" for u, v in diagram.cover_edges if (u, v) not in back),
+        (f"  {q[u]} -> {q[v]} [dir=none, style=dashed];" for u, v in diagram.dashed_pairs),
+        (f"  {q[u]} -> {q[v]};" for u, v in diagram.back_edges),
+        ["}"],
+    )
+    while block := list(islice(lines, _DOT_BLOCK)):
+        yield "\n".join(block) + "\n"

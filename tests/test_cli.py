@@ -15,6 +15,7 @@ from trelliskit import (
     cli,
     enumerate_tnorms,
     enumeration,
+    fileformat,
     hasse,
     order_diagram,
     random_bounded_psoset,
@@ -331,6 +332,25 @@ def test_stress_carrier_outputs_are_pinned(tmp_path, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_the_dot_file_is_written_in_pieces(block, tmp_path, capsys, monkeypatch):
+    # fork8's diagram takes 19,509 lines; each piece written holds at most
+    # one block of them, and the file keeps its pinned bytes
+    monkeypatch.setattr(fileformat, "_DOT_BLOCK", block)
+    pieces = []
+
+    def recorded(diagram, names):
+        for piece in fileformat._dot_pieces(diagram, names):
+            pieces.append(piece.count("\n"))
+            yield piece
+
+    monkeypatch.setattr(cli, "_dot_pieces", recorded)
+    monkeypatch.chdir(ROOT)
+    got = enumerate_outcome(capsys, "src/trelliskit/data/fork8.psoset", tmp_path / "out.dot")
+    assert got == PINNED["fork8.psoset"]
+    assert max(pieces) == min(block, sum(pieces)) and len(pieces) == -(-sum(pieces) // block)
+
+
 # The whole-report renderers enumerate used before it streamed its tables:
 # _named and _json for --json, and one _format_table per table for text.
 def _format_table(names, table) -> str:
@@ -450,6 +470,10 @@ def test_streamed_output_longer_than_one_block(block, capsys, monkeypatch):
     cli.main(["enumerate", str(DATA / "fork8.psoset"), "--json"])
     longest = max(writes, key=len)
     assert len(writes) > 764 // block and len(longest) < 1200 * block + 200
+    # the text mode too, its line of cover edges among them
+    writes.clear()
+    cli.main(["enumerate", str(DATA / "fork8.psoset")])
+    assert len(max(writes, key=len)) < 1200 * block + 200
 
 
 @pytest.mark.parametrize("n", [1, 6, 300])

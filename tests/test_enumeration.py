@@ -678,6 +678,17 @@ def test_shipped_search_counters_are_pinned(key):
     ) == SHIPPED_SEARCH[key]
 
 
+def test_eight_chain_search_is_pinned():
+    # the chains are the deepest searches, with the most associativity
+    # prunes; the digest was recorded before the occurrence index became
+    # per-value stacks without the neutral cells
+    res = enumerate_tnorms(bounded_chain(8))
+    assert pinned_summary(res) == (
+        2386, 18712, 0, 8637, 0,
+        "bcc76c0e0c73a0f05927bcb6a51ee844af3dc4dad1f88afb870254f6c70ee29b",
+    )
+
+
 def test_stress_carrier_search_counters_are_pinned():
     # the 3rd random_trellis(random.Random(7), 8), whose CLI output
     # tests/test_cli.py pins by SHA-256; here a drift shows as numbers

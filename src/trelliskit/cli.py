@@ -17,7 +17,6 @@ import json
 import sys
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
-from operator import countOf
 from pathlib import Path
 from time import perf_counter
 from types import GeneratorType
@@ -158,66 +157,13 @@ def _print_times(times) -> None:
         print(f"{name}: {seconds:.3f} s", file=sys.stderr)
 
 
-# How each exact scalar type renders; encode_basestring_ascii is the
-# stdlib's own (C) string encoder under ensure_ascii.
-_JSON_SCALAR = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _json_key(key) -> str:
-    """A dict key as the stdlib converts it before encoding it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return json.dumps(key)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-    )
-
-
-def _json(obj, nl: str = "\n") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with nl
-    as the newline and indent that obj itself sits at.
-
-    On Python 3.10 and 3.11 any indent sends the stdlib to its
-    pure-Python encoder; this writes each container as one join.
-    Floats, scalar subclasses and unknown types go to json.dumps, so
-    they render, or raise TypeError, as they do there.  Reports are
-    trees, so no check for circular references is made."""
-    scalar = _JSON_SCALAR.get(type(obj))
-    if scalar is not None:
-        return scalar(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        first = type(obj[0])
-        scalar = _JSON_SCALAR.get(first)
-        if scalar is not None and countOf(map(type, obj), first) == len(obj):
-            items = map(scalar, obj)
-        else:  # mixed types render item by item
-            items = [_json(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = nl + "  "
-        items = [
-            f"{encode_basestring_ascii(_json_key(k))}: {_json(v, inner)}"
-            for k, v in sorted(obj.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    return json.dumps(obj)
-
-
 def _print_json(args, **fields) -> None:
-    """Print a report: fields plus the schema and the command name.  A
-    field given as a generator is written as the text pieces it yields,
-    so that a long list need never be held as one str."""
+    """Print a report, fields plus the schema and the command name, as
+    json.dumps(report, indent=2, sort_keys=True) renders it.  A field
+    given as a generator is written as the text pieces it yields, so that
+    a long list need never be held as one str; every other field is the
+    stdlib's rendering moved in one level, which is exact, since the
+    stdlib escapes every newline inside a string."""
     report = {"schema": SCHEMA, "command": args.command, **fields}
     out = sys.stdout
     sep = "{"
@@ -226,7 +172,7 @@ def _print_json(args, **fields) -> None:
         if isinstance(value, GeneratorType):
             out.writelines(value)
         else:
-            out.write(_json(value, "\n  "))
+            out.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
         sep = ","
     out.write("\n}\n")
 
@@ -479,8 +425,8 @@ def cmd_enumerate(args) -> int:
 
 
 def _json_tables(names, tables):
-    """The tnorms field, _named(names, tables), as _json renders it at a
-    key of the report, in pieces."""
+    """The tnorms field, _named(names, tables), as json.dumps renders it
+    at a key of the report, in pieces."""
     leads = np.full(len(tables), ",\n    ", object)
     leads[:1] = "[\n    "
     heads = ["[\n      [\n        "] + ["\n      ],\n      [\n        "] * (len(names) - 1)
@@ -490,8 +436,8 @@ def _json_tables(names, tables):
 
 
 def _json_pairs(pairs):
-    """The cover_edges field, a tuple of int pairs, as _json renders it at
-    a key of the report, in pieces."""
+    """The cover_edges field, a tuple of int pairs, as json.dumps renders
+    it at a key of the report, in pieces."""
     sep = "[\n    "
     for start in range(0, len(pairs), _BLOCK):
         block = pairs[start:start + _BLOCK]

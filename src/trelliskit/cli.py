@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
 from dataclasses import fields
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import __version__, reproduction
 from .elements import ALPHAS, classify, right_transitive_set
-from .enumeration import enumerate_tnorms, order_diagram
+from .enumeration import DEFAULT_CAP, enumerate_tnorms, order_diagram
 from .errors import (
     LimitReached,
     NotATrellis,
@@ -35,9 +34,9 @@ from .errors import (
     TrellisKitError,
     ValidationError,
 )
-from .fileformat import _dot_pieces, document_psoset, document_trellis, parse
+from .fileformat import _check_tables, _dot_pieces, _read, document_psoset
 from .interior import UnaryMap, interior_from_subset, interior_range
-from .relation import co_atoms, hasse, maximal_cycles
+from .relation import _require_cap, co_atoms, hasse, maximal_cycles
 from .tnorms import (
     TnormReport,
     check,
@@ -48,7 +47,7 @@ from .tnorms import (
     t_join_cover,
     tnorm_via_interior,
 )
-from .trellis import check_skala_axioms, structure_kind
+from .trellis import build_trellis, check_skala_axioms, structure_kind
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -60,20 +59,6 @@ SCHEMA = "trelliskit-report/1"
 
 # the ten TnormReport flags, in field order
 _REPORT_FLAGS = tuple(f.name for f in fields(TnormReport) if f.name != "witnesses")
-
-
-def _read_document(path: str):
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line_start = data.rfind(b"\n", 0, e.start) + 1
-        raise ParseError(
-            data.count(b"\n", 0, e.start) + 1,
-            len(data[line_start:e.start].decode("utf-8")) + 1,
-            f"not UTF-8 text (byte {data[e.start]:#04x})",
-        ) from None
-    return parse(io.StringIO(text, newline=None).read())  # universal newlines
 
 
 def _element(p, name: str) -> int:
@@ -177,19 +162,24 @@ def _print_json(args, **fields) -> None:
     out.write("\n}\n")
 
 
-def _carrier(path: str):
+def _carrier(path: str, cap: int | None = None):
     """(document, carrier, kind, gap) for the document at path.
 
     The carrier is the document's trellis, with any declared meet/join
     tables checked against it, or its psoset when it is no trellis; gap
     is then the NotATrellis saying why, and None otherwise.  kind is the
-    carrier's StructureKind."""
-    doc = _read_document(path)
+    carrier's StructureKind.  Given a cap, a carrier of more elements is
+    refused once its relation is valid, before its meets and joins are
+    built."""
+    doc = _read(Path(path).read_bytes())
+    p = document_psoset(doc)  # ValidationError propagates -> exit 2
+    if cap is not None:
+        _require_cap(p, cap)  # CarrierTooLarge -> exit 4
     try:
-        t, kind = document_trellis(doc)  # ValidationError propagates -> exit 2
+        t, kind = build_trellis(p)
     except NotATrellis as gap:
-        p = document_psoset(doc)
         return doc, p, structure_kind(p), gap
+    _check_tables(doc, t)  # ValidationError propagates -> exit 2
     return doc, t, kind, None
 
 
@@ -379,12 +369,9 @@ def cmd_construct(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise PreconditionViolated(f"--limit must be positive, got {args.limit}")
-    _, p, _, _ = _carrier(args.file)
-    kwargs = {}
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
+    _, p, _, _ = _carrier(args.file, args.cap)
     try:
-        res = enumerate_tnorms(p, limit=args.limit, **kwargs)
+        res = enumerate_tnorms(p, limit=args.limit, cap=args.cap)
     except LimitReached as e:
         res = e.result
 
@@ -536,7 +523,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     sp = commands["enumerate"]
     sp.add_argument("--limit", type=int, default=None, help="stop after N t-norms")
-    sp.add_argument("--cap", type=int, default=None, help="carrier size guard")
+    sp.add_argument(
+        "--cap", type=int, default=DEFAULT_CAP,
+        help="carrier size guard (default: %(default)s elements)",
+    )
     sp.add_argument(
         "--stats", action="store_true",
         help="print the wall time of each phase that ran (search, final check, "

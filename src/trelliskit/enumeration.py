@@ -61,6 +61,7 @@ from .relation import (
 from .tnorms import BinaryOpTable, _order_rows, _tnorm_mask
 
 _CHECK_CHUNK = 64  # completed tables per axiom-kernel call
+DEFAULT_CAP = 10  # largest carrier enumerate_tnorms takes unless told otherwise
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +116,7 @@ class EnumerationResult:
 
 
 def enumerate_tnorms(
-    p: Psoset, limit: int | None = None, cap: int = 10
+    p: Psoset, limit: int | None = None, cap: int = DEFAULT_CAP
 ) -> EnumerationResult:
     """All t-norms on a bounded psoset or trellis with at most `cap` elements.
 

@@ -29,6 +29,7 @@ parsing.  ParseError carries 1-based line and column numbers.
 
 from __future__ import annotations
 
+import io
 import re
 from itertools import chain, islice
 from collections.abc import Mapping
@@ -79,136 +80,130 @@ class PsosetDocument:
         return len(self.names)
 
 
-def _tokens(line: str):
-    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+_BITS = {"0": False, "1": True}
+_NOT_A_BIT = "relation entries are 0 or 1, got {!r}"
+_UNKNOWN = "unknown element name {!r}"
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.raw = text.split("\n")
-        self.pos = 0
+def _column(line: str, k: int) -> int:
+    """The 1-based column of token k of line.split()."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", line)][k]
 
-    def next_content(self):
-        """(line_number, line) of the next non-blank line, or None."""
-        while self.pos < len(self.raw):
-            line = self.raw[self.pos]
-            self.pos += 1
-            if line.strip():
-                return self.pos, line
-        return None
+
+def _cells(toks, values, message, lineno, line, start=0):
+    """toks, the tokens of line[start:], each read through values; a
+    ParseError at the first one that values lacks."""
+    try:
+        return [values[tok] for tok in toks]
+    except KeyError:
+        k = next(k for k, tok in enumerate(toks) if tok not in values)
+        col = start + _column(line[start:], k)
+        raise ParseError(lineno, col, message.format(toks[k])) from None
 
 
 def parse(text: str) -> PsosetDocument:
-    """Parse document text; ParseError points at the first offence."""
-    lines = _Lines(text)
+    """Parse document text; ParseError points at the first offence.
 
-    got = lines.next_content()
-    if got is None or got[1].strip() != HEADER:
-        lineno = got[0] if got else 1
+    Each content (non-blank) line is read once, from one iterator of
+    (line number, line) pairs; a file that ends early is reported one
+    line past its last."""
+    lines = text.split("\n")
+    content = ((k, line) for k, line in enumerate(lines, 1) if line.strip())
+    ended = (len(lines) + 1, "")
+
+    lineno, line = next(content, (1, ""))
+    if line.strip() != HEADER:
         raise ParseError(lineno, 1, f"expected header {HEADER!r}")
 
-    got = lines.next_content()
-    if got is None or not got[1].startswith("elements:"):
-        lineno = got[0] if got else lines.pos + 1
+    lineno, line = next(content, ended)
+    if not line.startswith("elements:"):
         raise ParseError(lineno, 1, "expected 'elements:' line")
-    lineno, line = got
-    names: list[str] = []
-    for col, tok in _tokens(line[len("elements:"):]):
-        tok_col = col + len("elements:")
-        if tok in names:
-            raise ParseError(lineno, tok_col, f"duplicate element name {tok!r}")
-        names.append(tok)
+    names = line[len("elements:"):].split()
+    index = {s: k for k, s in enumerate(names)}
+    if len(index) < len(names):
+        k = next(k for k, s in enumerate(names) if names.index(s) < k)
+        col = len("elements:") + _column(line[len("elements:"):], k)
+        raise ParseError(lineno, col, f"duplicate element name {names[k]!r}")
     if not names:
         raise ParseError(lineno, 1, "no element names given")
     n = len(names)
-    index = {s: k for k, s in enumerate(names)}
 
-    def read_rows(kind: str, convert):
+    def table(kind, values, message, dtype):
         rows = []
         for _ in range(n):
-            got = lines.next_content()
-            if got is None:
-                raise ParseError(
-                    lines.pos + 1, 1, f"{kind} needs {n} rows, file ended early"
-                )
-            lineno, line = got
-            toks = _tokens(line)
+            lineno, line = next(content, ended)
+            if not line:
+                raise ParseError(lineno, 1, f"{kind} needs {n} rows, file ended early")
+            toks = line.split()
             if len(toks) != n:
                 raise ParseError(
                     lineno, 1, f"{kind} row needs {n} entries, got {len(toks)}"
                 )
-            rows.append([convert(lineno, col, tok) for col, tok in toks])
-        return rows
+            rows.append(_cells(toks, values, message, lineno, line))
+        return np.array(rows, dtype=dtype)
 
-    def to_bit(lineno, col, tok):
-        if tok not in ("0", "1"):
-            raise ParseError(lineno, col, f"relation entries are 0 or 1, got {tok!r}")
-        return tok == "1"
-
-    def to_element(lineno, col, tok):
-        if tok not in index:
-            raise ParseError(lineno, col, f"unknown element name {tok!r}")
-        return index[tok]
-
-    got = lines.next_content()
-    if got is None or got[1].strip() != "relation:":
-        lineno = got[0] if got else lines.pos + 1
+    lineno, line = next(content, ended)
+    if line.strip() != "relation:":
         raise ParseError(lineno, 1, "expected 'relation:' line")
-    rel = np.array(read_rows("relation", to_bit), dtype=bool)
+    rel = table("relation", _BITS, _NOT_A_BIT, bool)
 
-    meet = join = None
+    tables: dict[str, np.ndarray] = {}
     subsets: dict[str, tuple[int, ...]] = {}
     maps: dict[str, np.ndarray] = {}
     ops: dict[str, np.ndarray] = {}
-    while True:
-        got = lines.next_content()
-        if got is None:
-            return PsosetDocument(tuple(names), rel, meet, join, subsets, maps, ops)
-        lineno, line = got
+    for lineno, line in content:
         stripped = line.strip()
-        if stripped == "meet:":
-            if meet is not None:
-                raise ParseError(lineno, 1, "duplicate meet block")
-            meet = np.array(read_rows("meet", to_element), dtype=np.int64)
-        elif stripped == "join:":
-            if join is not None:
-                raise ParseError(lineno, 1, "duplicate join block")
-            join = np.array(read_rows("join", to_element), dtype=np.int64)
-        else:
-            m = re.match(r"\s*(subset|map|op)\s+(\S+):", line)
-            if not m:
-                raise ParseError(lineno, 1, f"unrecognized line {stripped!r}")
-            kind, name = m.group(1), m.group(2)
-            store = {"subset": subsets, "map": maps, "op": ops}[kind]
-            if name in store:
-                raise ParseError(lineno, 1, f"duplicate {kind} {name!r}")
-            rest = line[m.end():]
-            if kind == "op":
-                if rest.strip():
-                    raise ParseError(
-                        lineno, m.end() + 1, "op table starts on the next line"
-                    )
-                ops[name] = np.array(
-                    read_rows(f"op {name}", to_element), dtype=np.int64
+        if stripped in ("meet:", "join:"):
+            kind = stripped[:-1]
+            if kind in tables:
+                raise ParseError(lineno, 1, f"duplicate {kind} block")
+            tables[kind] = table(kind, index, _UNKNOWN, np.int64)
+            continue
+        m = re.match(r"\s*(subset|map|op)\s+(\S+):", line)
+        if not m:
+            raise ParseError(lineno, 1, f"unrecognized line {stripped!r}")
+        kind, name = m.groups()
+        store = {"subset": subsets, "map": maps, "op": ops}[kind]
+        if name in store:
+            raise ParseError(lineno, 1, f"duplicate {kind} {name!r}")
+        toks = line[m.end():].split()
+        if kind == "op":
+            if toks:
+                raise ParseError(lineno, m.end() + 1, "op table starts on the next line")
+            ops[name] = table(f"op {name}", index, _UNKNOWN, np.int64)
+            continue
+        members = _cells(toks, index, _UNKNOWN, lineno, line, m.end())
+        if kind == "map":
+            if len(members) != n:
+                raise ParseError(
+                    lineno, 1, f"map {name!r} needs {n} entries, got {len(members)}"
                 )
-                continue
-            toks = [
-                (col + m.end(), to_element(lineno, col + m.end(), tok))
-                for col, tok in _tokens(rest)
-            ]
-            if kind == "subset":
-                members = [v for _, v in toks]
-                if not members:
-                    raise ParseError(lineno, 1, f"subset {name!r} is empty")
-                if len(set(members)) != len(members):
-                    raise ParseError(lineno, toks[0][0], f"subset {name!r} repeats members")
-                subsets[name] = tuple(sorted(members))
-            else:
-                if len(toks) != n:
-                    raise ParseError(
-                        lineno, 1, f"map {name!r} needs {n} entries, got {len(toks)}"
-                    )
-                maps[name] = np.array([v for _, v in toks], dtype=np.int64)
+            maps[name] = np.array(members, dtype=np.int64)
+        elif not members:
+            raise ParseError(lineno, 1, f"subset {name!r} is empty")
+        elif len(set(members)) != len(members):
+            col = m.end() + _column(line[m.end():], 0)
+            raise ParseError(lineno, col, f"subset {name!r} repeats members")
+        else:
+            subsets[name] = tuple(sorted(members))
+    meet, join = tables.get("meet"), tables.get("join")
+    return PsosetDocument(tuple(names), rel, meet, join, subsets, maps, ops)
+
+
+def _read(data: bytes) -> PsosetDocument:
+    """The document in data, decoded as UTF-8 and read with universal
+    newlines, as a file opened in text mode is; a byte that is not UTF-8
+    is a ParseError at its line and column."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_start = data.rfind(b"\n", 0, e.start) + 1
+        raise ParseError(
+            data.count(b"\n", 0, e.start) + 1,
+            len(data[line_start:e.start].decode("utf-8")) + 1,
+            f"not UTF-8 text (byte {data[e.start]:#04x})",
+        ) from None
+    return parse(io.StringIO(text, newline=None).read())
 
 
 def _table_lines(names, table) -> list[str]:
@@ -245,6 +240,13 @@ def document_trellis(doc: PsosetDocument) -> tuple[Trellis, StructureKind]:
     """Build the trellis from the relation and cross-check any declared
     meet/join tables against the computed ones."""
     t, kind = build_trellis(document_psoset(doc))
+    _check_tables(doc, t)
+    return t, kind
+
+
+def _check_tables(doc: PsosetDocument, t: Trellis) -> None:
+    """Raise ValidationError at the first cell where a declared meet or
+    join table disagrees with the trellis t built from doc's relation."""
     for label, declared, computed in (
         ("meet", doc.meet, t.meet),
         ("join", doc.join, t.join),
@@ -258,7 +260,6 @@ def document_trellis(doc: PsosetDocument) -> tuple[Trellis, StructureKind]:
                 f"{doc.names[int(computed[x, y])]} computed",
                 [(x, y)],
             )
-    return t, kind
 
 
 def make_document(

@@ -28,7 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from .fileformat import PsosetDocument, document_psoset, document_trellis, parse
+from .fileformat import PsosetDocument, _read, document_psoset, document_trellis
 from .relation import Psoset, validate_psoset
 from .tnorms import BinaryOpTable, make_op
 from .trellis import Trellis, _as_trellis
@@ -58,7 +58,7 @@ _FILES = {
 def carrier_document(key: str) -> PsosetDocument:
     """The parsed shipped document of a carrier, shared by every caller."""
     path = resources.files(__package__) / "data" / f"{_FILES[key]}.psoset"
-    return parse(path.read_text(encoding="utf-8"))
+    return _read(path.read_bytes())
 
 
 @lru_cache(maxsize=None)

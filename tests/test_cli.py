@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ from trelliskit import (
     order_diagram,
     random_bounded_psoset,
     random_trellis,
+    trellis,
 )
 from trelliskit.errors import LimitReached
 from trelliskit.fileformat import export_dot, make_document, serialize
@@ -208,6 +210,39 @@ def test_enumerate_refuses_unbounded(capsys):
 def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", str(DATA / "fork8.psoset"), "--cap", "6")
     assert code == 4 and "cap is 6" in err and "--cap" in err  # the CLI's option
+
+
+def test_enumerate_refuses_an_over_cap_carrier_before_its_meets_and_joins(
+    tmp_path, capsys, monkeypatch
+):
+    chain = tmp_path / "chain11.psoset"
+    chain.write_text(serialize(make_document(bounded_chain(11))))
+
+    def built(p):
+        raise AssertionError("meet and join tables built for an over-cap carrier")
+
+    monkeypatch.setattr(trellis, "_pair_tables", built)
+    code, _, err = run(capsys, "enumerate", str(chain))
+    assert code == 4 and "cap is 10" in err
+
+
+def test_enumerate_checks_the_relation_then_the_cap_then_the_declared_tables(
+    tmp_path, capsys
+):
+    doc = fileformat.parse((DATA / "pentagon.psoset").read_text())
+    meet = doc.meet.copy()
+    meet[1, 2] = 4  # a ^ b is a, not 1
+    path = tmp_path / "wrong_meet.psoset"
+    path.write_text(serialize(dataclasses.replace(doc, meet=meet)))
+    code, _, err = run(capsys, "enumerate", str(path))
+    assert code == 2 and "declared meet table disagrees" in err
+    code, _, err = run(capsys, "enumerate", str(path), "--cap", "4")
+    assert code == 4 and "cap is 4" in err
+    rel = doc.rel.copy()
+    rel[4, 0] = True  # 1 <= 0 as well as 0 <= 1
+    path.write_text(serialize(dataclasses.replace(doc, rel=rel, meet=meet)))
+    code, _, err = run(capsys, "enumerate", str(path), "--cap", "4")
+    assert code == 2 and "mutually related" in err
 
 
 def test_enumerate_deep_search_stops_at_limit(tmp_path, capsys):
@@ -647,7 +682,8 @@ def test_the_parser_is_built_once_and_keeps_no_flags(capsys):
     assert code == 0 and err == ""
     assert out.startswith("t-norms found: 2  (stopped at limit)\n")
     args = cli._parser().parse_args(["enumerate", PENTAGON])
-    assert not (args.json or args.stats or args.dot or args.limit or args.cap)
+    assert not (args.json or args.stats or args.dot or args.limit)
+    assert args.cap == enumeration.DEFAULT_CAP
 
 
 def test_the_cached_parser_calls_the_handler_bound_at_call_time(capsys, monkeypatch):

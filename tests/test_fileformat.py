@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from trelliskit import (
     document_psoset,
     document_trellis,
     export_dot,
+    fileformat,
     fixtures,
     hasse,
     make_document,
@@ -303,13 +305,13 @@ def test_every_cached_document_is_read_only(key):
 
 def test_the_cached_op_tables_are_read_only(monkeypatch):
     # no shipped document has an op line, so give the pentagon one
-    real = fixtures.parse
+    real = fileformat.parse
 
     def with_op(text):
         doc = real(text)
         return dataclasses.replace(doc, ops={"T": np.array(doc.meet)})
 
-    monkeypatch.setattr(fixtures, "parse", with_op)
+    monkeypatch.setattr(fileformat, "parse", with_op)
     doc = fixtures.carrier_document.__wrapped__("pentagon")
     with pytest.raises(ValueError):
         doc.ops["T"][0, 0] = 1
@@ -338,3 +340,248 @@ def test_the_cached_documents_cannot_be_rebound():
         fixtures.carrier_document("hourglass7").subsets = {"rtr": (0,)}
     assert fixtures.carrier_document("hourglass7").subsets["rtr"] != (0,)
     assert reproduction.criterion_7().passed
+
+
+# --- the parser as it stood, as an oracle ------------------------------------
+#
+# parse read each line through a regex tokenizer, converted each cell with
+# a closure and kept a line cursor object.  The one-pass parser must give
+# the same document, or the same ParseError line, column and message.
+
+
+def _tokens_oracle(line):
+    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+
+
+class _LinesOracle:
+    def __init__(self, text):
+        self.raw = text.split("\n")
+        self.pos = 0
+
+    def next_content(self):
+        while self.pos < len(self.raw):
+            line = self.raw[self.pos]
+            self.pos += 1
+            if line.strip():
+                return self.pos, line
+        return None
+
+
+def parse_oracle(text):
+    lines = _LinesOracle(text)
+
+    got = lines.next_content()
+    if got is None or got[1].strip() != fileformat.HEADER:
+        lineno = got[0] if got else 1
+        raise ParseError(lineno, 1, f"expected header {fileformat.HEADER!r}")
+
+    got = lines.next_content()
+    if got is None or not got[1].startswith("elements:"):
+        lineno = got[0] if got else lines.pos + 1
+        raise ParseError(lineno, 1, "expected 'elements:' line")
+    lineno, line = got
+    names = []
+    for col, tok in _tokens_oracle(line[len("elements:"):]):
+        tok_col = col + len("elements:")
+        if tok in names:
+            raise ParseError(lineno, tok_col, f"duplicate element name {tok!r}")
+        names.append(tok)
+    if not names:
+        raise ParseError(lineno, 1, "no element names given")
+    n = len(names)
+    index = {s: k for k, s in enumerate(names)}
+
+    def read_rows(kind, convert):
+        rows = []
+        for _ in range(n):
+            got = lines.next_content()
+            if got is None:
+                raise ParseError(
+                    lines.pos + 1, 1, f"{kind} needs {n} rows, file ended early"
+                )
+            lineno, line = got
+            toks = _tokens_oracle(line)
+            if len(toks) != n:
+                raise ParseError(
+                    lineno, 1, f"{kind} row needs {n} entries, got {len(toks)}"
+                )
+            rows.append([convert(lineno, col, tok) for col, tok in toks])
+        return rows
+
+    def to_bit(lineno, col, tok):
+        if tok not in ("0", "1"):
+            raise ParseError(lineno, col, f"relation entries are 0 or 1, got {tok!r}")
+        return tok == "1"
+
+    def to_element(lineno, col, tok):
+        if tok not in index:
+            raise ParseError(lineno, col, f"unknown element name {tok!r}")
+        return index[tok]
+
+    got = lines.next_content()
+    if got is None or got[1].strip() != "relation:":
+        lineno = got[0] if got else lines.pos + 1
+        raise ParseError(lineno, 1, "expected 'relation:' line")
+    rel = np.array(read_rows("relation", to_bit), dtype=bool)
+
+    meet = join = None
+    subsets, maps, ops = {}, {}, {}
+    while True:
+        got = lines.next_content()
+        if got is None:
+            return fileformat.PsosetDocument(
+                tuple(names), rel, meet, join, subsets, maps, ops
+            )
+        lineno, line = got
+        stripped = line.strip()
+        if stripped == "meet:":
+            if meet is not None:
+                raise ParseError(lineno, 1, "duplicate meet block")
+            meet = np.array(read_rows("meet", to_element), dtype=np.int64)
+        elif stripped == "join:":
+            if join is not None:
+                raise ParseError(lineno, 1, "duplicate join block")
+            join = np.array(read_rows("join", to_element), dtype=np.int64)
+        else:
+            m = re.match(r"\s*(subset|map|op)\s+(\S+):", line)
+            if not m:
+                raise ParseError(lineno, 1, f"unrecognized line {stripped!r}")
+            kind, name = m.group(1), m.group(2)
+            store = {"subset": subsets, "map": maps, "op": ops}[kind]
+            if name in store:
+                raise ParseError(lineno, 1, f"duplicate {kind} {name!r}")
+            rest = line[m.end():]
+            if kind == "op":
+                if rest.strip():
+                    raise ParseError(
+                        lineno, m.end() + 1, "op table starts on the next line"
+                    )
+                ops[name] = np.array(
+                    read_rows(f"op {name}", to_element), dtype=np.int64
+                )
+                continue
+            toks = [
+                (col + m.end(), to_element(lineno, col + m.end(), tok))
+                for col, tok in _tokens_oracle(rest)
+            ]
+            if kind == "subset":
+                members = [v for _, v in toks]
+                if not members:
+                    raise ParseError(lineno, 1, f"subset {name!r} is empty")
+                if len(set(members)) != len(members):
+                    raise ParseError(lineno, toks[0][0], f"subset {name!r} repeats members")
+                subsets[name] = tuple(sorted(members))
+            else:
+                if len(toks) != n:
+                    raise ParseError(
+                        lineno, 1, f"map {name!r} needs {n} entries, got {len(toks)}"
+                    )
+                maps[name] = np.array([v for _, v in toks], dtype=np.int64)
+
+
+def _outcome(reader, text):
+    """reader's document for text, field by field, or its ParseError as
+    (line, column, message)."""
+    try:
+        doc = reader(text)
+    except ParseError as e:
+        return ("error", e.line, e.column, e.message)
+
+    def array(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tolist())
+
+    return (
+        doc.names,
+        array(doc.rel),
+        array(doc.meet),
+        array(doc.join),
+        dict(doc.subsets),
+        {k: array(v) for k, v in doc.maps.items()},
+        {k: array(v) for k, v in doc.ops.items()},
+    )
+
+
+def assert_parsed_as_before(text):
+    assert _outcome(parse, text) == _outcome(parse_oracle, text), repr(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(mutated_documents(), st.text()))
+def test_parse_agrees_with_the_oracle(text):
+    assert_parsed_as_before(text)
+
+
+PENTAGON_TEXT = (DATA / "pentagon.psoset").read_text()
+
+
+@pytest.mark.parametrize("pad", ["\x0b", "\x1c", "\xa0", "\u2003", "\r", "\x85"])
+def test_parse_agrees_on_unusual_whitespace(pad):
+    lines = PENTAGON_TEXT.split("\n")
+    for k in range(len(lines)):
+        padded = lines.copy()
+        padded[k] = pad + lines[k] + pad
+        assert_parsed_as_before("\n".join(padded))
+        padded[k] = lines[k].replace(" ", pad)
+        assert_parsed_as_before("\n".join(padded))
+        padded[k] = pad
+        assert_parsed_as_before("\n".join(padded))
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        # a name glued to the elements: label still counts
+        (GOOD.replace("elements: 0", "elements:0"), None),
+        (GOOD.replace("elements: 0 a", "elements:a a"), (2, 12, "duplicate element name 'a'")),
+        (GOOD.replace("elements: 0 a 1", "elements:"), (2, 1, "no element names given")),
+        (GOOD.replace("elements:", " elements:"), (2, 1, "expected 'elements:' line")),
+        # an op line with text after its colon
+        (GOOD + "op T: 0\n", (7, 6, "op table starts on the next line")),
+        (GOOD + "op T:x 0\n", (7, 6, "op table starts on the next line")),
+        (GOOD + "  op T:\n0 0 0\n0 a a\n0 a 1\n", None),
+        # a subset that repeats members, spaced or glued to its colon
+        (GOOD + "subset s: a  1 a\n", (7, 11, "subset 's' repeats members")),
+        (GOOD + "subset s:a a\n", (7, 10, "subset 's' repeats members")),
+        (GOOD + "subset s: a z\n", (7, 13, "unknown element name 'z'")),
+        (GOOD + "subset s:z\n", (7, 10, "unknown element name 'z'")),
+        (GOOD + "subset s:\n", (7, 1, "subset 's' is empty")),
+        (GOOD + "subset s:t: a\n", None),
+        (GOOD + "map f: 0 a\n", (7, 1, "map 'f' needs 3 entries, got 2")),
+        (GOOD + "map f: 0 a q\n", (7, 12, "unknown element name 'q'")),
+        (GOOD + "subsets: 0\n", (7, 1, "unrecognized line 'subsets: 0'")),
+        (GOOD + "meet:\n0 0 0\n0 a\n", (9, 1, "meet row needs 3 entries, got 2")),
+        (GOOD + "join:\n0 0 0\n", (10, 1, "join needs 3 rows, file ended early")),
+        (GOOD.replace("0 1 1\n", "0 1 x\n"), (5, 5, "relation entries are 0 or 1, got 'x'")),
+        # columns count every whitespace character as one
+        (GOOD.replace("0 1 1\n", "\x0b2\x1c1 1\n"), (5, 2, "relation entries are 0 or 1, got '2'")),
+        (GOOD + "subset s:\xa0z\n", (7, 11, "unknown element name 'z'")),
+        (GOOD.replace("elements: 0 a", "elements:\ta\ta"), (2, 13, "duplicate element name 'a'")),
+        ("\n\n", (1, 1, "expected header 'psoset-document v1'")),
+        ("psoset-document v1\n", (3, 1, "expected 'elements:' line")),
+    ],
+)
+def test_parse_agrees_on_the_edge_cases(text, outcome):
+    assert_parsed_as_before(text)
+    if outcome is None:
+        parse(text)
+    else:
+        e = perr(text)
+        assert (e.line, e.column, e.message) == outcome
+
+
+def test_the_reader_takes_every_newline_convention():
+    lf = fileformat._read(PENTAGON_TEXT.encode())
+    assert _outcome(lambda t: lf, "") == _outcome(parse, PENTAGON_TEXT)
+    for newline in ("\r\n", "\r"):
+        data = PENTAGON_TEXT.replace("\n", newline).encode()
+        assert _outcome(lambda t: fileformat._read(data), "") == _outcome(lambda t: lf, "")
+
+
+def test_the_reader_reports_a_byte_that_is_not_utf8():
+    data = PENTAGON_TEXT.replace("elements: 0", "elements: \u00e90").encode()
+    at = data.index(b"0 a b")
+    with pytest.raises(ParseError) as info:
+        fileformat._read(data[:at] + b"\xff" + data[at:])
+    e = info.value
+    # line 2, after the 11 characters "elements: \u00e9", which take 12 bytes
+    assert (e.line, e.column, e.message) == (2, 12, "not UTF-8 text (byte 0xff)")

@@ -5,7 +5,9 @@ and running out of memory, among them), 2 validation violations in the
 input, 3 file parse errors (a file that is not UTF-8 text among them),
 4 unsatisfied preconditions (no bounds, carrier too large, method
 arguments that do not apply to the given carrier or name an unknown
-element, and the like).
+element, and the like).  validate, classify, structure and construct
+refuse a document of more than DOCUMENT_CAP elements, and enumerate one
+of more than its --cap, with exit 4, before any meet or join is built.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ EXIT_UNEXPECTED = 1
 EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_PRECONDITION = 4
+
+# the largest document validate, classify, structure and construct read:
+# on a 64-element chain each took at most 0.11 s in process (construct
+# peaked at 166 MB), and their meets, joins and checks grow as n^3 to n^4
+# (a 400-element chain took 33 s and 1.1 GB)
+DOCUMENT_CAP = 64
 
 SCHEMA = "trelliskit-report/1"
 
@@ -168,13 +176,17 @@ def _carrier(path: str, cap: int | None = None):
     The carrier is the document's trellis, with any declared meet/join
     tables checked against it, or its psoset when it is no trellis; gap
     is then the NotATrellis saying why, and None otherwise.  kind is the
-    carrier's StructureKind.  Given a cap, a carrier of more elements is
+    carrier's StructureKind.  A carrier of more elements than cap
+    (enumerate's --cap), or than DOCUMENT_CAP when cap is None, is
     refused once its relation is valid, before its meets and joins are
     built."""
     doc = _read(Path(path).read_bytes())
     p = document_psoset(doc)  # ValidationError propagates -> exit 2
-    if cap is not None:
-        _require_cap(p, cap)  # CarrierTooLarge -> exit 4
+    # CarrierTooLarge -> exit 4
+    if cap is None:
+        _require_cap(p, DOCUMENT_CAP, "only enumerate takes a larger one, with --cap")
+    else:
+        _require_cap(p, cap)
     try:
         t, kind = build_trellis(p)
     except NotATrellis as gap:

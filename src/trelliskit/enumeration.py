@@ -318,8 +318,8 @@ def order_diagram(result: EnumerationResult) -> HasseDiagram:
     antisymmetric but need not be transitive when the carrier is not, so
     the result goes through the same diagram extraction as any psoset,
     read straight off the order's int rows (relation._diagram), which are
-    unpacked only when the order is not transitive.  Node k stands for
-    result.tables[k] (named "T<k+1>").
+    unpacked into a boolean matrix only when the order has a cycle.  Node
+    k stands for result.tables[k] (named "T<k+1>").
     """
     if not result.complete:
         raise PreconditionViolated("order diagram needs a complete enumeration")

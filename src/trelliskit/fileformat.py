@@ -193,14 +193,15 @@ def parse(text: str) -> PsosetDocument:
 def _read(data: bytes) -> PsosetDocument:
     """The document in data, decoded as UTF-8 and read with universal
     newlines, as a file opened in text mode is; a byte that is not UTF-8
-    is a ParseError at its line and column."""
+    is a ParseError at its line and column, with lines ended as
+    universal newlines end them: by CR LF, CR or LF."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        line_start = data.rfind(b"\n", 0, e.start) + 1
+        head = data[:e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         raise ParseError(
-            data.count(b"\n", 0, e.start) + 1,
-            len(data[line_start:e.start].decode("utf-8")) + 1,
+            head.count("\n") + 1,
+            len(head) - head.rfind("\n"),
             f"not UTF-8 text (byte {data[e.start]:#04x})",
         ) from None
     return parse(io.StringIO(text, newline=None).read())

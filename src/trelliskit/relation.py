@@ -84,12 +84,11 @@ def _require_bounds(p: Psoset) -> tuple[int, int]:
     return p.bottom, p.top
 
 
-def _require_cap(p: Psoset, cap: int) -> None:
+def _require_cap(
+    p: Psoset, cap: int, remedy: str = "pass cap= (--cap on the command line) to override"
+) -> None:
     if p.n > cap:
-        raise CarrierTooLarge(
-            f"carrier has {p.n} elements, cap is {cap}; "
-            "pass cap= (--cap on the command line) to override"
-        )
+        raise CarrierTooLarge(f"carrier has {p.n} elements, cap is {cap}; {remedy}")
 
 
 def _require_side(p: Psoset, members: list[int], side: str, error) -> None:
@@ -379,8 +378,10 @@ def co_atoms(p: Psoset) -> frozenset[int]:
 
 
 # --- bitset rows ------------------------------------------------------------
-# Row x of a relation as one int, bit y set iff x <= y.  The two functions
-# below are the only code that packs or unpacks this layout.
+# Row x of a relation as one int, bit y set iff x <= y.  The functions
+# below are the only code that packs or unpacks this layout: _bit_rows
+# reads the ints off np.packbits' bytes, _pack lays them out as those bytes
+# again, and _unpack and _pairs read those bytes.
 
 
 def _bit_rows(mask: np.ndarray) -> list[int]:
@@ -394,13 +395,32 @@ def _bit_rows(mask: np.ndarray) -> list[int]:
     return [int.from_bytes(data[x * step:(x + 1) * step], "little") for x in range(rows)]
 
 
-def _unpack(rows: Sequence[int], w: int) -> np.ndarray:
-    """The read-only boolean matrix of bitset rows with w columns;
-    _bit_rows undone.  _frozen keeps it as it is."""
+def _pack(rows: Sequence[int], w: int) -> np.ndarray:
+    """The bitset rows with w columns as a (len(rows), ceil(w/8)) uint8
+    array, bit y of row x as bit y % 8 of byte y // 8 of row x: the bytes
+    that _bit_rows reads its ints from, w²/8 bytes where the boolean
+    matrix takes w²."""
     step = (w + 7) // 8
     data = np.frombuffer(b"".join([r.to_bytes(step, "little") for r in rows]), np.uint8)
-    bits = np.unpackbits(data.reshape(len(rows), step), axis=1, count=w, bitorder="little")
+    return data.reshape(len(rows), step)
+
+
+def _unpack(rows: Sequence[int], w: int) -> np.ndarray:
+    """The read-only boolean matrix of bitset rows with w columns, _pack
+    then np.unpackbits; _bit_rows undone.  _frozen keeps it as it is."""
+    bits = np.unpackbits(_pack(rows, w), axis=1, count=w, bitorder="little")
     return _readonly(bits).view(bool)
+
+
+def _pairs(packed: np.ndarray) -> list[tuple[int, int]]:
+    """(x, y) for every set bit y of row x of a _pack array, in row-major
+    order, as _hits reads a boolean mask: one flat scan of the bytes, then
+    one of the bits of those that are not zero."""
+    cols = 8 * packed.shape[1]
+    at = np.flatnonzero(packed)
+    bits = np.flatnonzero(np.unpackbits(packed.reshape(-1)[at], bitorder="little"))
+    cells = at[bits >> 3] * 8 + (bits & 7)
+    return list(zip(*(ix.tolist() for ix in np.divmod(cells, cols))))
 
 
 def _reach(rows: list[int]) -> tuple[list[list[int]] | None, list[int]]:
@@ -441,36 +461,36 @@ def _reach(rows: list[int]) -> tuple[list[list[int]] | None, list[int]]:
     return (covers[::-1] if topological else None), reach
 
 
-def _two_step_covers(noid: np.ndarray) -> np.ndarray:
-    """[x, y]: x < y with no z such that x < z < y, where noid is the
-    relation with its diagonal cleared.
+def _two_step_covers(step: np.ndarray) -> np.ndarray:
+    """The covers of a relation as a _pack array: bit y of row x is set
+    iff x < y with no z such that x < z < y, where step is the relation
+    with its diagonal cleared, as a _pack array too.
 
     The middles come by the method of Four Russians (Arlazarov et al.,
-    1970): byte c of packed row x says which of the rows 8c..8c+7 x steps
-    to, and table[c, m] is the OR of the rows 8c + b for the bits b of m,
-    so the OR of every row x steps to is the OR over c of table[c, byte
-    c of row x].  Rows are ORed as 64-bit words, 16 bytes of columns at
-    a time, so no array takes more than 2·w² bytes.  That reads w³/64
-    bytes whatever the density, against w/8 per related pair for an OR
-    over each row's successors: less once one pair in eight is related,
-    as in the pointwise orders of t-norms (12–33% of pairs on random
-    carriers, 23% on fork8)."""
-    w = len(noid)
-    packed = np.packbits(noid, axis=1, bitorder="little")  # byte c: noid[x, 8c:8c + 8]
-    width, words = packed.shape[1], -(-packed.shape[1] // 8)
+    1970): byte c of row x says which of the rows 8c..8c+7 x steps to,
+    and table[c, m] is the OR of the rows 8c + b for the bits b of m, so
+    the OR of every row x steps to is the OR over c of table[c, byte c
+    of row x].  Rows are ORed as 64-bit words.  The tables are built for
+    4 bytes of columns at a time (8 KB per 64 columns) and read one byte
+    at a time, so no other array takes much more than w²/8 bytes, the
+    size of step itself.  That reads w³/64 bytes whatever the density,
+    against w/8 per related pair for an OR over each row's successors:
+    less once one pair in eight is related, as in the pointwise orders of
+    t-norms (12–33% of pairs on random carriers, 23% on fork8)."""
+    w, width = step.shape
+    words = -(-width // 8)
     rows = np.zeros((8 * width, 8 * words), np.uint8)  # rows past the last stay 0
-    rows[:w, :width] = packed
+    rows[:w, :width] = step
     rows = rows.view(np.uint64)
     mid = np.zeros((w, words), np.uint64)  # [x]: the OR of the rows x steps to
-    for c in range(0, width, 16):
-        part = rows[8 * c:8 * c + 128].reshape(-1, 8, words)
+    for c in range(0, width, 4):
+        part = rows[8 * c:8 * c + 32].reshape(-1, 8, words)
         table = np.zeros((len(part), 256, words), np.uint64)
         for b in range(8):
             np.bitwise_or(table[:, :1 << b], part[:, b, None], out=table[:, 1 << b:2 << b])
-        pick = packed[:, c:c + 16] + np.arange(0, 256 * len(part), 256)
-        mid |= np.bitwise_or.reduce(table.reshape(-1, words).take(pick, axis=0), axis=1)
-    between = np.unpackbits(mid.view(np.uint8), axis=1, count=w, bitorder="little")
-    return noid & ~between.view(bool)
+        for b, bytes_ in enumerate(step[:, c:c + 4].T):
+            mid |= table[b].take(bytes_, axis=0)
+    return step & ~mid.view(np.uint8)[:, :width]
 
 
 def _diagram(rows: Sequence[int]) -> HasseDiagram:
@@ -478,30 +498,31 @@ def _diagram(rows: Sequence[int]) -> HasseDiagram:
     rows[x] set iff x <= y.  When _reach gives covers and the rows as the
     reach (the transitive case), those are the covers, since a longer
     chain then has a middle element, and nothing is dashed or a back edge.
-    Otherwise the covers come off the unpacked relation's two-step mask.
-    When _reach gives covers but the reach is more than the rows (acyclic,
-    not transitive), no related pair lies below the diagonal, so a chain
-    only climbs: nothing is a back edge, and x < y is dashed exactly when
-    bit y of reach[x] & ~rows[x] is set, one int per row, unpacked once.
-    Otherwise the dashed pairs and back edges come off the unpacked
-    reach."""
+    Otherwise the covers come off the packed rows, each with its own bit
+    cleared, through _two_step_covers.  When _reach gives covers but the
+    reach is more than the rows (acyclic, not transitive), no related
+    pair lies below the diagonal, so a chain only climbs: nothing is a
+    back edge, and x < y is dashed exactly when bit y of
+    reach[x] & ~rows[x] is set, read off those ints packed, so this
+    branch holds no w x w matrix.  Otherwise the dashed pairs and back
+    edges come off the unpacked relation and reach."""
     rows = list(rows)  # as _reach's reach is, so that the two compare
     covers, reach = _reach(rows)
     if covers is not None and reach == rows:
         edges = tuple((x, y) for x, ys in enumerate(covers) for y in ys)
         return HasseDiagram(edges, dashed_pairs=(), back_edges=())
     w = len(rows)
-    rel = _unpack(rows, w)
-    noid = rel & ~np.eye(w, dtype=bool)
+    step = _pack([row & ~(1 << x) for x, row in enumerate(rows)], w)
     if covers is not None:  # acyclic
-        dashed, back = _unpack([up & ~row for row, up in zip(rows, reach)], w), []
+        dashed = _pairs(_pack([up & ~row for row, up in zip(rows, reach)], w))
+        back = []
     else:
-        reach = _unpack(reach, w)
-        dashed = np.triu(~rel & ~rel.T & (reach | reach.T), 1)
-        back = _hits(noid & reach.T)
+        rel, reach = _unpack(rows, w), _unpack(reach, w)
+        dashed = _hits(np.triu(~rel & ~rel.T & (reach | reach.T), 1))
+        back = _hits(rel & reach.T & ~np.eye(w, dtype=bool))
     return HasseDiagram(
-        cover_edges=tuple(_hits(_two_step_covers(noid))),
-        dashed_pairs=tuple(_hits(dashed)),
+        cover_edges=tuple(_pairs(_two_step_covers(step))),
+        dashed_pairs=tuple(dashed),
         back_edges=tuple(back),
     )
 

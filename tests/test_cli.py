@@ -25,6 +25,7 @@ from trelliskit import (
     random_bounded_psoset,
     random_trellis,
     trellis,
+    validate_psoset,
 )
 from trelliskit.errors import LimitReached
 from trelliskit.fileformat import export_dot, make_document, serialize
@@ -224,6 +225,38 @@ def test_enumerate_refuses_an_over_cap_carrier_before_its_meets_and_joins(
     monkeypatch.setattr(trellis, "_pair_tables", built)
     code, _, err = run(capsys, "enumerate", str(chain))
     assert code == 4 and "cap is 10" in err
+
+
+def chain_document(path, n):
+    """An n-element chain written to path, its meets and joins not built."""
+    rel = np.triu(np.ones((n, n), dtype=bool))
+    path.write_text(serialize(make_document(validate_psoset(rel, map(str, range(n))))))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command", [["validate"], ["classify"], ["structure"], ["construct", "--method", "drastic"]]
+)
+def test_every_command_refuses_a_document_over_the_cap_before_its_meets_and_joins(
+    command, tmp_path, capsys, monkeypatch
+):
+    chain = chain_document(tmp_path / "chain400.psoset", 400)
+
+    def built(p):
+        raise AssertionError("meet and join tables built for an over-cap carrier")
+
+    monkeypatch.setattr(trellis, "_pair_tables", built)
+    code, out, err = run(capsys, command[0], chain, *command[1:])
+    assert code == 4 and out == ""
+    assert "carrier has 400 elements, cap is 64" in err and "enumerate" in err
+
+
+def test_the_document_cap_is_the_largest_document_read(tmp_path, capsys):
+    assert cli.DOCUMENT_CAP == 64
+    code, _, _ = run(capsys, "validate", chain_document(tmp_path / "a.psoset", 64))
+    assert code == 0
+    code, _, err = run(capsys, "validate", chain_document(tmp_path / "b.psoset", 65))
+    assert code == 4 and "cap is 64" in err
 
 
 def test_enumerate_checks_the_relation_then_the_cap_then_the_declared_tables(

@@ -8,6 +8,7 @@ closure for every relation.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,15 +375,24 @@ def test_order_diagram_equals_the_oracle_on_the_int_rows():
     assert dashed >= 2  # fork8 and twin_peaks7 at least
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 64, 127, 128, 129, 136, 300])
+def two_step_mask(noid):
+    """_two_step_covers on a boolean matrix: packed in, unpacked out."""
+    n = len(noid)
+    covers = _two_step_covers(np.packbits(noid, axis=1, bitorder="little"))
+    assert covers.dtype == np.uint8 and covers.shape == (n, (n + 7) // 8)
+    return np.unpackbits(covers, axis=1, count=n, bitorder="little").view(bool)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 31, 32, 33, 64, 127, 128, 129, 136, 300])
 def test_two_step_covers_equal_the_matrix_product(n):
-    # the tables are built per byte of columns and read 16 bytes at a
-    # time, so widths on both sides of a byte and of 128 columns
+    # the tables are built per byte of columns, 4 bytes at a time, and ORed
+    # as 64-bit words, so widths on both sides of a byte, of 32 columns
+    # and of 64
     rng = np.random.default_rng(1708 + n)
     for density in (0.02, 0.125, 0.5):
         noid = (rng.random((n, n)) < density) & ~np.eye(n, dtype=bool)
         step = noid.astype(np.int64)
-        assert np.array_equal(_two_step_covers(noid), noid & ~(step @ step > 0))
+        assert np.array_equal(two_step_mask(noid), noid & ~(step @ step > 0))
 
 
 def test_a_chain_order_is_drawn_without_unpacking_it(monkeypatch):
@@ -403,14 +413,14 @@ def test_a_chain_order_is_drawn_without_unpacking_it(monkeypatch):
 
 def general_diagram(rows):
     """_diagram's general path, for any reflexive relation, as it stands:
-    covers off the two-step mask, dashed pairs and back edges off the
-    unpacked reach."""
+    covers off the unpacked two-step mask, dashed pairs and back edges off
+    the unpacked reach, all read by _hits."""
     rows = list(rows)
     rel, reach = _unpack(rows, len(rows)), _unpack(_reach(rows)[1], len(rows))
     noid = rel & ~np.eye(len(rows), dtype=bool)
     dashed = ~rel & ~rel.T & (reach | reach.T)
     return HasseDiagram(
-        cover_edges=tuple(_hits(_two_step_covers(noid))),
+        cover_edges=tuple(_hits(two_step_mask(noid))),
         dashed_pairs=tuple(_hits(np.triu(dashed, 1))),
         back_edges=tuple(_hits(noid & reach.T)),
     )
@@ -434,6 +444,14 @@ def test_the_acyclic_path_equals_the_general_one():
     for k in range(300):
         rel = upper_relation(rng, 3 + k % 40, closed=False)
         relations.append((f"random {k}", _bit_rows(rel)))
+    # the packed rows have ceil(w/8) bytes and are ORed as 64-bit words:
+    # widths on both sides of one and two bytes and of one and two words
+    for w in (1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129):
+        for k in range(3):
+            rel = upper_relation(rng, w, closed=False)
+            relations.append((f"acyclic, w = {w}", _bit_rows(rel)))
+        if w >= 3:
+            relations.append((f"cyclic, w = {w}", _bit_rows(cyclic_relation(rng, w))))
     taken = {"acyclic": 0, "transitive": 0, "general": 0}
     for label, rows in relations:
         path = path_taken(rows)
@@ -444,9 +462,45 @@ def test_the_acyclic_path_equals_the_general_one():
             assert d.dashed_pairs and d.back_edges == (), label
     assert path_taken(fork8._rows) == "acyclic"
     assert len(order_diagram(fork8).dashed_pairs) == 17_255
-    assert taken["acyclic"] > 200 and taken["transitive"] > 5
+    assert taken["acyclic"] > 200 and taken["transitive"] > 5 and taken["general"] > 10
     # loop8's relation has a cycle, so it takes the general path, the one
     # that finds back edges
     loop8 = _bit_rows(CARRIERS["loop8"]().rel)
     assert path_taken(loop8) == "general"
     assert _diagram(loop8).back_edges == general_diagram(loop8).back_edges != ()
+
+
+def traced_peak(rows):
+    """(_diagram(rows), the peak of the memory it traced on the way)."""
+    _diagram(rows)  # anything built on first use is not counted
+    tracemalloc.start()
+    try:
+        d = _diagram(rows)
+        return d, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fork8s_diagram_peaks_below_the_dense_paths():
+    # fork8's order, w = 764: the dense path peaked at 3.95 MB, of which
+    # the 19,472 pairs it keeps take 1.8 MB
+    rows = list(enumerate_tnorms(CARRIERS["fork8"]())._rows)
+    d, peak = traced_peak(rows)
+    assert (len(d.cover_edges), len(d.dashed_pairs), d.back_edges) == (2217, 17_255, ())
+    assert peak <= 3.3e6, peak
+
+
+def test_the_acyclic_path_holds_no_w_by_w_matrix():
+    # disjoint paths a < b < c with a, c unrelated: acyclic but not
+    # transitive, with few pairs to keep, so that one boolean w x w matrix,
+    # w² bytes (4.2 MB), would be more than everything the path holds
+    w = 2048
+    rel = np.eye(w, dtype=bool)
+    a = np.arange(0, w - 2, 3)
+    rel[a, a + 1] = rel[a + 1, a + 2] = True
+    rows = _bit_rows(rel)
+    assert path_taken(rows) == "acyclic"
+    d, peak = traced_peak(rows)
+    assert d == general_diagram(rows)
+    assert (len(d.cover_edges), len(d.dashed_pairs)) == (2 * len(a), len(a))
+    assert peak < w * w, peak

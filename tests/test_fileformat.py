@@ -577,11 +577,18 @@ def test_the_reader_takes_every_newline_convention():
         assert _outcome(lambda t: fileformat._read(data), "") == _outcome(lambda t: lf, "")
 
 
-def test_the_reader_reports_a_byte_that_is_not_utf8():
-    data = PENTAGON_TEXT.replace("elements: 0", "elements: \u00e90").encode()
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_the_reader_reports_a_byte_that_is_not_utf8(newline):
+    text = PENTAGON_TEXT.replace("elements: 0", "elements: \u00e90")
+    data = text.replace("\n", newline).encode()
     at = data.index(b"0 a b")
     with pytest.raises(ParseError) as info:
         fileformat._read(data[:at] + b"\xff" + data[at:])
     e = info.value
     # line 2, after the 11 characters "elements: \u00e9", which take 12 bytes
     assert (e.line, e.column, e.message) == (2, 12, "not UTF-8 text (byte 0xff)")
+    # a byte that starts a line, after each kind of line end
+    head = f"psoset-document v1{newline}elements: a{newline}".encode()
+    with pytest.raises(ParseError) as info:
+        fileformat._read(head + b"\xff\r1\r")
+    assert (info.value.line, info.value.column) == (3, 1)
